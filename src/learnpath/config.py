@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 
 from learnpath.supervision import TrainConfig
-from learnpath.toygauss import GaussianSpec
+from learnpath.toygauss import GaussianSpec, split_counts
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "KINDS"]
 
@@ -269,6 +269,14 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
     return cfg
 
 
+# kinds that score on the validation rows whatever `patience` is (the
+# best-validation checkpoint of ESKD targets, early-stop students and
+# stages; recovery's validation-accuracy column), and kinds whose training
+# honours `patience`
+_VALIDATION_KINDS = ("correlate", "distance-gap", "distill", "recovery")
+_PATIENCE_KINDS = ("correlate", "paths", "distance-gap", "distill", "zigzag")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     try:
         cfg.gaussian_spec()
@@ -280,6 +288,16 @@ def _validate(cfg: ExperimentConfig) -> None:
     r = cfg.ratios
     if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be 3 non-negative values summing to 1, got {r}")
+    if split_counts(cfg.n_samples, r)[1] == 0:
+        # with no validation rows the best-validation checkpoint is the
+        # untrained init, early stopping never fires and validation
+        # accuracy is undefined
+        if cfg.kind in _VALIDATION_KINDS:
+            raise ConfigError(f"ratios {r} leave no validation rows; {cfg.kind} "
+                              "scores on them")
+        if cfg.kind in _PATIENCE_KINDS and cfg.patience > 0:
+            raise ConfigError(f"ratios {r} leave no validation rows; patience = "
+                              f"{cfg.patience} needs them for early stopping")
     if "flip_ratio" in cfg._values and not 0 <= cfg.flip_ratio <= 1:
         raise ConfigError(f"flip_ratio must be in [0, 1], got {cfg.flip_ratio}")
     for grid_key in ("noise_grid", "alpha_grid", "flip_grid", "eta_grid",

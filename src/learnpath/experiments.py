@@ -23,7 +23,7 @@ import numpy as np
 from learnpath.config import ExperimentConfig
 from learnpath.metrics import (accuracy, ece, mean_gap, spearman,
                                spearman_perm_pvalue, xi_bounds)
-from learnpath.ntkcheck import (decompose_pair, similarity_trace_study,
+from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
 from learnpath.numerics import init_mlp, predict_proba
 from learnpath.pathtrace import (barycentric_project, base_difficulty,
@@ -178,17 +178,23 @@ def _correlate_group(ds, task):
         tconfig = cfg.train_config(seed=seed)
         teacher_cfg = cfg.train_config(seed=seed, patience=None,
                                        stop_at_train_acc=1.0)
-        teacher = train_model(ds, make_onehot_targets(ds), teacher_cfg)
         tables = {
             "oht": make_onehot_targets(ds),
             "ls": make_ls_targets(ds, cfg.ls_epsilon),
             "gt": make_gt_targets(ds),
-            "kd": extract_kd_targets(teacher, ds),
-            "eskd": extract_eskd_targets(teacher, ds),
         }
+        try:
+            teacher = train_model(ds, make_onehot_targets(ds), teacher_cfg)
+            tables["kd"] = extract_kd_targets(teacher, ds)
+            tables["eskd"] = extract_eskd_targets(teacher, ds)
+        except DivergenceError as err:
+            teacher_error = f"teacher: {err}"
         rows = []
         for kind in _BASELINE_ORDER:
-            row = _student_row(ds, tables[kind], tconfig, loss_bound)
+            if kind in tables:
+                row = _student_row(ds, tables[kind], tconfig, loss_bound)
+            else:  # the teacher these targets come from diverged
+                row = {"error": teacher_error}
             row.update({"supervision": kind, "noise_scale": math.nan, "seed": s})
             rows.append(row)
         return rows
@@ -235,15 +241,17 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     gaps = [row["l2_gap"] for row in rows]
     accs = [row["test_acc"] for row in rows]
     eces = [row["test_ece"] for row in rows]
-    rho_acc = spearman(gaps, accs)
-    rho_ece = spearman(gaps, eces)
+    if len(rows) < 2:  # too few finished runs to rank
+        rho_acc = rho_ece = math.nan
+    else:
+        rho_acc, rho_ece = spearman(gaps, accs), spearman(gaps, eces)
     lines = [
         f"n_runs = {len(rows)}",
         f"n_diverged = {len(diverged)}",
         f"spearman_gap_acc = {rho_acc:.17g}",
         f"spearman_gap_ece = {rho_ece:.17g}",
     ]
-    if cfg.perm_test > 0:
+    if cfg.perm_test > 0 and len(rows) >= 2:
         rng = stream(cfg.seed, "permtest")
         lines.append(f"perm_pvalue_gap_acc = "
                      f"{spearman_perm_pvalue(gaps, accs, cfg.perm_test, rng):.17g}")
@@ -424,10 +432,18 @@ def _distill_group(ds, task):
     seed = derive_seed(cfg.seed, 4, s)
     tconfig = cfg.train_config(seed=seed)
     alphas = tuple(sorted(set(cfg.alpha_grid) | {cfg.filter_alpha}))
-    teacher, tables = train_teacher_filterkd_multi(flipped, tconfig, alphas)
+    try:
+        teacher, tables = train_teacher_filterkd_multi(flipped, tconfig, alphas)
+        eskd = extract_eskd_targets(teacher, flipped)
+    except DivergenceError as err:
+        teacher_error = f"teacher: {err}"
+        eskd, tables = None, {}
     rows = []
 
     def add(kind, alpha, targets):
+        if targets is None:  # the teacher these targets come from diverged
+            rows.append({"error": teacher_error})
+            return
         try:
             result = train_model(flipped, targets, tconfig)
         except DivergenceError as err:
@@ -439,9 +455,9 @@ def _distill_group(ds, task):
                      "epochs_run": result.epochs_run})
 
     add("oht", math.nan, make_onehot_targets(flipped))
-    add("eskd", math.nan, extract_eskd_targets(teacher, flipped))
+    add("eskd", math.nan, eskd)
     for a in alphas:
-        add("filter_kd", a, tables[a])
+        add("filter_kd", a, tables.get(a))
     add("gt", math.nan, make_gt_targets(flipped))
     return rows
 
@@ -520,20 +536,13 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
         p_tar = perturb_target(ds.p_star[j], cfg.target_noise, tgt_rng)
         pairs.append((ds.x[i], ds.x[j], p_tar))
 
-    dec_rows, medians = [], []
-    for eta in cfg.eta_grid:
-        res = []
-        for pid, (x_o, x_u, p_tar) in enumerate(pairs):
-            rec = decompose_pair(model, x_o, x_u, p_tar, eta, pair_id=pid)
-            res.append(rec.residual_norm)
-            dec_rows.append([pid, eta, rec.residual_norm,
-                             *rec.predicted, *rec.actual,
-                             rec.trace_a, rec.trace_kernel])
-        medians.append((eta, float(np.median(res))))
+    records, medians = residual_scaling_test(model, pairs, cfg.eta_grid)
     write_csv(os.path.join(out_dir, "decomposition.csv"), cfg.echo_lines(),
               ["pair_id", "eta", "residual_norm",
                *[f"pred_{i}" for i in range(k)], *[f"act_{i}" for i in range(k)],
-               "trace_a", "trace_kernel"], dec_rows)
+               "trace_a", "trace_kernel"],
+              ([rec.pair_id, rec.eta, rec.residual_norm, *rec.predicted,
+                *rec.actual, rec.trace_a, rec.trace_kernel] for rec in records))
 
     lines, checks = [], []
     for (e1, m1), (e2, m2) in zip(medians, medians[1:]):

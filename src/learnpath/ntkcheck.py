@@ -11,7 +11,18 @@ where A(x) = diag(q(x)) - q(x) q(x)^T is the softmax Jacobian at x_o
 and K(x_o, x_u) = J(x_o) J(x_u)^T is the empirical tangent kernel built
 from logit Jacobians J = d z / d w. The residual is O(eta^2), so
 halving eta should shrink it roughly 4x; residual_scaling_test measures
-exactly that ratio.
+exactly that ratio. Only the step size varies along the eta grid, so
+decompose_pair computes q, A, both Jacobians, K and the loss gradient
+once per pair and then takes one real SGD step per eta.
+
+The kernel trace needs no Jacobian at all. Per layer l the Jacobian of
+logit k is the outer product of the backward delta delta^{l,k} with the
+layer input a^{l-1} (plus delta^{l,k} itself for the bias), so
+
+    tr K(x_o, x_u) = sum_l (a_o^{l-1} . a_u^{l-1} + 1)
+                           * sum_k delta_o^{l,k} . delta_u^{l,k},
+
+which similarity_trace_study evaluates from batched per-layer factors.
 
 A(x) is symmetric PSD with A 1 = 0 and tr A = 1 - sum_i q_i^2, which
 bounds the trace by 1 - 1/K and makes 1 - sum q_i^2 a handy per-sample
@@ -24,14 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from learnpath.numerics import (MlpModel, logits_jacobian, mlp_backward,
-                                mlp_forward, sgd_step, softmax)
+from learnpath.numerics import (MlpModel, jacobian_factors, logits_jacobian,
+                                mlp_backward, mlp_forward, sgd_step, softmax)
 
 __all__ = [
     "DecompositionRecord", "softmax_jacobian", "empirical_ntk",
     "predicted_delta_q", "actual_delta_q", "residual_scaling_test",
     "similarity_trace_study", "trace_evolution",
 ]
+
+
+# rows per batched forward/backward in similarity_trace_study
+_BLOCK_ROWS = 256
 
 
 def softmax_jacobian(q: np.ndarray) -> np.ndarray:
@@ -91,44 +106,62 @@ class DecompositionRecord:
     trace_kernel: float
 
 
-def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta: float,
-                   pair_id: int = 0) -> DecompositionRecord:
-    """Evaluate both sides of the decomposition for one pair and step size."""
-    q_u = softmax(mlp_forward(model, x_u).logits)
+def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
+                   pair_id: int = 0) -> list:
+    """Evaluate both sides of the decomposition for one pair, every eta.
+
+    Everything but the step itself is independent of eta, so q, A, both
+    Jacobians, K and the loss gradient at x_u are computed once. The
+    actual move at each eta still comes from a real SGD step, taken on one
+    scratch copy of the model reset before every step. Returns one record
+    per eta, in grid order.
+    """
+    p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
+    cache_u = mlp_forward(model, x_u)
+    q_u = softmax(cache_u.logits)
     q_o = softmax(mlp_forward(model, x_o).logits)
     a_matrix = softmax_jacobian(q_o)
     kernel = empirical_ntk(model, x_o, x_u)
-    pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
-    act = actual_delta_q(model, x_o, x_u, p_tar_u, eta)
-    return DecompositionRecord(pair_id=pair_id, eta=float(eta), predicted=pred,
-                               actual=act,
-                               residual_norm=float(np.linalg.norm(act - pred)),
-                               trace_a=float(np.trace(a_matrix)),
-                               trace_kernel=float(np.trace(kernel)))
+    grads = mlp_backward(model, cache_u, q_u - p_tar_u)
+    trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
+    scratch = model.copy()
+    records = []
+    for eta in eta_grid:
+        pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
+        for dst, src in zip(scratch.weights + scratch.biases,
+                            model.weights + model.biases):
+            dst[...] = src
+        sgd_step(scratch, grads, eta)
+        act = softmax(mlp_forward(scratch, x_o).logits) - q_o
+        records.append(DecompositionRecord(
+            pair_id=pair_id, eta=float(eta), predicted=pred, actual=act,
+            residual_norm=float(np.linalg.norm(act - pred)),
+            trace_a=trace_a, trace_kernel=trace_kernel))
+    return records
 
 
 def residual_scaling_test(model: MlpModel, pairs, eta_grid):
     """Median decomposition residual at each step size.
 
     pairs is a sequence of (x_o, x_u, p_tar_u); eta_grid is evaluated as
-    given. Returns (records, medians) where medians is a list of
-    (eta, median residual norm) in grid order. Medians rather than means
-    keep the occasional near-kink pair from dominating.
+    given. Returns (records, medians): records are eta-major (every pair
+    at the first eta, then every pair at the next) and medians is a list
+    of (eta, median residual norm) in grid order. Medians rather than
+    means keep the occasional near-kink pair from dominating.
     """
     eta_grid = [float(e) for e in eta_grid]
     if not pairs or not eta_grid:
         raise ValueError("need at least one pair and one eta")
-    records = []
-    medians = []
     for eta in eta_grid:
         if not eta > 0:
             raise ValueError(f"step sizes must be positive, got {eta}")
-        res = []
-        for pid, (x_o, x_u, p_tar_u) in enumerate(pairs):
-            rec = decompose_pair(model, x_o, x_u, p_tar_u, eta, pair_id=pid)
-            records.append(rec)
-            res.append(rec.residual_norm)
-        medians.append((eta, float(np.median(res))))
+    per_pair = [decompose_pair(model, x_o, x_u, p_tar_u, eta_grid, pair_id=pid)
+                for pid, (x_o, x_u, p_tar_u) in enumerate(pairs)]
+    records, medians = [], []
+    for e, eta in enumerate(eta_grid):
+        column = [recs[e] for recs in per_pair]
+        records.extend(column)
+        medians.append((eta, float(np.median([r.residual_norm for r in column]))))
     return records, medians
 
 
@@ -138,21 +171,29 @@ def similarity_trace_study(model: MlpModel, x_o: np.ndarray, xs: np.ndarray):
     For each row x_u of xs records (index, cos(x_o, x_u), tr K(x_o, x_u))
     with the model held fixed (typically at init). How strongly and with
     which sign the two columns rank-correlate is an empirical question;
-    callers get the raw records.
+    callers get the raw records. The traces come from the per-layer
+    factors of the module docstring, over xs in blocks of _BLOCK_ROWS rows
+    so that memory stays flat in len(xs).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ValueError(f"xs must be (n, dim), got {xs.shape}")
-    j_o = logits_jacobian(model, x_o)
+    x_o = np.asarray(x_o, dtype=np.float64)
+    probe = [(a[0], d[0].ravel()) for a, d in jacobian_factors(model, x_o[None])]
     norm_o = float(np.linalg.norm(x_o))
     out = np.zeros(xs.shape[0], dtype=[("index", np.int64),
                                        ("cosine", np.float64),
                                        ("trace", np.float64)])
+    for start in range(0, xs.shape[0], _BLOCK_ROWS):
+        rows = xs[start:start + _BLOCK_ROWS]
+        trace = np.zeros(rows.shape[0])
+        for (a_o, d_o), (a_u, d_u) in zip(probe, jacobian_factors(model, rows)):
+            trace += (a_u @ a_o + 1.0) * (d_u.reshape(rows.shape[0], -1) @ d_o)
+        out["trace"][start:start + rows.shape[0]] = trace
+    out["index"] = np.arange(xs.shape[0])
     for i, x_u in enumerate(xs):
-        j_u = logits_jacobian(model, x_u)
         denom = norm_o * float(np.linalg.norm(x_u))
-        cos = float(x_o @ x_u) / denom if denom > 0 else 0.0
-        out[i] = (i, cos, float((j_o * j_u).sum()))
+        out["cosine"][i] = float(x_o @ x_u) / denom if denom > 0 else 0.0
     return out
 
 

@@ -23,8 +23,9 @@ Grads = list
 
 __all__ = [
     "MlpModel", "ForwardCache", "init_mlp", "softmax", "mlp_forward",
-    "mlp_backward", "logits_jacobian", "sgd_step", "finite_diff_grad",
-    "predict_proba", "zero_grads", "save_model", "load_model",
+    "mlp_backward", "logits_jacobian", "jacobian_factors", "sgd_step",
+    "finite_diff_grad", "predict_proba", "zero_grads", "save_model",
+    "load_model",
 ]
 
 
@@ -183,18 +184,51 @@ def logits_jacobian(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Jacobian of the logit vector w.r.t. all parameters, shape (K, d).
 
     Row k is the backward pass seeded with the unit vector e_k, flattened
-    in the same order as MlpModel.flat().
+    in the same order as MlpModel.flat(); it is assembled from the
+    jacobian_factors of the one-row batch x.
     """
-    cache = mlp_forward(model, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.num_inputs,):
+        raise ValueError(f"input shape {x.shape}, model expects ({model.num_inputs},)")
     k = model.num_classes
-    rows = np.empty((k, model.num_params))
-    for i in range(k):
-        seed_vec = np.zeros(k)
-        seed_vec[i] = 1.0
-        grads = mlp_backward(model, cache, seed_vec)
-        rows[i] = np.concatenate([np.concatenate([dw.ravel(), db])
-                                  for dw, db in grads])
-    return rows
+    parts = []
+    for inputs, deltas in jacobian_factors(model, x[None]):
+        parts.append((deltas[0][:, :, None] * inputs[0]).reshape(k, -1))
+        parts.append(deltas[0])
+    return np.concatenate(parts, axis=1)
+
+
+def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
+    """Per-layer factors of the logit Jacobians of a batch of inputs.
+
+    Returns one (inputs, deltas) pair per layer l: inputs (n, fan_in_l)
+    holds the layer inputs a_{l-1} and deltas (n, K, fan_out_l) the
+    unit-seeded backward deltas, d z_L[k] / d z_l at input i, from one
+    backward pass with all K seeds stacked. Logit k's Jacobian at input i
+    is, for W_l, the outer product of deltas[i, k] and inputs[i], and for
+    b_l, deltas[i, k]; no (K, d) block is ever formed.
+    """
+    a = np.asarray(xs, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != model.num_inputs:
+        raise ValueError(f"batch shape {a.shape}, model expects (n, {model.num_inputs})")
+    inputs, pre = [], []
+    last = model.num_layers - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        z = a @ w.T + b
+        pre.append(z)
+        a = z if l == last else np.maximum(z, 0.0)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite logits in batch forward pass")
+    n, k = a.shape
+    delta = np.broadcast_to(np.eye(k), (n, k, k))
+    deltas = [None] * model.num_layers
+    for l in range(last, -1, -1):
+        deltas[l] = delta
+        if l > 0:
+            back = delta.reshape(n * k, -1) @ model.weights[l]
+            delta = back.reshape(n, k, -1) * (pre[l - 1] > 0.0)[:, None, :]
+    return list(zip(inputs, deltas))
 
 
 def zero_grads(model: MlpModel) -> Grads:

@@ -69,6 +69,15 @@ class TargetTable:
             raise ValueError("target entries must lie in [0, 1]")
         if not np.allclose(self.rows.sum(axis=1), 1.0, atol=1e-8):
             raise ValueError("target rows must sum to 1")
+        # a tempered target raises entries to a fractional power, which
+        # turns even -1e-13 into NaN: clip such rounding residue to 0 and
+        # renormalize its row (a copy; rows already in [0, 1] keep their bits)
+        negative = self.rows < 0
+        if negative.any():
+            rows = np.where(negative, 0.0, self.rows)
+            hit = negative.any(axis=1)
+            rows[hit] /= rows[hit].sum(axis=1, keepdims=True)
+            self.rows = rows
 
     @property
     def n(self) -> int:
@@ -157,6 +166,10 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
         g = q.copy()
         g[y] -= 1.0
         grad += (1.0 - beta) * g
+    # at tau = 1 every term is finite once z and p are; at tau != 1 the
+    # tempered target p^tau can still be NaN (a negative entry)
+    if tau != 1.0 and not np.isfinite(grad).all():
+        raise ValueError(f"non-finite distillation gradient {grad!r}")
     return loss, grad
 
 

@@ -26,8 +26,8 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 __all__ = [
     "GaussianSpec", "ToySample", "ToyDataset", "gen_class_means",
-    "compute_p_star", "sample_dataset", "split_dataset", "flip_labels",
-    "perturb_target", "save_dataset", "load_dataset",
+    "compute_p_star", "sample_dataset", "split_counts", "split_dataset",
+    "flip_labels", "perturb_target", "save_dataset", "load_dataset",
     "TRAIN", "VALID", "TEST", "SPLIT_NAMES",
 ]
 
@@ -181,7 +181,7 @@ def sample_dataset(spec: GaussianSpec, n_samples: int) -> ToyDataset:
                       p_star=p_star, split=np.full(n_samples, TRAIN, dtype=np.int8))
 
 
-def _apportion(n: int, ratios) -> list:
+def split_counts(n: int, ratios) -> list:
     """Largest-remainder split counts: sum to n, each within 1 of n*ratio."""
     quotas = [n * r for r in ratios]
     base = [int(np.floor(q)) for q in quotas]
@@ -202,7 +202,7 @@ def split_dataset(ds: ToyDataset, ratios) -> ToyDataset:
         raise ValueError(f"ratios must be 3 non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    counts = _apportion(ds.n, ratios)
+    counts = split_counts(ds.n, ratios)
     perm = stream(ds.spec.seed, "split").permutation(ds.n)
     split = np.empty(ds.n, dtype=np.int8)
     at = 0

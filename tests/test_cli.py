@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from learnpath import experiments
 from learnpath.cli import build_parser, main
+from learnpath.config import load_config
 
 COMMANDS = ("gen-data", "correlate", "paths", "distance-gap", "recovery",
             "distill", "ntk-verify", "zigzag")
@@ -53,6 +55,56 @@ class TestErrorExits:
         rc = main(["gen-data", "--config", path, "--jobs", "0",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("kind", ["distill", "recovery"])
+    def test_empty_validation_split_exits_before_training(self, tmp_path, capsys,
+                                                          kind):
+        path = cfg_file(tmp_path, "n_samples = 100\nratios = 0.5,0,0.5\n")
+        out = tmp_path / "o"
+        assert main([kind, "--config", path, "--out", str(out)]) == 1
+        assert "no validation rows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTeacherDivergence:
+    """A diverging teacher fails its cell's teacher-dependent students only."""
+
+    DISTILL = ("n_samples = 200\nratios = 0.4,0.1,0.5\nflip_grid = 0.2\n"
+               "seeds = 0,1\nalpha_grid = 0.2\nmax_epochs = 8\n"
+               "hidden_sizes = 16\nlearning_rate = 1000\n")
+    CORRELATE = ("n_samples = 300\nratios = 0.4,0.2,0.4\n"
+                 "noise_grid = 0.05,0.4\nnoise_seeds = 1\n"
+                 "baseline_seeds = 1\nmax_epochs = 8\nhidden_sizes = 16\n"
+                 "learning_rate = 1000\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,csv,n_runs", [
+        ("distill", "distill.csv", 2 * 4), ("correlate", "runs.csv", 5 + 2)])
+    def test_sweep_finishes_with_failed_rows(self, tmp_path, command, csv, n_runs):
+        text = self.DISTILL if command == "distill" else self.CORRELATE
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_file(tmp_path, text),
+                     "--out", str(out)]) == 0
+        assert f"# diverged_runs = {n_runs}\n" in (out / csv).read_text()
+        assert f"n_diverged = {n_runs}\n" in (out / "summary.txt").read_text()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_teacher_error_carried_by_dependent_students(self, tmp_path):
+        cfg = load_config("distill", cfg_file(tmp_path, self.DISTILL))
+        ds = experiments._build_dataset(cfg)
+        rows = experiments._distill_group(ds, {"cfg": cfg, "flip_index": 0,
+                                               "seed": 0})
+        # oht, eskd, filter_kd at alpha 0.2, gt
+        assert len(rows) == 4 and all("error" in r for r in rows)
+        assert [r["error"].startswith("teacher: ") for r in rows] == \
+            [False, True, True, False]
+        cfg = load_config("correlate", cfg_file(tmp_path, self.CORRELATE))
+        rows = experiments._correlate_group(
+            experiments._build_dataset(cfg),
+            {"cfg": cfg, "what": "baselines", "seed_index": 0})
+        # oht, ls, gt, kd, eskd
+        assert [r["error"].startswith("teacher: ") for r in rows] == \
+            [False, False, False, True, True]
 
 
 class TestGenData:

@@ -134,6 +134,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config("gen-data", path)
 
+    @pytest.mark.parametrize("kind,extra", [
+        ("distill", "patience = 0\n"), ("correlate", "patience = 0\n"),
+        ("distance-gap", ""), ("recovery", "patience = 0\n"),
+        ("paths", "patience = 5\n"), ("zigzag", "patience = 5\n")])
+    def test_empty_validation_split_rejected(self, tmp_path, kind, extra):
+        path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\n" + extra)
+        with pytest.raises(ConfigError, match="no validation rows"):
+            load_config(kind, path)
+
+    def test_validation_share_rounding_to_zero_rejected(self, tmp_path):
+        # 100 * 0.004 = 0.4 rows: the largest remainder goes to test
+        path = write_cfg(tmp_path, "n_samples = 100\nratios = 0.5,0.004,0.496\n")
+        with pytest.raises(ConfigError, match="no validation rows"):
+            load_config("distill", path)
+
+    @pytest.mark.parametrize("kind", ["gen-data", "paths", "zigzag", "ntk-verify"])
+    def test_empty_validation_split_allowed_without_early_stopping(self, tmp_path,
+                                                                   kind):
+        path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\npatience = 0\n")
+        assert load_config(kind, path).ratios == (0.5, 0.0, 0.5)
+
     def test_quantiles_range(self, tmp_path):
         path = write_cfg(tmp_path, "quantiles = 0.5,1.5\n")
         with pytest.raises(ConfigError, match="quantiles"):

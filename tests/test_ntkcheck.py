@@ -6,7 +6,8 @@ from learnpath.ntkcheck import (actual_delta_q, decompose_pair, empirical_ntk,
                                 predicted_delta_q, residual_scaling_test,
                                 similarity_trace_study, softmax_jacobian,
                                 trace_evolution)
-from learnpath.numerics import MlpModel, init_mlp, mlp_forward, softmax
+from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
+                                softmax)
 from learnpath.toygauss import GaussianSpec, sample_dataset
 
 
@@ -19,6 +20,14 @@ def linear_model(dim, k=3, seed=0):
     w = rng.normal(scale=0.3, size=(k, dim))
     b = rng.normal(scale=0.1, size=k)
     return MlpModel((dim, k), [w], [b])
+
+
+def per_seed_jacobian(model, x):
+    """Reference logit Jacobian: one backward pass per unit seed e_k."""
+    cache = mlp_forward(model, x)
+    return np.vstack([np.concatenate([np.concatenate([dw.ravel(), db])
+                                      for dw, db in mlp_backward(model, cache, e)])
+                      for e in np.eye(model.num_classes)])
 
 
 class TestSoftmaxJacobian:
@@ -141,7 +150,7 @@ class TestDecomposition:
     def test_record_fields_consistent(self, rng):
         model = init_mlp((30, 16, 3), seed=9)
         (x_o, x_u, p_tar) = decomposition_pairs(1)[0]
-        rec = decompose_pair(model, x_o, x_u, p_tar, 0.01, pair_id=3)
+        [rec] = decompose_pair(model, x_o, x_u, p_tar, (0.01,), pair_id=3)
         assert rec.pair_id == 3 and rec.eta == 0.01
         assert rec.residual_norm == pytest.approx(
             np.linalg.norm(rec.actual - rec.predicted), abs=0)
@@ -158,6 +167,35 @@ class TestDecomposition:
         assert [e for e, _ in medians] == [1e-2, 5e-3, 2.5e-3]
         for (_, r1), (_, r2) in zip(medians, medians[1:]):
             assert 3.0 <= r1 / r2 <= 5.0
+
+    @pytest.mark.parametrize("sizes", [(30, 3), (30, 16, 3), (30, 32, 32, 3)])
+    def test_hoisted_records_match_per_eta_reference(self, sizes):
+        # everything but the step is computed once per pair; each record
+        # must still match predicted_delta_q / actual_delta_q at its eta
+        model = init_mlp(sizes, seed=len(sizes))
+        pairs = decomposition_pairs(4, seed=2)
+        grid = (1e-2, 5e-3, 2.5e-3)
+        records, _ = residual_scaling_test(model, pairs, grid)
+        assert [(r.pair_id, r.eta) for r in records] == \
+            [(pid, eta) for eta in grid for pid in range(len(pairs))]
+        for rec in records:
+            x_o, x_u, p_tar = pairs[rec.pair_id]
+            q_o = softmax(mlp_forward(model, x_o).logits)
+            q_u = softmax(mlp_forward(model, x_u).logits)
+            kernel = empirical_ntk(model, x_o, x_u)
+            pred = predicted_delta_q(rec.eta, softmax_jacobian(q_o), kernel,
+                                     p_tar, q_u)
+            act = actual_delta_q(model, x_o, x_u, p_tar, rec.eta)
+            assert np.allclose(rec.predicted, pred, rtol=0, atol=1e-12)
+            assert np.allclose(rec.actual, act, rtol=0, atol=1e-12)
+            assert rec.trace_kernel == pytest.approx(np.trace(kernel), rel=1e-12)
+
+    def test_model_untouched(self):
+        model = init_mlp((30, 16, 3), seed=4)
+        before = model.flat()
+        x_o, x_u, p_tar = decomposition_pairs(1)[0]
+        decompose_pair(model, x_o, x_u, p_tar, (0.5, 0.1))
+        assert np.array_equal(model.flat(), before)
 
     def test_bad_inputs(self):
         model = init_mlp((30, 16, 3), seed=0)
@@ -192,6 +230,17 @@ class TestSimilarity:
         out = similarity_trace_study(model, ds.x[0], ds.x[1:201])
         rho = spearman(out["cosine"], out["trace"])
         assert abs(rho) >= 0.3
+
+    @pytest.mark.parametrize("sizes", [(8, 3), (8, 12, 3), (8, 16, 16, 4)])
+    def test_factored_trace_matches_full_jacobians(self, sizes):
+        # 300 rows cross the 256-row block boundary
+        model = init_mlp(sizes, seed=5)
+        rng = np.random.default_rng(3)
+        x_o, xs = rng.normal(size=8), rng.normal(size=(300, 8))
+        out = similarity_trace_study(model, x_o, xs)
+        j_o = per_seed_jacobian(model, x_o)
+        want = [(j_o * per_seed_jacobian(model, x_u)).sum() for x_u in xs]
+        assert np.allclose(out["trace"], want, rtol=1e-12, atol=0)
 
     def test_bad_xs_shape(self):
         model = init_mlp((4, 8, 3), seed=0)

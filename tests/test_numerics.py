@@ -191,6 +191,27 @@ class TestJacobian:
         assert np.array_equal(jac[0], flat_grads(grads))
 
 
+class TestBatchedJacobian:
+    """logits_jacobian's single (K, width) backward vs K seeded passes."""
+
+    @staticmethod
+    def per_seed_reference(model, x):
+        cache = mlp_forward(model, x)
+        return np.vstack([flat_grads(mlp_backward(model, cache, e))
+                          for e in np.eye(model.num_classes)])
+
+    @pytest.mark.parametrize("sizes", [(6, 3), (5, 1), (4, 7, 2),
+                                       (30, 32, 32, 32, 3), (8, 16, 9, 5)])
+    def test_matches_per_seed_backward(self, sizes):
+        model = init_mlp(sizes, seed=len(sizes))
+        rng = np.random.default_rng(sum(sizes))
+        for x in rng.normal(size=(4, sizes[0])):
+            want = self.per_seed_reference(model, x)
+            got = logits_jacobian(model, x)
+            assert got.shape == (model.num_classes, model.num_params)
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
 class TestSgdStep:
     def test_zero_grads_identity(self):
         model = init_mlp((3, 2), seed=0)

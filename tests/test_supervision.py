@@ -32,6 +32,23 @@ class TestTargetTable:
         with pytest.raises(ValueError):
             TargetTable(np.array([[1.2, -0.2]]), "custom")
 
+    def test_rounding_negatives_clipped_and_renormalized(self):
+        # at tau = 1.5 the raw row gives a NaN loss and gradient
+        rows = np.array([[1 + 5e-13, -5e-13, 0.0], [0.2, 0.3, 0.5]])
+        raw = rows.copy()
+        table = TargetTable(rows, "custom")
+        assert np.array_equal(rows, raw)  # the caller's array is not touched
+        assert np.all(table.rows >= 0.0)
+        assert table.rows[0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(table.rows[1], raw[1])
+        loss, grad = kd_loss_and_grad(np.array([0.5, -0.2, 0.1]), table.rows[0],
+                                      y=0, temperature=1.5)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+    def test_rows_in_range_keep_their_bits(self, small_ds):
+        rows = small_ds.p_star.copy()
+        assert np.array_equal(TargetTable(rows, "ground_truth").rows, rows)
+
     def test_save_load_round_trip(self, small_ds, tmp_path):
         table = make_ls_targets(small_ds, 0.25)
         path = tmp_path / "targets.csv"
@@ -123,6 +140,13 @@ class TestKdLossGrad:
                 err = (np.linalg.norm(grad - numeric)
                        / max(np.linalg.norm(numeric), 1e-12))
                 assert err < 1e-5, (tau, beta)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_rejected(self):
+        # a negative target entry raised to a fractional power is NaN
+        with pytest.raises(ValueError, match="gradient"):
+            kd_loss_and_grad(np.zeros(3), np.array([1 + 5e-13, -5e-13, 0.0]),
+                             y=0, temperature=1.5)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
