@@ -48,11 +48,11 @@ from learnpath.supervision import (
     make_gt_targets,
     kd_loss_and_grad,
     train_model,
+    train_models,
     train_teacher_filterkd,
     train_teacher_filterkd_multi,
     extract_eskd_targets,
     extract_kd_targets,
-    param_ema_tracker,
     save_targets,
     load_targets,
 )
@@ -100,9 +100,9 @@ __all__ = [
     "perturb_target", "save_dataset", "load_dataset", "TRAIN", "VALID", "TEST",
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
-    "kd_loss_and_grad", "train_model", "train_teacher_filterkd",
-    "train_teacher_filterkd_multi", "extract_eskd_targets",
-    "extract_kd_targets", "param_ema_tracker", "save_targets", "load_targets",
+    "kd_loss_and_grad", "train_model", "train_models",
+    "train_teacher_filterkd", "train_teacher_filterkd_multi",
+    "extract_eskd_targets", "extract_kd_targets", "save_targets", "load_targets",
     "LearningPath", "PathStore", "ema_filter_path", "barycentric_project",
     "base_difficulty", "zigzag_score", "distance_gap_snapshot",
     "recovery_fraction",

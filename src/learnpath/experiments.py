@@ -34,7 +34,7 @@ from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, train_model,
-                                   train_teacher_filterkd_multi)
+                                   train_models, train_teacher_filterkd_multi)
 from learnpath.toygauss import (ToyDataset, flip_labels, perturb_target,
                                 sample_dataset, save_dataset, split_dataset)
 
@@ -144,12 +144,43 @@ def _pool_entry(worker, task):
     return worker(_POOL_DS, task)
 
 
-def _student_row(ds, targets, tconfig, loss_bound):
-    """Train one student and measure it; None on divergence."""
-    try:
-        result = train_model(ds, targets, tconfig)
-    except DivergenceError as err:
-        return {"error": str(err)}
+def _split_failed(runs):
+    """(rows of finished runs, one line per failed run), order kept.
+
+    A failed run's row holds its name under "run" and why it has no
+    result under "error".
+    """
+    rows, failed = [], []
+    for row in runs:
+        if "error" in row:
+            failed.append(f"{row['run']}: {' '.join(row['error'].split())}")
+        else:
+            rows.append(row)
+    return rows, failed
+
+
+def _sweep_header(cfg, failed) -> list:
+    return (cfg.echo_lines() + [f"# diverged_runs = {len(failed)}"]
+            + [f"# failed_run = {message}" for message in failed])
+
+
+def _train_students(ds, tables, tconfig, teacher_error=None):
+    """Train every table in one lockstep stack (they share tconfig).
+
+    Returns per table its TrainResult or the message of why it has none:
+    its own divergence, or teacher_error where the table is None because
+    the teacher it comes from diverged.
+    """
+    trained = iter(train_models(ds, [t for t in tables if t is not None], tconfig))
+    outcomes = []
+    for table in tables:
+        result = teacher_error if table is None else next(trained)
+        outcomes.append(str(result) if isinstance(result, DivergenceError) else result)
+    return outcomes
+
+
+def _student_row(ds, targets, result, loss_bound):
+    """Measure one trained student against its targets."""
     ti = ds.train_indices
     rows = targets.rows if isinstance(targets, TargetTable) else targets
     bounds = xi_bounds(rows[ti], ds.p_star[ti], loss_bound=loss_bound)
@@ -169,9 +200,13 @@ _BASELINE_ORDER = ("oht", "ls", "gt", "kd", "eskd")
 
 
 def _correlate_group(ds, task):
-    """One unit of correlate work: a baseline seed or one noisy run."""
+    """One unit of correlate work: the baselines of one seed, or the
+    noisy-target runs of one repeat at every noise level.
+
+    The students of a unit share one TrainConfig and train as one stack.
+    """
     cfg = task["cfg"]
-    loss_bound = cfg.loss_bound
+    teacher_error = None
     if task["what"] == "baselines":
         s = task["seed_index"]
         seed = derive_seed(cfg.seed, 1, s)
@@ -189,25 +224,27 @@ def _correlate_group(ds, task):
             tables["eskd"] = extract_eskd_targets(teacher, ds)
         except DivergenceError as err:
             teacher_error = f"teacher: {err}"
-        rows = []
-        for kind in _BASELINE_ORDER:
-            if kind in tables:
-                row = _student_row(ds, tables[kind], tconfig, loss_bound)
-            else:  # the teacher these targets come from diverged
-                row = {"error": teacher_error}
-            row.update({"supervision": kind, "noise_scale": math.nan, "seed": s})
-            rows.append(row)
-        return rows
-    j, r = task["noise_index"], task["repeat"]
-    noise = cfg.noise_grid[j]
-    rng = stream(cfg.seed, "perturb", j, r)
-    rows_t = np.vstack([perturb_target(ds.p_star[i], noise, rng)
-                        for i in range(ds.n)])
-    targets = TargetTable(rows_t, "custom")
-    tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
-    row = _student_row(ds, targets, tconfig, loss_bound)
-    row.update({"supervision": "noisy_gt", "noise_scale": noise, "seed": r})
-    return [row]
+        runs = [(kind, math.nan, s, tables.get(kind)) for kind in _BASELINE_ORDER]
+    else:
+        r = task["repeat"]
+        tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
+        runs = []
+        for j, noise in enumerate(cfg.noise_grid):
+            rng = stream(cfg.seed, "perturb", j, r)
+            rows_t = np.vstack([perturb_target(ds.p_star[i], noise, rng)
+                                for i in range(ds.n)])
+            runs.append(("noisy_gt", noise, r, TargetTable(rows_t, "custom")))
+    outcomes = _train_students(ds, [t for *_, t in runs], tconfig, teacher_error)
+    rows = []
+    for (kind, noise, seed_index, targets), result in zip(runs, outcomes):
+        if isinstance(result, str):
+            cell = "baseline" if math.isnan(noise) else f"noise_scale={noise:g}"
+            rows.append({"error": result, "run": f"{cell}/seed={seed_index} {kind}"})
+            continue
+        row = _student_row(ds, targets, result, cfg.loss_bound)
+        row.update({"supervision": kind, "noise_scale": noise, "seed": seed_index})
+        rows.append(row)
+    return rows
 
 
 _XI_COLS = ("xi_l2", "xi_l1", "xi_kl_fwd_sq", "xi_kl_fwd",
@@ -218,25 +255,23 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     tasks = [{"cfg": cfg, "what": "baselines", "seed_index": s}
              for s in range(cfg.baseline_seeds)]
-    tasks += [{"cfg": cfg, "what": "noise", "noise_index": j, "repeat": r}
-              for j in range(len(cfg.noise_grid))
+    tasks += [{"cfg": cfg, "what": "noise", "repeat": r}
               for r in range(cfg.noise_seeds)]
     groups = _dispatch(_correlate_group, ds, tasks, jobs)
-    rows, diverged = [], []
-    for group in groups:
-        for row in group:
-            if "error" in row:
-                diverged.append(row["error"])
-            else:
-                rows.append(row)
+    noisy = groups[cfg.baseline_seeds:]
+    # rows in (noise level, repeat) order, although a task holds a repeat
+    runs = [row for group in groups[:cfg.baseline_seeds] for row in group]
+    runs += [noisy[r][j] for j in range(len(cfg.noise_grid))
+             for r in range(cfg.noise_seeds)]
+    rows, diverged = _split_failed(runs)
     columns = ["run_id", "supervision", "noise_scale", "seed", "l2_gap",
                "l1_gap", "test_acc", "test_ece", *_XI_COLS, "epochs_run"]
     table = [[i, row["supervision"], row["noise_scale"], row["seed"],
               row["l2_gap"], row["l1_gap"], row["test_acc"], row["test_ece"],
               *(row[c] for c in _XI_COLS), row["epochs_run"]]
              for i, row in enumerate(rows)]
-    header = cfg.echo_lines() + [f"# diverged_runs = {len(diverged)}"]
-    write_csv(os.path.join(out_dir, "runs.csv"), header, columns, table)
+    write_csv(os.path.join(out_dir, "runs.csv"), _sweep_header(cfg, diverged),
+              columns, table)
 
     gaps = [row["l2_gap"] for row in rows]
     accs = [row["test_acc"] for row in rows]
@@ -424,7 +459,10 @@ _DISTILL_ORDER = ("oht", "eskd", "filter_kd", "gt")
 
 
 def _distill_group(ds, task):
-    """Teacher plus all students for one (flip_ratio, seed) cell."""
+    """Teacher plus all students for one (flip_ratio, seed) cell.
+
+    The students share the cell's TrainConfig and train as one stack.
+    """
     cfg = task["cfg"]
     fi, s = task["flip_index"], task["seed"]
     fr = cfg.flip_grid[fi]
@@ -432,33 +470,29 @@ def _distill_group(ds, task):
     seed = derive_seed(cfg.seed, 4, s)
     tconfig = cfg.train_config(seed=seed)
     alphas = tuple(sorted(set(cfg.alpha_grid) | {cfg.filter_alpha}))
+    teacher_error = None
     try:
         teacher, tables = train_teacher_filterkd_multi(flipped, tconfig, alphas)
         eskd = extract_eskd_targets(teacher, flipped)
     except DivergenceError as err:
         teacher_error = f"teacher: {err}"
         eskd, tables = None, {}
+    runs = [("oht", math.nan, make_onehot_targets(flipped)),
+            ("eskd", math.nan, eskd),
+            *(("filter_kd", a, tables.get(a)) for a in alphas),
+            ("gt", math.nan, make_gt_targets(flipped))]
+    outcomes = _train_students(flipped, [t for *_, t in runs], tconfig,
+                               teacher_error)
     rows = []
-
-    def add(kind, alpha, targets):
-        if targets is None:  # the teacher these targets come from diverged
-            rows.append({"error": teacher_error})
-            return
-        try:
-            result = train_model(flipped, targets, tconfig)
-        except DivergenceError as err:
-            rows.append({"error": str(err)})
-            return
+    for (kind, alpha, _), result in zip(runs, outcomes):
+        if isinstance(result, str):
+            name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind
+            rows.append({"error": result, "run": f"flip_ratio={fr:g}/seed={s} {name}"})
+            continue
         acc, cal = _test_metrics(result.best_model, flipped)
         rows.append({"flip_ratio": fr, "seed": s, "supervision": kind,
                      "alpha": alpha, "test_acc": acc, "test_ece": cal,
                      "epochs_run": result.epochs_run})
-
-    add("oht", math.nan, make_onehot_targets(flipped))
-    add("eskd", math.nan, eskd)
-    for a in alphas:
-        add("filter_kd", a, tables.get(a))
-    add("gt", math.nan, make_gt_targets(flipped))
     return rows
 
 
@@ -467,20 +501,14 @@ def run_distill(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tasks = [{"cfg": cfg, "flip_index": fi, "seed": s}
              for fi in range(len(cfg.flip_grid)) for s in cfg.seeds]
     groups = _dispatch(_distill_group, ds, tasks, jobs)
-    rows, diverged = [], []
-    for group in groups:
-        for row in group:
-            if "error" in row:
-                diverged.append(row["error"])
-            else:
-                rows.append(row)
+    rows, diverged = _split_failed(row for group in groups for row in group)
     columns = ["run_id", "flip_ratio", "seed", "supervision", "alpha",
                "test_acc", "test_ece", "epochs_run"]
     table = [[i, r["flip_ratio"], r["seed"], r["supervision"], r["alpha"],
               r["test_acc"], r["test_ece"], r["epochs_run"]]
              for i, r in enumerate(rows)]
-    header = cfg.echo_lines() + [f"# diverged_runs = {len(diverged)}"]
-    write_csv(os.path.join(out_dir, "distill.csv"), header, columns, table)
+    write_csv(os.path.join(out_dir, "distill.csv"), _sweep_header(cfg, diverged),
+              columns, table)
 
     lines, checks = [], []
     order_desc = tuple(reversed(_DISTILL_ORDER))  # gt, filter_kd, eskd, oht

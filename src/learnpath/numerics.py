@@ -30,16 +30,17 @@ __all__ = [
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a logit vector.
+    """Stable softmax of a logit vector, or of each row of a stack (R, K).
 
     Subtracts the max before exponentiation, so any finite input is safe.
-    Non-finite entries raise instead of silently propagating.
+    Non-finite entries raise instead of silently propagating. A row gets
+    the same numbers alone or in a stack.
     """
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"softmax got non-finite logits: {z!r}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Per-sample learning paths and their geometry.
 
 A learning path is the sequence of softmax predictions a model emits for
-one training sample over the course of training, recorded either at
-every visit (pre-update) or once per epoch. Paths live on the
-probability simplex; for K = 3 they project to the plane through the
-usual barycentric map, which is how the trajectories get plotted.
+one training sample over the course of training, recorded at every
+visit, before the update. Paths live on the probability simplex; for
+K = 3 they project to the plane through the usual barycentric map,
+which is how the trajectories get plotted.
 
 Two scalar summaries matter downstream. The base difficulty of a sample
 is ||e_y - p*||_2, the distance from its training label to the true
@@ -61,7 +61,6 @@ class PathStore:
     """Paths for many samples, keyed by sample index."""
 
     num_classes: int
-    granularity: str = "per_visit"
     paths: dict = field(default_factory=dict)
 
     def log(self, sample_index: int, step: int, q: np.ndarray) -> None:

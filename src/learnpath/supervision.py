@@ -19,7 +19,17 @@ the oscillation that noisy-labeled neighbours induce, so the table can
 be better supervision than any single checkpoint.
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
-order, with early stopping on validation accuracy.
+order, with early stopping on validation accuracy. There is one SGD
+loop, and it steps a stack of R runs in lockstep. The runs of a stack
+share one TrainConfig, so they share the initialization and the shuffle
+order and differ only in their target tables: train_models stacks the
+students given to it, and train_model and the filtered teacher are its
+R = 1 case. Weights are stacked as (R, out, in), and each visit does
+one stacked forward pass, loss gradient and backward pass, then one
+sgd_step per run. The contract is bitwise: every run ends with exactly
+the parameters, histories and stopping epoch it would have had trained
+alone. Early stopping stays per run, and a run that stops or diverges
+leaves the stack without touching the others.
 """
 
 from __future__ import annotations
@@ -29,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from learnpath.metrics import accuracy
-from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
-                                predict_proba, sgd_step, softmax)
+from learnpath.numerics import (MlpModel, init_mlp, predict_proba, sgd_step,
+                                softmax)
 from learnpath.pathtrace import PathStore
 from learnpath.rngstreams import stream
 from learnpath.toygauss import ToyDataset
@@ -41,9 +51,9 @@ PROVENANCES = ("onehot", "smoothed", "ground_truth", "kd_converged",
 __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
-    "kd_loss_and_grad", "train_model", "train_teacher_filterkd",
-    "train_teacher_filterkd_multi", "extract_eskd_targets",
-    "extract_kd_targets", "param_ema_tracker", "save_targets",
+    "kd_loss_and_grad", "train_model", "train_models",
+    "train_teacher_filterkd", "train_teacher_filterkd_multi",
+    "extract_eskd_targets", "extract_kd_targets", "save_targets",
     "load_targets", "PROVENANCES",
 ]
 
@@ -110,13 +120,37 @@ def make_gt_targets(ds: ToyDataset) -> TargetTable:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
 def _power_renorm(p: np.ndarray, tau: float) -> np.ndarray:
     w = p ** tau
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _kd_grad(z, pt, y: int, tau: float, beta: float):
+    """Logit gradient of the distillation loss, with log q and log q_t.
+
+    z holds logits and pt tempered targets, either one row (K,) or a
+    stack of rows (R, K) against the same label y; each row's numbers
+    are the same whether it is computed alone or in a stack.
+    """
+    log_q = _log_softmax(z)
+    q = np.exp(log_q)
+    if tau == 1.0:
+        log_qt, qt = log_q, q
+    else:
+        log_qt = _log_softmax(tau * z)
+        qt = np.exp(log_qt)
+    grad = np.zeros(z.shape)
+    if beta > 0:
+        grad += (beta / tau) * (qt - pt)
+    if beta < 1:
+        g = q.copy()
+        g[..., y] -= 1.0
+        grad += (1.0 - beta) * g
+    return grad, log_q, log_qt
 
 
 def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
@@ -138,7 +172,6 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
     if z.shape != p.shape or z.ndim != 1:
         raise ValueError(f"logits {z.shape} vs targets {p.shape}")
     if not (np.isfinite(z).all() and np.isfinite(p).all()):
-        # the training loop turns this into DivergenceError
         raise ValueError("non-finite logits or targets")
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -148,24 +181,13 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
     if not 0 <= y < k:
         raise ValueError(f"label {y} out of range for {k} classes")
     tau = temperature
-    log_q = _log_softmax(z)
-    q = np.exp(log_q)
-    if tau == 1.0:
-        log_qt, qt, pt = log_q, q, p
-    else:
-        log_qt = _log_softmax(tau * z)
-        qt = np.exp(log_qt)
-        pt = _power_renorm(p, tau)
+    pt = p if tau == 1.0 else _power_renorm(p, tau)
+    grad, log_q, log_qt = _kd_grad(z, pt, y, tau, beta)
     loss = 0.0
-    grad = np.zeros(k)
     if beta > 0:
         loss += beta / (tau * tau) * float(-(pt * log_qt).sum())
-        grad += (beta / tau) * (qt - pt)
     if beta < 1:
         loss += (1.0 - beta) * float(-log_q[y])
-        g = q.copy()
-        g[y] -= 1.0
-        grad += (1.0 - beta) * g
     # at tau = 1 every term is finite once z and p are; at tau != 1 the
     # tempered target p^tau can still be NaN (a negative entry)
     if tau != 1.0 and not np.isfinite(grad).all():
@@ -191,9 +213,7 @@ class TrainConfig:
     beta: float = 1.0
     seed: int = 0
     record_paths: bool = False
-    path_granularity: str = "per_visit"
     stop_at_train_acc: float | None = None
-    param_ema_alpha: float | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -208,12 +228,8 @@ class TrainConfig:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if any(int(h) <= 0 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be positive, got {self.hidden_sizes}")
-        if self.path_granularity not in ("per_visit", "per_epoch"):
-            raise ValueError(f"bad path_granularity {self.path_granularity!r}")
         if self.stop_at_train_acc is not None and not 0 < self.stop_at_train_acc <= 1:
             raise ValueError("stop_at_train_acc must be in (0, 1]")
-        if self.param_ema_alpha is not None and not 0 < self.param_ema_alpha <= 1:
-            raise ValueError("param_ema_alpha must be in (0, 1]")
 
     def layer_sizes(self, input_dim: int, num_classes: int) -> tuple:
         return (input_dim, *(int(h) for h in self.hidden_sizes), num_classes)
@@ -238,22 +254,6 @@ class TrainResult:
     stopped_early: bool = False
     paths: PathStore | None = None
     q_smooth: TargetTable | None = None
-    param_ema_model: MlpModel | None = None
-
-
-def param_ema_tracker(track: MlpModel, train: MlpModel, alpha: float) -> MlpModel:
-    """In-place parameter EMA: track <- (1 - alpha) track + alpha train."""
-    if track.layer_sizes != train.layer_sizes:
-        raise ValueError(f"shape mismatch {track.layer_sizes} vs {train.layer_sizes}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    keep = 1.0 - alpha
-    for tw, tb, w, b in zip(track.weights, track.biases, train.weights, train.biases):
-        tw *= keep
-        tw += alpha * w
-        tb *= keep
-        tb += alpha * b
-    return track
 
 
 def _valid_accuracy(model, ds) -> float:
@@ -267,120 +267,258 @@ def _train_accuracy(model, ds, train_idx) -> float:
     return accuracy(predict_proba(model, ds.x[train_idx]), ds.y[train_idx])
 
 
-def _run_sgd(ds: ToyDataset, config: TrainConfig, target_rows,
+@dataclass
+class _Run:
+    """What one run of a stack keeps besides its slice of the parameters."""
+
+    slot: int             # position in the caller's list of runs
+    model: MlpModel       # views into the stack's parameters
+    init_model: MlpModel
+    best_model: MlpModel
+    paths: PathStore | None
+    q_tables: dict        # alpha -> live (n, K) table; filtered teachers only
+    grads: list = None    # views into the stack's gradient buffers
+    best_acc: float = -np.inf
+    best_epoch: int = 0
+    since_improve: int = 0
+    valid_hist: list = field(default_factory=list)
+    train_hist: list = field(default_factory=list)
+
+
+class _Stack:
+    """Parameters of the active runs, stacked along a leading run axis.
+
+    Weights are (R, out, in), biases (R, out) and the gradient buffers
+    match them; targets are (n, R, K), so one sample's rows for all runs
+    form one block. Each run's model and grads are views into row r, so
+    numerics.sgd_step updates the stack in place. Dropping runs copies
+    the remaining rows into new stacks and re-points the views.
+    """
+
+    def __init__(self, runs, model: MlpModel, targets):
+        r = len(runs)
+        self.runs = runs
+        self.weights = [np.repeat(w[None], r, axis=0) for w in model.weights]
+        self.biases = [np.repeat(b[None], r, axis=0) for b in model.biases]
+        self.targets = targets
+        self._point()
+
+    def _point(self):
+        self.dw = [np.empty_like(w) for w in self.weights]
+        self.db = [np.empty_like(b) for b in self.biases]
+        for r, run in enumerate(self.runs):
+            run.model.weights = [w[r] for w in self.weights]
+            run.model.biases = [b[r] for b in self.biases]
+            run.grads = [(dw[r], db[r]) for dw, db in zip(self.dw, self.db)]
+
+    def keep(self, mask) -> None:
+        idx = np.flatnonzero(mask)
+        self.runs = [self.runs[j] for j in idx]
+        self.weights = [w[idx] for w in self.weights]
+        self.biases = [b[idx] for b in self.biases]
+        if self.targets is not None:
+            self.targets = self.targets[:, idx]
+        self._point()
+
+
+def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
              filter_alphas=None, epoch_callback=None):
-    """Shared SGD loop for students and filtered teachers.
+    """The SGD loop: R runs that share one config, stepped in lockstep.
 
-    With target_rows set, each visit descends the tempered loss against
-    that sample's row. With filter_alphas set instead, the loop trains
-    against one-hot labels and maintains one running-average prediction
-    table per alpha; the tables never influence the training itself, so
-    a whole alpha grid costs one run. Returns (TrainResult, tables dict).
+    Sharing the config means sharing the initialization and the shuffle
+    order, so at every visit all runs see the same sample and only their
+    target rows differ. Each visit does one stacked forward pass, one
+    stacked loss gradient and one stacked backward pass, then one
+    numerics.sgd_step per run. Every run's arithmetic is bitwise that of
+    the run trained alone: the stacked mat-vecs are np.matmul calls that
+    reach the same BLAS gemv as the per-run `w @ a` and `w.T @ d`, and
+    all other operations act row by row.
 
-    epoch_callback(epoch, model, q_tables) fires after each epoch's
-    bookkeeping, before any stop decision; q_tables maps alpha to the
-    live (n, K) table and is empty for plain students.
+    With targets, a list of R (n, K) row arrays, each run descends the
+    tempered loss against its own rows. With targets None and
+    filter_alphas set instead, one run trains against one-hot labels and
+    keeps one running-average prediction table per alpha; the tables
+    never influence the training itself, so a whole alpha grid costs one
+    run.
+
+    Early stopping, checkpoints and histories are per run. A run that
+    stops, or diverges, leaves the stack; the others go on unchanged.
+    Returns one (TrainResult or DivergenceError, {alpha: TargetTable})
+    per run, in the order given.
+
+    epoch_callback(epoch, model, q_tables) fires for every run after each
+    epoch's bookkeeping, before any stop decision; q_tables maps alpha to
+    the live (n, K) table and is empty for students.
     """
     train_idx = ds.train_indices
     if train_idx.size == 0:
         raise ValueError("dataset has an empty train split")
     k = ds.num_classes
-    filtering = filter_alphas is not None
+    tau, beta = config.temperature, config.beta
+    model = init_mlp(config.layer_sizes(ds.spec.input_dim, k), config.seed)
+    filtering = targets is None
     if filtering:
         alphas = tuple(float(a) for a in filter_alphas)
         if not alphas or any(not 0 < a <= 1 for a in alphas):
             raise ValueError(f"filter alphas must be in (0, 1], got {filter_alphas}")
-    elif target_rows.shape != (ds.n, k):
-        raise ValueError(f"targets shape {target_rows.shape}, want {(ds.n, k)}")
-
-    model = init_mlp(config.layer_sizes(ds.spec.input_dim, k), config.seed)
-    init_model = model.copy()
-    tracker = model.copy() if config.param_ema_alpha is not None else None
-    paths = None
-    if config.record_paths:
-        paths = PathStore(num_classes=k, granularity=config.path_granularity)
-    # the smoothing tables start from the untrained model's predictions
-    q_tables = {}
-    if filtering:
+        # the smoothing tables start from the untrained model's predictions
         init_pred = predict_proba(model, ds.x)
-        q_tables = {a: init_pred.copy() for a in alphas}
+        tables, n_runs = None, 1
+    else:
+        rows = [np.asarray(t, dtype=np.float64) for t in targets]
+        for t in rows:
+            if t.shape != (ds.n, k):
+                raise ValueError(f"targets shape {t.shape}, want {(ds.n, k)}")
+            if not np.isfinite(t).all():
+                raise ValueError("non-finite targets")
+        n_runs = len(rows)
+        if n_runs == 0:
+            return []
+        tables = np.stack(rows, axis=1)
+        if tau != 1.0:  # the tempered targets; a NaN row fails at its visit
+            tables = _power_renorm(tables, tau)
+
+    runs = [_Run(slot=r, model=model.copy(), init_model=model.copy(),
+                 best_model=model.copy(),
+                 paths=PathStore(num_classes=k) if config.record_paths else None,
+                 q_tables={a: init_pred.copy() for a in alphas} if filtering else {})
+            for r in range(n_runs)]
+    stack = _Stack(runs, model, tables)
+    out = [None] * n_runs
+
+    def finish(run, stopped_early):
+        out[run.slot] = (TrainResult(
+            final_model=run.model.copy(), best_model=run.best_model,
+            best_epoch=run.best_epoch, epochs_run=len(run.valid_hist),
+            valid_acc_history=run.valid_hist, train_acc_history=run.train_hist,
+            init_model=run.init_model, stopped_early=stopped_early,
+            paths=run.paths),
+            {a: TargetTable(t, "filter_kd") for a, t in run.q_tables.items()})
+
+    def diverge(run, epoch, step, reason):
+        out[run.slot] = (DivergenceError(
+            f"non-finite state at epoch {epoch}, step {step}: {reason}"), {})
+
+    def prune(bad, epoch, step, reason, arrays):
+        """Drop the runs flagged in bad as diverged; returns the kept rows."""
+        for j in np.flatnonzero(bad):
+            diverge(stack.runs[j], epoch, step, reason(j))
+        stack.keep(~bad)
+        return [arr[~bad] for arr in arrays]
 
     eta = config.learning_rate
-    tau, beta = config.temperature, config.beta
-    best_acc = -np.inf
-    best_model = model.copy()
-    best_epoch = 0
-    valid_hist, train_hist = [], []
-    since_improve = 0
-    stopped_early = False
+    xs, ys = ds.x, ds.y
     step = 0
-    per_visit = config.path_granularity == "per_visit"
-    y = ds.y
     for epoch in range(config.max_epochs):
         order = train_idx[stream(config.seed, "shuffle", epoch).permutation(train_idx.size)]
-        try:
-            for i in order:
-                cache = mlp_forward(model, ds.x[i])
-                q = softmax(cache.logits)
-                if paths is not None and per_visit:
-                    paths.log(int(i), step, q)
-                if filtering:
-                    for a, table in q_tables.items():
-                        table[i] *= 1.0 - a
-                        table[i] += a * q
-                    grad_logits = q.copy()
-                    grad_logits[y[i]] -= 1.0
-                else:
-                    _, grad_logits = kd_loss_and_grad(cache.logits, target_rows[i],
-                                                      int(y[i]), tau, beta)
-                sgd_step(model, mlp_backward(model, cache, grad_logits), eta)
-                if tracker is not None:
-                    param_ema_tracker(tracker, model, config.param_ema_alpha)
-                step += 1
-        except ValueError as err:
-            raise DivergenceError(
-                f"non-finite state at epoch {epoch}, step {step}: {err}") from err
-        if paths is not None and not per_visit:
-            preds = predict_proba(model, ds.x[train_idx])
-            for j, i in enumerate(train_idx):
-                paths.log(int(i), step, preds[j])
-        vacc = _valid_accuracy(model, ds)
-        tacc = _train_accuracy(model, ds, train_idx)
-        valid_hist.append(vacc)
-        train_hist.append(tacc)
-        if epoch_callback is not None:
-            epoch_callback(epoch, model, q_tables)
-        if np.isfinite(vacc) and vacc > best_acc:
-            best_acc = vacc
-            best_model = model.copy()
-            best_epoch = epoch
-            since_improve = 0
-        else:
-            since_improve += 1
-        if config.stop_at_train_acc is not None and tacc >= config.stop_at_train_acc:
-            stopped_early = True
-            break
-        if (config.patience is not None and np.isfinite(vacc)
-                and since_improve >= config.patience):
-            stopped_early = True
+        for i in order:
+            x, label = xs[i], int(ys[i])
+            a, hidden = x, []
+            for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
+                a = np.maximum(np.matmul(w, a[..., None])[..., 0] + b, 0.0)
+                hidden.append(a)
+            logits = np.matmul(stack.weights[-1], a[..., None])[..., 0] + stack.biases[-1]
+            if not np.isfinite(logits).all():
+                logits, *hidden = prune(
+                    ~np.isfinite(logits).all(axis=1), epoch, step,
+                    lambda j: f"softmax got non-finite logits: {logits[j]!r}",
+                    [logits, *hidden])
+                if not stack.runs:
+                    break
+            if filtering or config.record_paths:
+                q = softmax(logits)
+                for run, q_r in zip(stack.runs, q):
+                    if run.paths is not None:
+                        run.paths.log(int(i), step, q_r)
+                    for alpha, table in run.q_tables.items():
+                        table[i] *= 1.0 - alpha
+                        table[i] += alpha * q_r
+            if filtering:
+                delta = q.copy()
+                delta[:, label] -= 1.0
+            else:
+                delta = _kd_grad(logits, stack.targets[i], label, tau, beta)[0]
+                # at tau != 1 a tempered target row can be NaN
+                if tau != 1.0 and not np.isfinite(delta).all():
+                    delta, *hidden = prune(
+                        ~np.isfinite(delta).all(axis=1), epoch, step,
+                        lambda j: f"non-finite distillation gradient {delta[j]!r}",
+                        [delta, *hidden])
+                    if not stack.runs:
+                        break
+            # backward: the bias gradient of layer l is its delta
+            stack.db[-1][...] = delta
+            for l in range(len(stack.weights) - 1, -1, -1):
+                delta = stack.db[l]
+                a_prev = hidden[l - 1] if l else x
+                np.multiply(delta[:, :, None], a_prev[..., None, :], out=stack.dw[l])
+                if l:
+                    back = np.matmul(delta[:, None, :], stack.weights[l])[:, 0, :]
+                    np.multiply(back, hidden[l - 1] > 0.0, out=stack.db[l - 1])
+            for run in stack.runs:
+                sgd_step(run.model, run.grads, eta)
+            step += 1
+        if not stack.runs:
             break
 
-    tables = {}
-    if filtering:
-        tables = {a: TargetTable(t, "filter_kd") for a, t in q_tables.items()}
-    result = TrainResult(final_model=model, best_model=best_model,
-                         best_epoch=best_epoch, epochs_run=len(valid_hist),
-                         valid_acc_history=valid_hist, train_acc_history=train_hist,
-                         init_model=init_model, stopped_early=stopped_early,
-                         paths=paths, param_ema_model=tracker)
-    return result, tables
+        leaving = np.zeros(len(stack.runs), dtype=bool)
+        for j, run in enumerate(stack.runs):
+            try:
+                vacc = _valid_accuracy(run.model, ds)
+                tacc = _train_accuracy(run.model, ds, train_idx)
+            except ValueError as err:  # non-finite logits on a split
+                diverge(run, epoch, step, err)
+                leaving[j] = True
+                continue
+            run.valid_hist.append(vacc)
+            run.train_hist.append(tacc)
+            if epoch_callback is not None:
+                epoch_callback(epoch, run.model, run.q_tables)
+            if np.isfinite(vacc) and vacc > run.best_acc:
+                run.best_acc = vacc
+                run.best_model = run.model.copy()
+                run.best_epoch = epoch
+                run.since_improve = 0
+            else:
+                run.since_improve += 1
+            if ((config.stop_at_train_acc is not None
+                 and tacc >= config.stop_at_train_acc)
+                    or (config.patience is not None and np.isfinite(vacc)
+                        and run.since_improve >= config.patience)):
+                finish(run, stopped_early=True)
+                leaving[j] = True
+        if leaving.any():
+            stack.keep(~leaving)
+            if not stack.runs:
+                break
+    for run in stack.runs:
+        finish(run, stopped_early=False)
+    return out
+
+
+def _rows(targets) -> np.ndarray:
+    return targets.rows if isinstance(targets, TargetTable) else np.asarray(targets)
+
+
+def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
+    """Train one student per supervision table, all in one lockstep stack.
+
+    Every student shares config, so its initialization and shuffle order,
+    and each ends exactly as train_model(ds, table, config) would. Returns
+    one TrainResult per table, in order; a student that diverged leaves
+    its DivergenceError in its slot instead, and the others are
+    unaffected.
+    """
+    return [result for result, _ in _run_sgd(ds, config, [_rows(t) for t in tables])]
 
 
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
                 epoch_callback=None) -> TrainResult:
     """Train a student against a fixed supervision table."""
-    rows = targets.rows if isinstance(targets, TargetTable) else np.asarray(targets)
-    result, _ = _run_sgd(ds, config, rows, epoch_callback=epoch_callback)
+    [(result, _)] = _run_sgd(ds, config, [_rows(targets)],
+                             epoch_callback=epoch_callback)
+    if isinstance(result, DivergenceError):
+        raise result
     return result
 
 
@@ -391,8 +529,10 @@ def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
     Returns (TrainResult, {alpha: TargetTable}). alpha = 1 keeps no
     history: each row is simply the last pre-update prediction seen.
     """
-    result, tables = _run_sgd(ds, config, None, filter_alphas=alphas,
-                              epoch_callback=epoch_callback)
+    [(result, tables)] = _run_sgd(ds, config, filter_alphas=alphas,
+                                  epoch_callback=epoch_callback)
+    if isinstance(result, DivergenceError):
+        raise result
     return result, tables
 
 

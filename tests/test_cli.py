@@ -89,6 +89,24 @@ class TestTeacherDivergence:
         assert f"n_diverged = {n_runs}\n" in (out / "summary.txt").read_text()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,csv,teacher_kinds", [
+        ("distill", "distill.csv", 2 * 2), ("correlate", "runs.csv", 2)])
+    def test_failed_runs_keep_their_messages(self, tmp_path, command, csv,
+                                             teacher_kinds):
+        text = self.DISTILL if command == "distill" else self.CORRELATE
+        out = tmp_path / "o"
+        main([command, "--config", cfg_file(tmp_path, text), "--out", str(out)])
+        lines = (out / csv).read_text().splitlines()
+        at = lines.index(next(x for x in lines if x.startswith("# diverged_runs = ")))
+        n = int(lines[at].split(" = ")[1])
+        failed = lines[at + 1:at + 1 + n]
+        assert n > 0 and all(x.startswith("# failed_run = ") for x in failed)
+        assert not lines[at + 1 + n].startswith("#")
+        teacher = [x for x in failed if ": teacher: non-finite state at epoch" in x]
+        assert len(teacher) == teacher_kinds
+        assert all(": non-finite state at epoch" in x for x in failed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_teacher_error_carried_by_dependent_students(self, tmp_path):
         cfg = load_config("distill", cfg_file(tmp_path, self.DISTILL))
         ds = experiments._build_dataset(cfg)

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from learnpath.numerics import mlp_forward, predict_proba, softmax
+from learnpath.metrics import accuracy
+from learnpath.numerics import (init_mlp, mlp_backward, mlp_forward,
+                                predict_proba, sgd_step, softmax)
+from learnpath.rngstreams import stream
 from learnpath.supervision import (PROVENANCES, DivergenceError, TargetTable,
-                                   TrainConfig, extract_eskd_targets,
-                                   extract_kd_targets, kd_loss_and_grad,
-                                   load_targets, make_gt_targets,
-                                   make_ls_targets, make_onehot_targets,
-                                   param_ema_tracker, save_targets,
-                                   train_model, train_teacher_filterkd,
+                                   TrainConfig, TrainResult,
+                                   extract_eskd_targets, extract_kd_targets,
+                                   kd_loss_and_grad, load_targets,
+                                   make_gt_targets, make_ls_targets,
+                                   make_onehot_targets, save_targets,
+                                   train_model, train_models,
+                                   train_teacher_filterkd,
                                    train_teacher_filterkd_multi)
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
@@ -217,18 +223,6 @@ class TestTrainModel:
         for i in train:
             assert len(result.paths[i].steps) == 3  # one visit per epoch
 
-    def test_param_ema_tracker_runs_alongside(self):
-        ds = tiny_ds()
-        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=2,
-                          patience=None, seed=0, param_ema_alpha=0.1)
-        result = train_model(ds, make_onehot_targets(ds), cfg)
-        assert result.param_ema_model is not None
-        gap_track = np.linalg.norm(result.param_ema_model.flat()
-                                   - result.init_model.flat())
-        gap_final = np.linalg.norm(result.final_model.flat()
-                                   - result.init_model.flat())
-        assert 0 < gap_track < gap_final
-
 
 class TestFilterKd:
     def test_tables_match_path_replay(self):
@@ -307,6 +301,154 @@ class TestFilterKd:
             train_teacher_filterkd_multi(ds, TINY, ())
 
 
+def reference_student(ds, rows, cfg):
+    """The per-sample loop on the reference kernels, one run at a time."""
+    model = init_mlp(cfg.layer_sizes(ds.spec.input_dim, ds.num_classes), cfg.seed)
+    ti, vi = ds.train_indices, ds.valid_indices
+    best, best_acc, best_epoch, since = model.copy(), -np.inf, 0, 0
+    valid, train, stopped = [], [], False
+    for epoch in range(cfg.max_epochs):
+        for i in ti[stream(cfg.seed, "shuffle", epoch).permutation(ti.size)]:
+            cache = mlp_forward(model, ds.x[i])
+            _, grad = kd_loss_and_grad(cache.logits, rows[i], int(ds.y[i]),
+                                       cfg.temperature, cfg.beta)
+            sgd_step(model, mlp_backward(model, cache, grad), cfg.learning_rate)
+        vacc = accuracy(predict_proba(model, ds.x[vi]), ds.y[vi])
+        valid.append(vacc)
+        train.append(accuracy(predict_proba(model, ds.x[ti]), ds.y[ti]))
+        if vacc > best_acc:
+            best, best_acc, best_epoch, since = model.copy(), vacc, epoch, 0
+        else:
+            since += 1
+        if since >= cfg.patience:
+            stopped = True
+            break
+    return model, best, best_epoch, valid, train, stopped
+
+
+def assert_same_run(a: TrainResult, b: TrainResult):
+    assert np.array_equal(a.final_model.flat(), b.final_model.flat())
+    assert np.array_equal(a.best_model.flat(), b.best_model.flat())
+    assert np.array_equal(a.init_model.flat(), b.init_model.flat())
+    assert a.valid_acc_history == b.valid_acc_history
+    assert a.train_acc_history == b.train_acc_history
+    assert (a.best_epoch, a.epochs_run, a.stopped_early) == \
+        (b.best_epoch, b.epochs_run, b.stopped_early)
+
+
+class TestLockstep:
+    """A stack of runs is bitwise the same runs trained one at a time."""
+
+    @staticmethod
+    def data():
+        ds = tiny_ds(seed=21, n=80)
+        tables = [make_onehot_targets(ds), make_ls_targets(ds, 0.3),
+                  make_gt_targets(ds), make_ls_targets(ds, 0.9)]
+        return ds, tables
+
+    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
+    def test_stack_equals_separate_runs(self, tau, beta):
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=6,
+                          patience=3, seed=1, temperature=tau, beta=beta)
+        stacked = train_models(ds, tables, cfg)
+        # the runs leave the stack at different epochs
+        assert len({r.epochs_run for r in stacked}) > 1
+        for table, result in zip(tables, stacked):
+            assert_same_run(result, train_model(ds, table, cfg))
+
+    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
+    def test_single_run_equals_reference_kernels(self, tau, beta):
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
+                          patience=3, seed=1, temperature=tau, beta=beta)
+        for table in tables[:2]:
+            got = train_model(ds, table, cfg)
+            final, best, best_epoch, valid, train, stopped = \
+                reference_student(ds, table.rows, cfg)
+            assert np.array_equal(got.final_model.flat(), final.flat())
+            assert np.array_equal(got.best_model.flat(), best.flat())
+            assert (got.valid_acc_history, got.train_acc_history) == (valid, train)
+            assert (got.best_epoch, got.stopped_early) == (best_epoch, stopped)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tau,why", [(1.0, "softmax got non-finite logits"),
+                                         (1.5, "non-finite distillation gradient")])
+    def test_diverging_run_leaves_the_others_unchanged(self, tau, why):
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=5,
+                          patience=None, seed=1, temperature=tau)
+        bad = tables[0].rows.copy()
+        if tau == 1.0:
+            bad *= 1e300  # one step blows the weights up
+        else:
+            bad[ds.train_indices[5]] = [1.5, -0.5, 0.0]  # p^tau is NaN
+        runs = [tables[1], bad, tables[2]]
+        stacked = train_models(ds, runs, cfg)
+        assert isinstance(stacked[1], DivergenceError)
+        with pytest.raises(DivergenceError) as alone:
+            train_model(ds, bad, cfg)
+        assert str(stacked[1]) == str(alone.value)
+        assert why in str(stacked[1])
+        for i in (0, 2):
+            assert_same_run(stacked[i], train_model(ds, runs[i], cfg))
+
+    def test_targets_checked_when_the_stack_is_built(self):
+        ds, tables = self.data()
+        rows = tables[0].rows.copy()
+        rows[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite targets"):
+            train_models(ds, [tables[1], rows], TINY)
+        with pytest.raises(ValueError, match="targets shape"):
+            train_models(ds, [tables[1], rows[:, :2]], TINY)
+        assert train_models(ds, [], TINY) == []
+
+
+def simplex_ok(table: TargetTable):
+    rows = table.rows
+    return (np.isfinite(rows).all() and (rows >= 0).all()
+            and np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12)
+
+
+class TestSimplexContract:
+    """Every target builder returns finite, non-negative rows summing to 1."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), eps=st.floats(0.0, 1.0))
+    def test_onehot_ls_gt(self, seed, eps):
+        ds = split_dataset(sample_dataset(GaussianSpec(seed=seed), 30),
+                           (0.5, 0.2, 0.3))
+        assert simplex_ok(make_onehot_targets(ds))
+        assert simplex_ok(make_ls_targets(ds, eps))
+        assert simplex_ok(make_gt_targets(ds))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), scale=st.floats(0.01, 100.0))
+    def test_teacher_predictions(self, seed, scale):
+        # a random model; large weights push predictions into the corners
+        ds = split_dataset(sample_dataset(GaussianSpec(seed=seed), 30),
+                           (0.5, 0.2, 0.3))
+        model = init_mlp((ds.spec.input_dim, 8, ds.num_classes), seed)
+        for w in model.weights:
+            w *= scale
+        result = TrainResult(final_model=model, best_model=model.copy(),
+                             best_epoch=0, epochs_run=1, valid_acc_history=[0.0],
+                             train_acc_history=[0.0], init_model=model.copy())
+        assert simplex_ok(extract_eskd_targets(result, ds))
+        assert simplex_ok(extract_kd_targets(result, ds))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           alphas=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3))
+    def test_filter_kd(self, seed, alphas):
+        ds = split_dataset(sample_dataset(GaussianSpec(seed=seed), 30),
+                           (0.5, 0.2, 0.3))
+        cfg = TrainConfig(hidden_sizes=(8,), learning_rate=0.1, max_epochs=2,
+                          patience=None, seed=seed)
+        _, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
+        assert all(simplex_ok(t) for t in tables.values())
+
+
 class TestExtraction:
     def test_eskd_rows_from_best_model(self):
         ds = tiny_ds(seed=10, n=60)
@@ -333,35 +475,6 @@ class TestExtraction:
         rows = extract_kd_targets(result, ds).rows[ds.train_indices]
         onehot = np.eye(3)[ds.y[ds.train_indices]]
         assert np.linalg.norm(rows - onehot, axis=1).mean() < 0.2
-
-
-class TestParamEma:
-    def test_alpha_one_copies(self):
-        from learnpath.numerics import init_mlp
-        track, train = init_mlp((3, 2), seed=0), init_mlp((3, 2), seed=1)
-        param_ema_tracker(track, train, 1.0)
-        assert np.array_equal(track.flat(), train.flat())
-
-    def test_scalar_recursion(self):
-        from learnpath.numerics import MlpModel
-        track = MlpModel((1, 1), [np.array([[0.0]])], [np.array([0.0])])
-        train = MlpModel((1, 1), [np.array([[1.0]])], [np.array([1.0])])
-        param_ema_tracker(track, train, 0.1)
-        assert track.weights[0][0, 0] == pytest.approx(0.1, abs=0)
-
-    def test_shape_mismatch(self):
-        from learnpath.numerics import init_mlp
-        with pytest.raises(ValueError):
-            param_ema_tracker(init_mlp((3, 2), seed=0),
-                              init_mlp((4, 2), seed=0), 0.5)
-
-    def test_geometric_approach(self):
-        from learnpath.numerics import MlpModel
-        track = MlpModel((1, 1), [np.array([[0.0]])], [np.array([0.0])])
-        train = MlpModel((1, 1), [np.array([[1.0]])], [np.array([1.0])])
-        for _ in range(5):
-            param_ema_tracker(track, train, 0.5)
-        assert track.weights[0][0, 0] == pytest.approx(1 - 0.5**5, abs=1e-12)
 
 
 def test_provenance_enum_is_closed():
