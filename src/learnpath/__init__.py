@@ -19,12 +19,9 @@ from learnpath.numerics import (
     sgd_step,
     finite_diff_grad,
     predict_proba,
-    save_model,
-    load_model,
 )
 from learnpath.toygauss import (
     GaussianSpec,
-    ToySample,
     ToyDataset,
     gen_class_means,
     compute_p_star,
@@ -33,7 +30,6 @@ from learnpath.toygauss import (
     flip_labels,
     perturb_target,
     save_dataset,
-    load_dataset,
     TRAIN,
     VALID,
     TEST,
@@ -49,12 +45,9 @@ from learnpath.supervision import (
     kd_loss_and_grad,
     train_model,
     train_models,
-    train_teacher_filterkd,
     train_teacher_filterkd_multi,
     extract_eskd_targets,
     extract_kd_targets,
-    save_targets,
-    load_targets,
 )
 from learnpath.pathtrace import (
     LearningPath,
@@ -63,7 +56,6 @@ from learnpath.pathtrace import (
     barycentric_project,
     base_difficulty,
     zigzag_score,
-    distance_gap_snapshot,
     recovery_fraction,
 )
 from learnpath.metrics import (
@@ -73,7 +65,6 @@ from learnpath.metrics import (
     ece,
     mean_gap,
     kl_divergence,
-    risk_estimates,
     xi_bounds,
     spearman,
 )
@@ -94,20 +85,18 @@ __version__ = "0.1.0"
 __all__ = [
     "MlpModel", "ForwardCache", "init_mlp", "softmax", "mlp_forward",
     "mlp_backward", "logits_jacobian", "sgd_step", "finite_diff_grad",
-    "predict_proba", "save_model", "load_model",
-    "GaussianSpec", "ToySample", "ToyDataset", "gen_class_means",
-    "compute_p_star", "sample_dataset", "split_dataset", "flip_labels",
-    "perturb_target", "save_dataset", "load_dataset", "TRAIN", "VALID", "TEST",
+    "predict_proba",
+    "GaussianSpec", "ToyDataset", "gen_class_means", "compute_p_star",
+    "sample_dataset", "split_dataset", "flip_labels", "perturb_target",
+    "save_dataset", "TRAIN", "VALID", "TEST",
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
     "kd_loss_and_grad", "train_model", "train_models",
-    "train_teacher_filterkd", "train_teacher_filterkd_multi",
-    "extract_eskd_targets", "extract_kd_targets", "save_targets", "load_targets",
+    "train_teacher_filterkd_multi", "extract_eskd_targets", "extract_kd_targets",
     "LearningPath", "PathStore", "ema_filter_path", "barycentric_project",
-    "base_difficulty", "zigzag_score", "distance_gap_snapshot",
-    "recovery_fraction",
+    "base_difficulty", "zigzag_score", "recovery_fraction",
     "EceConfig", "BoundReport", "accuracy", "ece", "mean_gap",
-    "kl_divergence", "risk_estimates", "xi_bounds", "spearman",
+    "kl_divergence", "xi_bounds", "spearman",
     "DecompositionRecord", "softmax_jacobian", "empirical_ntk",
     "predicted_delta_q", "actual_delta_q", "residual_scaling_test",
     "similarity_trace_study", "trace_evolution",

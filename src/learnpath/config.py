@@ -27,18 +27,6 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent values; maps to exit code 1."""
 
 
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
 def _parse_float_list(s):
     parts = [p.strip() for p in s.split(",") if p.strip()]
     return tuple(float(p) for p in parts)
@@ -54,40 +42,40 @@ def _parse_str_list(s):
 
 
 _PARSERS = {
-    "kind": _parse_str,
-    "seed": _parse_int,
-    "num_classes": _parse_int,
-    "input_dim": _parse_int,
-    "sigma": _parse_float,
-    "delta_mu": _parse_float,
-    "n_samples": _parse_int,
+    "kind": str,
+    "seed": int,
+    "num_classes": int,
+    "input_dim": int,
+    "sigma": float,
+    "delta_mu": float,
+    "n_samples": int,
     "ratios": _parse_float_list,
     "hidden_sizes": _parse_int_list,
-    "learning_rate": _parse_float,
-    "max_epochs": _parse_int,
-    "patience": _parse_int,          # 0 disables early stopping
-    "temperature": _parse_float,
-    "beta": _parse_float,
-    "flip_ratio": _parse_float,
-    "ls_epsilon": _parse_float,
-    "loss_bound": _parse_float,
+    "learning_rate": float,
+    "max_epochs": int,
+    "patience": int,  # 0 disables early stopping
+    "temperature": float,
+    "beta": float,
+    "flip_ratio": float,
+    "ls_epsilon": float,
+    "loss_bound": float,
     "noise_grid": _parse_float_list,
-    "noise_seeds": _parse_int,
-    "baseline_seeds": _parse_int,
-    "perm_test": _parse_int,
+    "noise_seeds": int,
+    "baseline_seeds": int,
+    "perm_test": int,
     "quantiles": _parse_float_list,
-    "ema_alpha": _parse_float,
+    "ema_alpha": float,
     "supervisions": _parse_str_list,
-    "filter_alpha": _parse_float,
+    "filter_alpha": float,
     "alpha_grid": _parse_float_list,
     "flip_grid": _parse_float_list,
     "seeds": _parse_int_list,
-    "n_pairs": _parse_int,
-    "n_similarity": _parse_int,
-    "target_noise": _parse_float,
+    "n_pairs": int,
+    "n_similarity": int,
+    "target_noise": float,
     "eta_grid": _parse_float_list,
-    "trace_epochs": _parse_int,
-    "trace_samples": _parse_int,
+    "trace_epochs": int,
+    "trace_samples": int,
 }
 
 _COMMON = {
@@ -288,7 +276,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     r = cfg.ratios
     if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be 3 non-negative values summing to 1, got {r}")
-    if split_counts(cfg.n_samples, r)[1] == 0:
+    n_train, n_valid, _ = split_counts(cfg.n_samples, r)
+    if n_train == 0 and cfg.kind != "gen-data":
+        raise ConfigError(f"ratios {r} leave no train rows; {cfg.kind} trains on them")
+    if n_valid == 0:
         # with no validation rows the best-validation checkpoint is the
         # untrained init, early stopping never fires and validation
         # accuracy is undefined
@@ -328,16 +319,27 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.kind in ("recovery", "distill"):
         if not 0 < cfg.filter_alpha <= 1:
             raise ConfigError(f"filter_alpha must be in (0, 1], got {cfg.filter_alpha}")
-    if cfg.kind == "recovery" and cfg.flip_ratio == 0:
-        raise ConfigError("recovery needs flip_ratio > 0")
+    # flip_labels flips round(flip_ratio * n_train) train labels
+    if cfg.kind == "recovery" and round(cfg.flip_ratio * n_train) == 0:
+        raise ConfigError(f"recovery needs flipped labels; flip_ratio = "
+                          f"{cfg.flip_ratio:g} of {n_train} train rows flips none")
+    if cfg.kind == "zigzag" and n_train < 2:
+        raise ConfigError(f"ratios {r} leave {n_train} train row; zigzag ranks "
+                          "the train rows and needs at least 2")
     if cfg.kind == "distill":
         if any(not 0 < a <= 1 for a in cfg.alpha_grid):
             raise ConfigError(f"alpha_grid entries must be in (0, 1], got {cfg.alpha_grid}")
         if any(not 0 <= f <= 1 for f in cfg.flip_grid):
             raise ConfigError(f"flip_grid entries must be in [0, 1], got {cfg.flip_grid}")
     if cfg.kind == "ntk-verify":
-        if cfg.n_pairs < 1 or cfg.n_similarity < 1:
-            raise ConfigError("n_pairs and n_similarity must be >= 1")
+        if cfg.n_pairs < 1:
+            raise ConfigError("n_pairs must be >= 1")
+        # a similarity probe is ranked against the others of the first
+        # min(n_similarity, n_train) train rows; a Spearman needs 2 of them
+        if min(cfg.n_similarity, n_train) < 3:
+            raise ConfigError(f"n_similarity = {cfg.n_similarity} with {n_train} "
+                              "train rows leaves a probe fewer than 2 rows to rank; "
+                              "both must be >= 3")
         if any(not e > 0 for e in cfg.eta_grid):
             raise ConfigError(f"eta_grid entries must be positive, got {cfg.eta_grid}")
         if list(cfg.eta_grid) != sorted(cfg.eta_grid, reverse=True):

@@ -91,8 +91,9 @@ def _write_summary(out_dir, cfg, lines, checks) -> None:
 
 
 def _build_dataset(cfg: ExperimentConfig) -> ToyDataset:
-    ds = sample_dataset(cfg.gaussian_spec(), cfg.n_samples)
-    return split_dataset(ds, cfg.ratios)
+    """The config's dataset, split, with its flip_ratio of train labels flipped."""
+    ds = split_dataset(sample_dataset(cfg.gaussian_spec(), cfg.n_samples), cfg.ratios)
+    return flip_labels(ds, getattr(cfg, "flip_ratio", 0.0), seed=cfg.seed)
 
 
 def _test_metrics(model, ds):
@@ -101,12 +102,16 @@ def _test_metrics(model, ds):
     return accuracy(probs, ds.y[idx]), ece(probs, ds.y[idx])
 
 
+def _mean_se(values):
+    """(mean, standard error) of values; one value has an error of 0."""
+    a = np.array(values)
+    return a.mean(), (a.std(ddof=1) / np.sqrt(len(a)) if len(a) > 1 else 0.0)
+
+
 # ---------------------------------------------------------------- gen-data
 
 def run_gen_data(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    if cfg.flip_ratio > 0:
-        ds = flip_labels(ds, cfg.flip_ratio, seed=cfg.seed)
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
     lines = [
         f"n_samples = {ds.n}",
@@ -182,7 +187,7 @@ def _train_students(ds, tables, tconfig, teacher_error=None):
 def _student_row(ds, targets, result, loss_bound):
     """Measure one trained student against its targets."""
     ti = ds.train_indices
-    rows = targets.rows if isinstance(targets, TargetTable) else targets
+    rows = targets.rows
     bounds = xi_bounds(rows[ti], ds.p_star[ti], loss_bound=loss_bound)
     acc, cal = _test_metrics(result.best_model, ds)
     out = {
@@ -230,9 +235,7 @@ def _correlate_group(ds, task):
         tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
         runs = []
         for j, noise in enumerate(cfg.noise_grid):
-            rng = stream(cfg.seed, "perturb", j, r)
-            rows_t = np.vstack([perturb_target(ds.p_star[i], noise, rng)
-                                for i in range(ds.n)])
+            rows_t = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
             runs.append(("noisy_gt", noise, r, TargetTable(rows_t, "custom")))
     outcomes = _train_students(ds, [t for *_, t in runs], tconfig, teacher_error)
     rows = []
@@ -298,10 +301,9 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
             by_kind.setdefault(row["supervision"], []).append(row["test_acc"])
     for kind in _BASELINE_ORDER:
         if kind in by_kind:
-            a = np.array(by_kind[kind])
-            se = a.std(ddof=1) / np.sqrt(len(a)) if len(a) > 1 else 0.0
-            lines.append(f"baseline_{kind}: mean_acc = {a.mean():.17g} "
-                         f"se = {se:.17g} n = {len(a)}")
+            mean, se = _mean_se(by_kind[kind])
+            lines.append(f"baseline_{kind}: mean_acc = {mean:.17g} "
+                         f"se = {se:.17g} n = {len(by_kind[kind])}")
     checks = [
         ("gap_acc_negative", rho_acc < 0, f"spearman = {rho_acc:.3f}"),
         ("gap_ece_positive", rho_ece > 0, f"spearman = {rho_ece:.3f}"),
@@ -314,15 +316,13 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    if cfg.flip_ratio > 0:
-        ds = flip_labels(ds, cfg.flip_ratio, seed=cfg.seed)
     tconfig = cfg.train_config(record_paths=True)
     result = train_model(ds, make_onehot_targets(ds), tconfig)
     result.paths.export_csv(os.path.join(out_dir, "paths.csv"),
                             header_lines=cfg.echo_lines())
 
     ti = ds.train_indices
-    diffs = np.array([base_difficulty(int(ds.y[i]), ds.p_star[i]) for i in ti])
+    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     order = np.argsort(diffs, kind="stable")
     proj_rows, lines = [], []
     k3 = ds.num_classes == 3
@@ -357,15 +357,13 @@ def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_distance_gap(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    if cfg.flip_ratio > 0:
-        ds = flip_labels(ds, cfg.flip_ratio, seed=cfg.seed)
     builders = {
         "oht": lambda: make_onehot_targets(ds),
         "ls": lambda: make_ls_targets(ds, cfg.ls_epsilon),
         "gt": lambda: make_gt_targets(ds),
     }
     ti = ds.train_indices
-    diffs = np.array([base_difficulty(int(ds.y[i]), ds.p_star[i]) for i in ti])
+    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     rows, lines = [], []
     for kind in cfg.supervisions:
         targets = builders[kind]()
@@ -394,10 +392,8 @@ def run_distance_gap(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 # ---------------------------------------------------------------- recovery
 
 def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
-    ds = flip_labels(_build_dataset(cfg), cfg.flip_ratio, seed=cfg.seed)
+    ds = _build_dataset(cfg)
     flip = ds.flipped_indices
-    if flip.size == 0:
-        raise ValueError("flip_ratio produced no flipped samples")
     alpha = cfg.filter_alpha
     ti = ds.train_indices
     raw_hist, filt_hist = [], []
@@ -530,18 +526,15 @@ def run_distill(cfg: ExperimentConfig, out_dir, jobs: int = 1):
             checks.append((f"order_flip{fr:g}", False, "no complete seeds"))
             continue
         for kind in _DISTILL_ORDER:
-            a = np.array([cell[kind][s] for s in shared])
-            se = a.std(ddof=1) / np.sqrt(len(a)) if len(a) > 1 else 0.0
-            lines.append(f"flip {fr:g} {kind}: mean_acc = {a.mean():.17g} "
-                         f"se = {se:.17g} n = {len(a)}")
+            mean, se = _mean_se([cell[kind][s] for s in shared])
+            lines.append(f"flip {fr:g} {kind}: mean_acc = {mean:.17g} "
+                         f"se = {se:.17g} n = {len(shared)}")
         for hi, lo in zip(order_desc, order_desc[1:]):
-            d = np.array([cell[hi][s] - cell[lo][s] for s in shared])
-            se = d.std(ddof=1) / np.sqrt(len(d)) if len(d) > 1 else 0.0
-            ok = d.mean() + se >= 0
-            lines.append(f"flip {fr:g} gap {hi}-{lo}: mean = {d.mean():.17g} "
+            mean, se = _mean_se([cell[hi][s] - cell[lo][s] for s in shared])
+            lines.append(f"flip {fr:g} gap {hi}-{lo}: mean = {mean:.17g} "
                          f"se = {se:.17g}")
-            checks.append((f"order_{hi}_ge_{lo}_flip{fr:g}", ok,
-                           f"gap = {d.mean():.4f} se = {se:.4f}"))
+            checks.append((f"order_{hi}_ge_{lo}_flip{fr:g}", mean + se >= 0,
+                           f"gap = {mean:.4f} se = {se:.4f}"))
     lines.append(f"n_diverged = {len(diverged)}")
     _write_summary(out_dir, cfg, lines, checks)
     return checks
@@ -557,12 +550,10 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     model = init_mlp(sizes, seed=cfg.seed)
 
     pair_rng = stream(cfg.seed, "pairs")
-    tgt_rng = stream(cfg.seed, "pairs", 1)
-    pairs = []
-    for _ in range(cfg.n_pairs):
-        i, j = pair_rng.choice(ti, size=2, replace=False)
-        p_tar = perturb_target(ds.p_star[j], cfg.target_noise, tgt_rng)
-        pairs.append((ds.x[i], ds.x[j], p_tar))
+    drawn = [pair_rng.choice(ti, size=2, replace=False) for _ in range(cfg.n_pairs)]
+    p_tars = perturb_target(ds.p_star[[j for _, j in drawn]], cfg.target_noise,
+                            stream(cfg.seed, "pairs", 1))
+    pairs = [(ds.x[i], ds.x[j], p_tar) for (i, j), p_tar in zip(drawn, p_tars)]
 
     records, medians = residual_scaling_test(model, pairs, cfg.eta_grid)
     write_csv(os.path.join(out_dir, "decomposition.csv"), cfg.echo_lines(),
@@ -604,7 +595,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=None)
     train_model(ds, make_onehot_targets(ds), tcfg,
                 epoch_callback=lambda e, m, q: checkpoints.append(m.copy()))
-    diffs = np.array([base_difficulty(int(ds.y[i]), ds.p_star[i]) for i in ti])
+    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     order = np.argsort(diffs, kind="stable")
     picks = [int(ti[order[int(round(f * (ti.size - 1)))]])
              for f in np.linspace(0.0, 1.0, cfg.trace_samples)]
@@ -628,25 +619,15 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    if cfg.flip_ratio > 0:
-        ds = flip_labels(ds, cfg.flip_ratio, seed=cfg.seed)
     tconfig = cfg.train_config(record_paths=True)
     result = train_model(ds, make_onehot_targets(ds), tconfig)
     ti = ds.train_indices
-    flipped = set(int(i) for i in ds.flipped_indices)
-    rows = []
-    for i in ti:
-        i = int(i)
-        rows.append([i,
-                     base_difficulty(int(ds.y[i]), ds.p_star[i]),
-                     zigzag_score(result.paths[i], int(ds.y[i])),
-                     i in flipped])
+    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
+    scores = np.array([zigzag_score(result.paths[int(i)], int(ds.y[i])) for i in ti])
+    flags = np.isin(ti, ds.flipped_indices)
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],
-              rows)
-    diffs = np.array([r[1] for r in rows])
-    scores = np.array([r[2] for r in rows])
-    flags = np.array([r[3] for r in rows], dtype=bool)
+              zip(ti, diffs, scores, flags))
     rho = spearman(diffs, scores)
     lines = [f"n_train = {ti.size}",
              f"n_flipped = {int(flags.sum())}",

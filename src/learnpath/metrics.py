@@ -1,41 +1,38 @@
 """Evaluation metrics and supervision-quality bound terms.
 
-Two risk views are central. With per-class loss rows L(f(x)) in R^K,
-the empirical risk weights each row by the one-hot label while the
-target risk weights it by the supervision row p_tar:
-
-    R_emp = mean_n  e_{y_n} . L(f(x_n))
-    R_tar = mean_n  p_tar(x_n) . L(f(x_n))
-
-The gap |R_tar - R_emp| on clean-vs-true supervision is controlled by
-seven interchangeable terms xi built from the mismatch between p_tar
-and the true posterior p*; all seven vanish when p_tar = p* and obey a
-fixed chain of inequalities (norm comparison, Pinsker, Jensen), which
-the tests enforce.
+Training on targets p_tar rather than on the true posterior p* changes
+the risk being minimized: the target risk weights each per-class loss
+row L(f(x)) by p_tar(x), the true risk by p*(x). The gap between the
+two is controlled by seven interchangeable terms xi built from the
+mismatch between p_tar and p* (xi_bounds); all seven vanish when
+p_tar = p* and obey a fixed chain of inequalities (norm comparison,
+Pinsker, Jensen), which the tests enforce. The correlate sweep reports
+them per student with its test accuracy, calibration error (ece) and
+mean distance to p* (mean_gap), and rank-correlates that distance with
+accuracy and ECE (spearman).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
-    "EceConfig", "BoundReport", "accuracy", "ece", "mean_gap",
-    "kl_divergence", "clipped_ce_rows", "risk_estimates", "xi_bounds",
-    "spearman", "spearman_perm_pvalue",
+    "EceConfig", "BoundReport", "as_rows", "accuracy", "ece", "mean_gap",
+    "kl_divergence", "xi_bounds", "spearman", "spearman_perm_pvalue",
 ]
 
 
-def _rows(table) -> np.ndarray:
-    """Accept a TargetTable or a plain (n, K) array."""
+def as_rows(table) -> np.ndarray:
+    """The (n, K) float rows of a TargetTable or of a plain array."""
     return np.asarray(getattr(table, "rows", table), dtype=np.float64)
 
 
 def accuracy(preds, labels) -> float:
     """Fraction of rows whose argmax matches the label; ties -> lowest index."""
-    p = _rows(preds)
+    p = as_rows(preds)
     y = np.asarray(labels)
     if p.ndim != 2 or p.shape[0] != y.shape[0]:
         raise ValueError(f"preds {p.shape} vs labels {y.shape}")
@@ -60,7 +57,7 @@ def ece(preds, labels, config: EceConfig = EceConfig()) -> float:
     exactly 0 lands in the first bin. Per bin the score accumulates
     (|B_m| / n) * |mean accuracy - mean confidence|.
     """
-    p = _rows(preds)
+    p = as_rows(preds)
     y = np.asarray(labels)
     if p.shape[0] != y.shape[0] or p.shape[0] == 0:
         raise ValueError("preds/labels must be non-empty and aligned")
@@ -82,7 +79,7 @@ def ece(preds, labels, config: EceConfig = EceConfig()) -> float:
 
 def mean_gap(targets, p_stars, norm: str = "l2") -> float:
     """Mean rowwise distance between supervision and the true posterior."""
-    a, b = _rows(targets), _rows(p_stars)
+    a, b = as_rows(targets), as_rows(p_stars)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] == 0:
         raise ValueError(f"aligned non-empty tables required, got {a.shape}/{b.shape}")
     d = a - b
@@ -108,38 +105,6 @@ def kl_divergence(p, q) -> float:
         return math.inf
     ps = p[support]
     return float((ps * np.log(ps / q[support])).sum())
-
-
-def clipped_ce_rows(probs, bound: float = 10.0) -> np.ndarray:
-    """Per-class cross-entropy rows min(-log q_k, bound), shape (n, K).
-
-    The clip keeps every loss value in [0, bound], which the xi terms
-    assume of their loss bound ell.
-    """
-    if not bound > 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    q = _rows(probs)
-    with np.errstate(divide="ignore"):
-        rows = -np.log(q)
-    return np.minimum(rows, bound)
-
-
-def risk_estimates(preds, labels, targets, loss_rows=None, bound: float = 10.0):
-    """(R_emp, R_tar) for one prediction table.
-
-    preds are probability rows aligned with labels and targets. The
-    per-class loss defaults to bound-clipped cross entropy; pass
-    loss_rows to weight a custom (n, K) loss table instead.
-    """
-    p = _rows(preds)
-    y = np.asarray(labels)
-    t = _rows(targets)
-    if p.shape != t.shape or p.shape[0] != y.shape[0] or p.shape[0] == 0:
-        raise ValueError("preds/labels/targets must be non-empty and aligned")
-    rows = clipped_ce_rows(p, bound) if loss_rows is None else np.asarray(loss_rows)
-    r_emp = float(rows[np.arange(len(y)), y].mean())
-    r_tar = float((t * rows).sum(axis=1).mean())
-    return r_emp, r_tar
 
 
 @dataclass(frozen=True)
@@ -169,29 +134,14 @@ class BoundReport:
     xi_kl_rev_sq: float
     xi_kl_rev: float
     xi_jeffreys: float
-    loss_bound: float
-    num_classes: int
-    variance_term: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "xi_l2": self.xi_l2, "xi_l1": self.xi_l1,
-            "xi_kl_fwd_sq": self.xi_kl_fwd_sq, "xi_kl_fwd": self.xi_kl_fwd,
-            "xi_kl_rev_sq": self.xi_kl_rev_sq, "xi_kl_rev": self.xi_kl_rev,
-            "xi_jeffreys": self.xi_jeffreys,
-        }
+        return asdict(self)
 
 
-def xi_bounds(targets, p_stars, loss_bound: float = 10.0,
-              loss_rows=None) -> BoundReport:
-    """Evaluate all seven bound terms for aligned target/posterior tables.
-
-    When loss_rows (per-sample per-class losses, shape (n, K)) are
-    supplied, variance_term is filled with the empirical variance of the
-    per-sample weighted loss gap (p_tar - p*) . L, a diagnostic for how
-    loose the worst-case terms are on this particular model.
-    """
-    t, s = _rows(targets), _rows(p_stars)
+def xi_bounds(targets, p_stars, loss_bound: float = 10.0) -> BoundReport:
+    """Evaluate all seven bound terms for aligned target/posterior tables."""
+    t, s = as_rows(targets), as_rows(p_stars)
     if t.shape != s.shape or t.ndim != 2 or t.shape[0] == 0:
         raise ValueError(f"aligned non-empty tables required, got {t.shape}/{s.shape}")
     if not loss_bound > 0:
@@ -203,13 +153,6 @@ def xi_bounds(targets, p_stars, loss_bound: float = 10.0,
     mean_l1 = float(np.abs(d).sum(axis=1).mean())
     kl_fwd = np.array([kl_divergence(t[i], s[i]) for i in range(len(t))])
     kl_rev = np.array([kl_divergence(s[i], t[i]) for i in range(len(t))])
-    variance = None
-    if loss_rows is not None:
-        rows = np.asarray(loss_rows, dtype=np.float64)
-        if rows.shape != t.shape:
-            raise ValueError(f"loss_rows shape {rows.shape}, want {t.shape}")
-        gaps = (d * rows).sum(axis=1)
-        variance = float(gaps.var())
     return BoundReport(
         xi_l2=ell2 * k * mean_l2 ** 2,
         xi_l1=ell2 * mean_l1 ** 2,
@@ -218,9 +161,6 @@ def xi_bounds(targets, p_stars, loss_bound: float = 10.0,
         xi_kl_rev_sq=2.0 * ell2 * float(np.sqrt(kl_rev).mean()) ** 2,
         xi_kl_rev=2.0 * ell2 * float(kl_rev.mean()),
         xi_jeffreys=ell2 * float((kl_fwd + kl_rev).mean()),
-        loss_bound=loss_bound,
-        num_classes=k,
-        variance_term=variance,
     )
 
 
@@ -252,8 +192,9 @@ def spearman(xs, ys) -> float:
         raise ValueError("need at least 2 points")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("spearman undefined for constant input")
-    rx = _fractional_ranks(x) - _fractional_ranks(x).mean()
-    ry = _fractional_ranks(y) - _fractional_ranks(y).mean()
+    rx, ry = _fractional_ranks(x), _fractional_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
     return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 

@@ -12,7 +12,7 @@ applied to the output layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,7 @@ Grads = list
 __all__ = [
     "MlpModel", "ForwardCache", "init_mlp", "softmax", "mlp_forward",
     "mlp_backward", "logits_jacobian", "jacobian_factors", "sgd_step",
-    "finite_diff_grad", "predict_proba", "zero_grads", "save_model",
-    "load_model",
+    "finite_diff_grad", "predict_proba",
 ]
 
 
@@ -55,7 +54,6 @@ class MlpModel:
     layer_sizes: tuple
     weights: list
     biases: list
-    activation: str = "relu"
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
@@ -63,8 +61,6 @@ class MlpModel:
             raise ValueError("need at least input and output layer sizes")
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive: {self.layer_sizes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != self.num_layers or len(self.biases) != self.num_layers:
             raise ValueError("parameter count does not match layer_sizes")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -93,8 +89,7 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.layer_sizes,
                         [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases],
-                        self.activation)
+                        [b.copy() for b in self.biases])
 
     def flat(self) -> np.ndarray:
         """All parameters as one vector: per layer, W row-major then b."""
@@ -232,11 +227,6 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     return list(zip(inputs, deltas))
 
 
-def zero_grads(model: MlpModel) -> Grads:
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(model.weights, model.biases)]
-
-
 def sgd_step(model: MlpModel, grads: Grads, eta: float) -> MlpModel:
     """In-place descent step: each parameter decremented by eta * gradient.
 
@@ -303,28 +293,3 @@ def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     np.exp(a, out=a)
     a /= a.sum(axis=1, keepdims=True)
     return a
-
-
-def save_model(model: MlpModel, path) -> None:
-    """Plain-text checkpoint: header lines then one %.17g parameter per line."""
-    with open(path, "w") as fh:
-        fh.write("layer_sizes " + " ".join(str(s) for s in model.layer_sizes) + "\n")
-        fh.write(f"activation {model.activation}\n")
-        for v in model.flat():
-            fh.write(format(v, ".17g") + "\n")
-
-
-def load_model(path) -> MlpModel:
-    with open(path) as fh:
-        head = fh.readline().split()
-        if head[:1] != ["layer_sizes"]:
-            raise ValueError(f"{path}: not a model checkpoint")
-        sizes = tuple(int(s) for s in head[1:])
-        act = fh.readline().split()
-        if act[:1] != ["activation"]:
-            raise ValueError(f"{path}: missing activation line")
-        vals = np.array([float(line) for line in fh], dtype=np.float64)
-    model = init_mlp(sizes, seed=0)
-    model.activation = act[1]
-    model.set_flat(vals)
-    return model

@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from learnpath.numerics import MlpModel, predict_proba
-from learnpath.toygauss import TRAIN, ToyDataset
+from learnpath.metrics import as_rows
 
 __all__ = [
-    "LearningPath", "PathStore", "CsvPathSink", "ema_filter_path",
-    "barycentric_project", "base_difficulty", "zigzag_score",
-    "distance_gap_snapshot", "recovery_fraction",
+    "LearningPath", "PathStore", "ema_filter_path", "barycentric_project",
+    "base_difficulty", "zigzag_score", "recovery_fraction",
 ]
 
 # simplex corners for the K = 3 planar projection
@@ -67,16 +65,13 @@ class PathStore:
         path = self.paths.get(sample_index)
         if path is None:
             path = self.paths[sample_index] = LearningPath(sample_index)
-        self.paths[sample_index].append(step, q)
+        path.append(step, q)
 
     def __len__(self) -> int:
         return len(self.paths)
 
     def __getitem__(self, sample_index: int) -> LearningPath:
         return self.paths[sample_index]
-
-    def __contains__(self, sample_index: int) -> bool:
-        return sample_index in self.paths
 
     def indices(self) -> list:
         return sorted(self.paths)
@@ -93,33 +88,6 @@ class PathStore:
                 for step, q in zip(p.steps, p.qs):
                     vals = [format(v, ".17g") for v in q]
                     fh.write(",".join([str(i), str(step), *vals]) + "\n")
-
-
-class CsvPathSink:
-    """Write-through recorder for runs too large to keep paths in memory.
-
-    Same log() surface as PathStore, but rows go straight to disk in
-    visit order (so not grouped by sample; sort downstream if needed).
-    """
-
-    def __init__(self, path, num_classes: int):
-        self.num_classes = num_classes
-        self._fh = open(path, "w")
-        cols = ["sample_index", "step"] + [f"q_{j}" for j in range(num_classes)]
-        self._fh.write(",".join(cols) + "\n")
-
-    def log(self, sample_index: int, step: int, q) -> None:
-        vals = [format(v, ".17g") for v in q]
-        self._fh.write(",".join([str(sample_index), str(step), *vals]) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def ema_filter_path(path: LearningPath, alpha: float) -> LearningPath:
@@ -155,16 +123,24 @@ def barycentric_project(q) -> np.ndarray:
     return q @ _BARY_VERTS
 
 
-def base_difficulty(y: int, p_star: np.ndarray) -> float:
-    """||e_y - p*||_2: how far the training label sits from the truth."""
+def base_difficulty(labels, p_star) -> np.ndarray:
+    """||e_y - p*||_2 per row: how far each training label sits from the truth.
+
+    labels (n,) and p_star (n, K) give n difficulties. Each row's squared
+    norm is one stacked matmul of the row with itself, which has the bits
+    np.linalg.norm gives the row alone; np.linalg.norm(axis=1) sums in
+    another order and can differ in the last bit.
+    """
     p = np.asarray(p_star, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"p_star must be a vector, got {p.shape}")
-    if not 0 <= y < p.shape[0]:
-        raise ValueError(f"label {y} out of range for {p.shape[0]} classes")
+    y = np.asarray(labels)
+    if p.ndim != 2 or y.shape != p.shape[:1]:
+        raise ValueError(f"need labels (n,) and p_star (n, K), got {y.shape}/{p.shape}")
+    if y.size and not (0 <= y.min() and y.max() < p.shape[1]):
+        raise ValueError(f"labels out of range for {p.shape[1]} classes")
     e = np.zeros_like(p)
-    e[y] = 1.0
-    return float(np.linalg.norm(e - p))
+    e[np.arange(y.size), y] = 1.0
+    d = e - p
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
 def zigzag_score(path: LearningPath, y: int) -> float:
@@ -184,41 +160,13 @@ def zigzag_score(path: LearningPath, y: int) -> float:
     return float(col.max())
 
 
-def distance_gap_snapshot(model: MlpModel, ds: ToyDataset, targets=None,
-                          split: int = TRAIN) -> np.ndarray:
-    """Per-sample (base_difficulty, ||q - p*||_2, ||q - p_tar||_2) rows.
-
-    targets defaults to one-hot on the current labels. Rows follow the
-    split's index order; returned as a structured array so columns keep
-    their names.
-    """
-    idx = ds.indices_of(split)
-    if idx.size == 0:
-        raise ValueError("empty split")
-    q = predict_proba(model, ds.x[idx])
-    if targets is None:
-        rows = np.zeros((ds.n, ds.num_classes))
-        rows[np.arange(ds.n), ds.y] = 1.0
-    else:
-        rows = np.asarray(getattr(targets, "rows", targets), dtype=np.float64)
-    out = np.zeros(idx.size, dtype=[("sample_index", np.int64),
-                                    ("base_difficulty", np.float64),
-                                    ("dist_q_pstar", np.float64),
-                                    ("dist_q_ptar", np.float64)])
-    out["sample_index"] = idx
-    out["base_difficulty"] = [base_difficulty(int(ds.y[i]), ds.p_star[i]) for i in idx]
-    out["dist_q_pstar"] = np.linalg.norm(q - ds.p_star[idx], axis=1)
-    out["dist_q_ptar"] = np.linalg.norm(q - rows[idx], axis=1)
-    return out
-
-
 def recovery_fraction(preds, flipped_indices, original_labels) -> float:
     """Share of flipped samples whose argmax prediction is the original label.
 
     preds rows are aligned with dataset indices; flipped_indices picks
     the corrupted samples. An empty flip set has no recovery to measure.
     """
-    rows = np.asarray(getattr(preds, "rows", preds), dtype=np.float64)
+    rows = as_rows(preds)
     idx = np.asarray(flipped_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("no flipped samples given")

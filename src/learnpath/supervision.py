@@ -17,6 +17,8 @@ every visit the pre-update prediction is folded into the sample's
 running average before the step. Averaging across visits smooths out
 the oscillation that noisy-labeled neighbours induce, so the table can
 be better supervision than any single checkpoint.
+train_teacher_filterkd_multi fills one such table per smoothing rate
+alpha from the same run; a single rate is a grid of one, (alpha,).
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from learnpath.metrics import accuracy
+from learnpath.metrics import accuracy, as_rows
 from learnpath.numerics import (MlpModel, init_mlp, predict_proba, sgd_step,
                                 softmax)
 from learnpath.pathtrace import PathStore
@@ -52,9 +54,8 @@ __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
     "kd_loss_and_grad", "train_model", "train_models",
-    "train_teacher_filterkd", "train_teacher_filterkd_multi",
-    "extract_eskd_targets", "extract_kd_targets", "save_targets",
-    "load_targets", "PROVENANCES",
+    "train_teacher_filterkd_multi", "extract_eskd_targets",
+    "extract_kd_targets", "PROVENANCES",
 ]
 
 
@@ -240,8 +241,7 @@ class TrainResult:
     """Everything a training run leaves behind.
 
     Epoch indices are 0-based; epochs_run is the number of completed
-    epochs, best_epoch indexes valid_acc_history. q_smooth is only set
-    by the filtered-teacher loop.
+    epochs, best_epoch indexes valid_acc_history.
     """
 
     final_model: MlpModel
@@ -253,7 +253,6 @@ class TrainResult:
     init_model: MlpModel
     stopped_early: bool = False
     paths: PathStore | None = None
-    q_smooth: TargetTable | None = None
 
 
 def _valid_accuracy(model, ds) -> float:
@@ -496,10 +495,6 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
     return out
 
 
-def _rows(targets) -> np.ndarray:
-    return targets.rows if isinstance(targets, TargetTable) else np.asarray(targets)
-
-
 def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
     """Train one student per supervision table, all in one lockstep stack.
 
@@ -509,13 +504,13 @@ def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
     its DivergenceError in its slot instead, and the others are
     unaffected.
     """
-    return [result for result, _ in _run_sgd(ds, config, [_rows(t) for t in tables])]
+    return [result for result, _ in _run_sgd(ds, config, [as_rows(t) for t in tables])]
 
 
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
                 epoch_callback=None) -> TrainResult:
     """Train a student against a fixed supervision table."""
-    [(result, _)] = _run_sgd(ds, config, [_rows(targets)],
+    [(result, _)] = _run_sgd(ds, config, [as_rows(targets)],
                              epoch_callback=epoch_callback)
     if isinstance(result, DivergenceError):
         raise result
@@ -536,14 +531,6 @@ def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
     return result, tables
 
 
-def train_teacher_filterkd(ds: ToyDataset, config: TrainConfig,
-                           alpha: float = 0.05) -> TrainResult:
-    """Filtered teacher at a single smoothing rate; q_smooth is filled."""
-    result, tables = train_teacher_filterkd_multi(ds, config, (alpha,))
-    result.q_smooth = tables[float(alpha)]
-    return result
-
-
 def extract_eskd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
     """Teacher predictions at the best-validation checkpoint."""
     return TargetTable(predict_proba(result.best_model, ds.x), "eskd")
@@ -552,25 +539,3 @@ def extract_eskd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
 def extract_kd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
     """Teacher predictions at the end of training."""
     return TargetTable(predict_proba(result.final_model, ds.x), "kd_converged")
-
-
-def save_targets(table: TargetTable, path) -> None:
-    k = table.num_classes
-    cols = ["index"] + [f"k{j}" for j in range(k)] + ["provenance"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(table.n):
-            vals = [format(v, ".17g") for v in table.rows[i]]
-            fh.write(",".join([str(i), *vals, table.provenance]) + "\n")
-
-
-def load_targets(path) -> TargetTable:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        k = len(header) - 2
-        rows, provenance = [], None
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append([float(v) for v in parts[1:1 + k]])
-            provenance = parts[-1]
-    return TargetTable(np.array(rows), provenance)

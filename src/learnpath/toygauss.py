@@ -25,10 +25,9 @@ TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "valid", "test")
 
 __all__ = [
-    "GaussianSpec", "ToySample", "ToyDataset", "gen_class_means",
-    "compute_p_star", "sample_dataset", "split_counts", "split_dataset",
-    "flip_labels", "perturb_target", "save_dataset", "load_dataset",
-    "TRAIN", "VALID", "TEST", "SPLIT_NAMES",
+    "GaussianSpec", "ToyDataset", "gen_class_means", "compute_p_star",
+    "sample_dataset", "split_counts", "split_dataset", "flip_labels",
+    "perturb_target", "save_dataset", "TRAIN", "VALID", "TEST", "SPLIT_NAMES",
 ]
 
 
@@ -52,18 +51,6 @@ class GaussianSpec:
         # 0 collapses all class means onto the origin; degenerate but legal
         if self.delta_mu < 0:
             raise ValueError(f"delta_mu must be >= 0, got {self.delta_mu}")
-
-
-@dataclass(frozen=True)
-class ToySample:
-    """Read-only view of one dataset row."""
-
-    index: int
-    x: np.ndarray
-    y: int
-    p_star: np.ndarray
-    original_y: int
-    split: int
 
 
 @dataclass
@@ -108,11 +95,6 @@ class ToyDataset:
     @property
     def num_classes(self) -> int:
         return self.spec.num_classes
-
-    def sample(self, i: int) -> ToySample:
-        return ToySample(index=i, x=self.x[i], y=int(self.y[i]),
-                         p_star=self.p_star[i], original_y=int(self.original_y[i]),
-                         split=int(self.split[i]))
 
     def indices_of(self, split: int) -> np.ndarray:
         return np.flatnonzero(self.split == split)
@@ -234,11 +216,13 @@ def flip_labels(ds: ToyDataset, flip_ratio: float, seed: int) -> ToyDataset:
 
 
 def perturb_target(p_star: np.ndarray, noise_scale: float, seed) -> np.ndarray:
-    """Noisy supervision row: add N(0, noise_scale^2), clamp at 0, renormalize.
+    """Noisy supervision rows: add N(0, noise_scale^2), clamp at 0, renormalize.
 
-    noise_scale = 0 returns p_star unchanged. A row pushed entirely to 0
-    falls back to the uniform distribution. `seed` may be an int or an
-    already-open numpy Generator (for batched use).
+    p_star is one row (K,) or a table (n, K); a table takes its noise in
+    one draw, in row order, so each row gets the numbers it would get
+    perturbed alone from the same generator. noise_scale = 0 returns
+    p_star unchanged. A row pushed entirely to 0 falls back to the uniform
+    distribution. `seed` may be an int or an already-open numpy Generator.
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
@@ -247,10 +231,10 @@ def perturb_target(p_star: np.ndarray, noise_scale: float, seed) -> np.ndarray:
         return p.copy()
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed, "perturb")
     out = np.maximum(p + rng.normal(0.0, noise_scale, size=p.shape), 0.0)
-    total = out.sum()
-    if total == 0.0:
-        return np.full(p.shape, 1.0 / p.size)
-    return out / total
+    total = out.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # 0 / 0 in the rows replaced below
+        out /= total
+    return np.where(total == 0.0, 1.0 / p.shape[-1], out)
 
 
 def save_dataset(ds: ToyDataset, csv_path) -> None:
@@ -258,7 +242,6 @@ def save_dataset(ds: ToyDataset, csv_path) -> None:
 
     Floats use %.17g, which round-trips float64 exactly.
     """
-    csv_path = str(csv_path)
     dim, k = ds.spec.input_dim, ds.num_classes
     cols = (["index", "split", "y", "original_y"]
             + [f"x_{j}" for j in range(dim)]
@@ -280,41 +263,7 @@ def save_dataset(ds: ToyDataset, csv_path) -> None:
         "n_samples": ds.n,
         "means": [[float(v) for v in row] for row in ds.means],
     }
-    with open(_header_path(csv_path), "w") as fh:
+    base = str(csv_path).removesuffix(".csv")
+    with open(base + ".header.json", "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _header_path(csv_path: str) -> str:
-    base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return base + ".header.json"
-
-
-def load_dataset(csv_path) -> ToyDataset:
-    csv_path = str(csv_path)
-    with open(_header_path(csv_path)) as fh:
-        header = json.load(fh)
-    spec = GaussianSpec(num_classes=header["num_classes"],
-                        input_dim=header["input_dim"],
-                        sigma=header["sigma"],
-                        delta_mu=header["delta_mu"],
-                        seed=header["seed"])
-    means = np.array(header["means"], dtype=np.float64)
-    n, dim, k = header["n_samples"], spec.input_dim, spec.num_classes
-    x = np.empty((n, dim))
-    p_star = np.empty((n, k))
-    y = np.empty(n, dtype=np.int64)
-    original_y = np.empty(n, dtype=np.int64)
-    split = np.empty(n, dtype=np.int8)
-    split_code = {name: code for code, name in enumerate(SPLIT_NAMES)}
-    with open(csv_path) as fh:
-        fh.readline()
-        for i, line in enumerate(fh):
-            parts = line.rstrip("\n").split(",")
-            split[i] = split_code[parts[1]]
-            y[i] = int(parts[2])
-            original_y[i] = int(parts[3])
-            x[i] = [float(v) for v in parts[4:4 + dim]]
-            p_star[i] = [float(v) for v in parts[4 + dim:4 + dim + k]]
-    return ToyDataset(spec=spec, means=means, x=x, y=y,
-                      original_y=original_y, p_star=p_star, split=split)

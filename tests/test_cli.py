@@ -66,6 +66,23 @@ class TestErrorExits:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("kind,text", [
+        ("distill", "n_samples = 100\nratios = 0,0.5,0.5\n"),
+        ("recovery", "n_samples = 40\nflip_ratio = 0.2\n"),
+        ("zigzag", "n_samples = 20\n"),
+        ("ntk-verify", "n_samples = 20\n"),
+        ("ntk-verify", "n_similarity = 2\n"),
+    ], ids=["distill-no-train-rows", "recovery-no-flips", "zigzag-1-train-row",
+            "ntk-verify-1-train-row", "ntk-verify-n_similarity-2"])
+    def test_configs_that_cannot_run_exit_before_output(self, tmp_path, capsys,
+                                                        kind, text):
+        out = tmp_path / "o"
+        assert main([kind, "--config", cfg_file(tmp_path, text),
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTeacherDivergence:
     """A diverging teacher fails its cell's teacher-dependent students only."""
 

@@ -155,6 +155,26 @@ class TestValidation:
         path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\npatience = 0\n")
         assert load_config(kind, path).ratios == (0.5, 0.0, 0.5)
 
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "gen-data"])
+    def test_empty_train_split_rejected(self, tmp_path, kind):
+        path = write_cfg(tmp_path, "n_samples = 100\nratios = 0,0.5,0.5\n")
+        with pytest.raises(ConfigError, match="no train rows"):
+            load_config(kind, path)
+
+    @pytest.mark.parametrize("kind,text,match", [
+        # round(0.2 * 2 train rows) = 0 flipped labels
+        ("recovery", "n_samples = 40\nflip_ratio = 0.2\n", "flips none"),
+        # 1 train row: nothing to rank, no pair of distinct rows
+        ("zigzag", "n_samples = 20\n", "at least 2"),
+        ("ntk-verify", "n_samples = 20\n", "1 train rows"),
+        # the self pair leaves each probe 1 row to rank
+        ("ntk-verify", "n_similarity = 2\n", "n_similarity = 2"),
+    ], ids=["recovery-no-flips", "zigzag-1-train-row", "ntk-verify-1-train-row",
+            "ntk-verify-n_similarity-2"])
+    def test_configs_that_cannot_run_rejected(self, tmp_path, kind, text, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(kind, write_cfg(tmp_path, text))
+
     def test_quantiles_range(self, tmp_path):
         path = write_cfg(tmp_path, "quantiles = 0.5,1.5\n")
         with pytest.raises(ConfigError, match="quantiles"):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from learnpath.metrics import (BoundReport, EceConfig, accuracy, ece,
-                               kl_divergence, mean_gap, risk_estimates,
-                               spearman, spearman_perm_pvalue, xi_bounds)
+                               kl_divergence, mean_gap, spearman,
+                               spearman_perm_pvalue, xi_bounds)
 
 LN2 = 0.69314718055994530942
 
@@ -128,40 +128,6 @@ class TestKl:
         assert kl_divergence(p, q) >= 0.0
 
 
-class TestRiskEstimates:
-    def test_onehot_targets_collapse(self, rng):
-        preds, labels = random_preds(rng, 30)
-        onehot = np.eye(3)[labels]
-        r_emp, r_tar = risk_estimates(preds, labels, onehot)
-        assert r_tar == pytest.approx(r_emp, abs=1e-12)
-
-    def test_perfect_predictor(self):
-        labels = np.array([0, 1])
-        preds = np.eye(2)[labels]
-        r_emp, r_tar = risk_estimates(preds, labels, preds)
-        assert r_emp == pytest.approx(0.0, abs=1e-12)
-        assert r_tar == pytest.approx(0.0, abs=1e-12)
-
-    def test_hand_weighted_sums(self):
-        # 2 samples, K=2; loss rows are clipped -log q of the predictions
-        preds = np.array([[0.5, 0.5], [0.8, 0.2]])
-        labels = np.array([0, 1])
-        targets = np.array([[0.7, 0.3], [0.4, 0.6]])
-        loss = -np.log(preds)
-        want_emp = (loss[0, 0] + loss[1, 1]) / 2
-        want_tar = ((0.7 * loss[0, 0] + 0.3 * loss[0, 1])
-                    + (0.4 * loss[1, 0] + 0.6 * loss[1, 1])) / 2
-        r_emp, r_tar = risk_estimates(preds, labels, targets)
-        assert r_emp == pytest.approx(want_emp, abs=1e-12)
-        assert r_tar == pytest.approx(want_tar, abs=1e-12)
-
-    def test_clipping_applies(self):
-        preds = np.array([[1e-30, 1.0 - 1e-30]])
-        r_emp, _ = risk_estimates(preds, np.array([0]), np.array([[1.0, 0.0]]),
-                                  bound=10.0)
-        assert r_emp == pytest.approx(10.0, abs=1e-12)
-
-
 def xi_tuple(report: BoundReport):
     return (report.xi_l2, report.xi_l1, report.xi_kl_fwd_sq, report.xi_kl_fwd,
             report.xi_kl_rev_sq, report.xi_kl_rev, report.xi_jeffreys)
@@ -209,15 +175,6 @@ class TestXiBounds:
         five = xi_bounds(t, p, loss_bound=5.0)
         assert five.xi_l2 == pytest.approx(25 * one.xi_l2, rel=1e-12)
         assert five.xi_kl_fwd == pytest.approx(25 * one.xi_kl_fwd, rel=1e-12)
-
-    def test_variance_term_from_loss_rows(self, rng):
-        t = rng.dirichlet(np.ones(3), size=8)
-        p = rng.dirichlet(np.ones(3), size=8)
-        rows = rng.uniform(0.0, 3.0, size=(8, 3))
-        report = xi_bounds(t, p, loss_rows=rows)
-        diffs = ((t - p) * rows).sum(axis=1)
-        assert report.variance_term == pytest.approx(np.var(diffs), rel=1e-12)
-        assert xi_bounds(t, p).variance_term is None
 
     def test_as_dict_round_trip(self, rng):
         t = rng.dirichlet(np.ones(3), size=5)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from learnpath.config import load_config
+from learnpath.experiments import read_csv, run_distance_gap
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (CsvPathSink, LearningPath, PathStore,
-                                 barycentric_project, base_difficulty,
-                                 distance_gap_snapshot, ema_filter_path,
+from learnpath.pathtrace import (LearningPath, PathStore, barycentric_project,
+                                 base_difficulty, ema_filter_path,
                                  recovery_fraction, zigzag_score)
 from learnpath.supervision import make_gt_targets
-from learnpath.toygauss import TEST, GaussianSpec, sample_dataset
+from learnpath.toygauss import sample_dataset, split_dataset
 
 SQRT23 = 0.81649658092772603273  # sqrt(2/3)
 SQRT3_2 = 0.86602540378443864676  # sqrt(3)/2
@@ -51,7 +52,6 @@ class TestPathStore:
         store.log(4, 1, np.array([0.5, 0.5, 0.0]))
         assert len(store) == 2
         assert store.indices() == [2, 4]
-        assert 4 in store and 9 not in store
         assert len(store[4]) == 2
 
     def test_export_csv_round_trip(self, tmp_path):
@@ -71,23 +71,6 @@ class TestPathStore:
         assert [int(first[0]), int(first[1])] == [1, 0]
         assert np.array_equal(np.array([float(v) for v in first[2:]]),
                               store[1].qs[0])
-
-    def test_sink_writes_same_rows(self, tmp_path):
-        qs = [np.array(q) for q in
-              ((0.2, 0.3, 0.5), (1.0, 0.0, 0.0), (0.25, 0.25, 0.5))]
-        store = PathStore(num_classes=3)
-        sink_path = tmp_path / "sink.csv"
-        with CsvPathSink(sink_path, num_classes=3) as sink:
-            for (i, t), q in zip(((5, 0), (1, 0), (5, 1)), qs):
-                store.log(i, t, q)
-                sink.log(i, t, q)
-        store_path = tmp_path / "store.csv"
-        store.export_csv(store_path)
-        sink_lines = sink_path.read_text().splitlines()
-        store_lines = store_path.read_text().splitlines()
-        assert sink_lines[0] == store_lines[0]
-        # sink preserves visit order, store groups by sample: same multiset
-        assert sorted(sink_lines[1:]) == sorted(store_lines[1:])
 
 
 class TestEmaFilter:
@@ -146,21 +129,39 @@ class TestBarycentric:
 
 class TestBaseDifficulty:
     def test_exact_label_is_zero(self):
-        assert base_difficulty(1, np.array([0.0, 1.0, 0.0])) == 0.0
+        assert base_difficulty([1], [[0.0, 1.0, 0.0]]).tolist() == [0.0]
 
     def test_opposite_corner_is_sqrt2(self):
-        got = base_difficulty(0, np.array([0.0, 0.0, 1.0]))
-        assert got == pytest.approx(np.sqrt(2.0), abs=1e-15)
+        got = base_difficulty([0], [[0.0, 0.0, 1.0]])
+        assert got[0] == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
     def test_uniform_posterior(self):
-        got = base_difficulty(2, np.full(3, 1 / 3))
-        assert got == pytest.approx(SQRT23, abs=1e-15)
+        got = base_difficulty([2, 0], np.full((2, 3), 1 / 3))
+        assert got == pytest.approx([SQRT23, SQRT23], abs=1e-15)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            base_difficulty(3, np.full(3, 1 / 3))
+            base_difficulty([3], np.full((1, 3), 1 / 3))
         with pytest.raises(ValueError):
-            base_difficulty(0, np.full((2, 3), 1 / 6))
+            base_difficulty([-1], np.full((1, 3), 1 / 3))
+        with pytest.raises(ValueError):
+            base_difficulty([0], np.full(3, 1 / 3))
+        with pytest.raises(ValueError):
+            base_difficulty([0, 1], np.full((3, 3), 1 / 3))
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_rows_match_per_row_norm_bitwise(self, k):
+        # the drivers write these values with %.17g, so the batched rows
+        # must keep the bits of the per-row reference
+        rng = np.random.default_rng(k)
+        p = rng.dirichlet(np.full(k, 0.5), size=5000)
+        y = rng.integers(0, k, size=5000)
+        want = []
+        for label, row in zip(y, p):
+            e = np.zeros(k)
+            e[label] = 1.0
+            want.append(np.linalg.norm(e - row))
+        assert np.array_equal(base_difficulty(y, p), want)
 
 
 class TestZigzag:
@@ -192,45 +193,45 @@ class TestZigzag:
 
 
 class TestDistanceGap:
-    def test_columns_match_manual_computation(self, small_ds):
-        model = init_mlp((small_ds.x.shape[1], 8, 3), seed=0)
-        table = make_gt_targets(small_ds)
-        snap = distance_gap_snapshot(model, small_ds, targets=table)
-        idx = snap["sample_index"]
-        assert np.array_equal(idx, small_ds.train_indices)
-        q = predict_proba(model, small_ds.x[idx])
-        assert np.allclose(snap["dist_q_pstar"],
-                           np.linalg.norm(q - small_ds.p_star[idx], axis=1),
-                           atol=1e-15)
+    """run_distance_gap's table, recomputed by hand at the init stage."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        cfg = load_config("distance-gap").replace(
+            n_samples=150, ratios=(0.4, 0.2, 0.4), max_epochs=2,
+            hidden_sizes=(8,), supervisions=("oht", "gt"))
+        out = tmp_path_factory.mktemp("distance-gap")
+        run_distance_gap(cfg, str(out))
+        columns, rows = read_csv(out / "distance_gap.csv")
+        ds = split_dataset(sample_dataset(cfg.gaussian_spec(), cfg.n_samples),
+                           cfg.ratios)
+        model = init_mlp(cfg.train_config().layer_sizes(ds.spec.input_dim, 3),
+                         cfg.seed)
+        ti = ds.train_indices
+        q = predict_proba(model, ds.x[ti])
+        init = {kind: np.array([[float(v) for v in r[2:]] for r in rows
+                                if r[:2] == [kind, "init"]])
+                for kind in cfg.supervisions}
+        return ds, q, columns, init
+
+    def test_columns_match_manual_computation(self, run):
+        ds, q, columns, init = run
+        ti = ds.train_indices
+        assert columns[2:] == ["sample_index", "base_difficulty", "dist_q_pstar",
+                               "dist_q_ptar"]
+        gt = init["gt"]
+        assert np.array_equal(gt[:, 0], ti)
+        assert np.array_equal(gt[:, 1], base_difficulty(ds.y[ti], ds.p_star[ti]))
+        assert np.allclose(gt[:, 2], np.linalg.norm(q - ds.p_star[ti], axis=1),
+                           rtol=0, atol=1e-15)
         # against ground-truth targets both distance columns agree
-        assert np.array_equal(snap["dist_q_pstar"], snap["dist_q_ptar"])
-        for row in snap[:10]:
-            i = int(row["sample_index"])
-            assert row["base_difficulty"] == pytest.approx(
-                base_difficulty(int(small_ds.y[i]), small_ds.p_star[i]), abs=0)
+        assert np.array_equal(gt[:, 2], gt[:, 3])
 
-    def test_default_targets_are_onehot(self, small_ds):
-        model = init_mlp((small_ds.x.shape[1], 8, 3), seed=1)
-        snap = distance_gap_snapshot(model, small_ds)
-        idx = snap["sample_index"]
-        q = predict_proba(model, small_ds.x[idx])
-        onehot = np.eye(3)[small_ds.y[idx]]
-        assert np.allclose(snap["dist_q_ptar"],
-                           np.linalg.norm(q - onehot, axis=1), atol=1e-15)
-
-    def test_plain_array_targets_accepted(self, small_ds):
-        model = init_mlp((small_ds.x.shape[1], 8, 3), seed=2)
-        via_table = distance_gap_snapshot(model, small_ds,
-                                          targets=make_gt_targets(small_ds))
-        via_array = distance_gap_snapshot(model, small_ds,
-                                          targets=small_ds.p_star)
-        assert np.array_equal(via_table["dist_q_ptar"], via_array["dist_q_ptar"])
-
-    def test_empty_split_rejected(self):
-        ds = sample_dataset(GaussianSpec(seed=0), 20)  # everything is TRAIN
-        model = init_mlp((ds.x.shape[1], 4, 3), seed=0)
-        with pytest.raises(ValueError):
-            distance_gap_snapshot(model, ds, split=TEST)
+    def test_default_targets_are_onehot(self, run):
+        ds, q, _, init = run
+        onehot = np.eye(3)[ds.y[ds.train_indices]]
+        assert np.allclose(init["oht"][:, 3], np.linalg.norm(q - onehot, axis=1),
+                           rtol=0, atol=1e-15)
 
 
 class TestRecoveryFraction:

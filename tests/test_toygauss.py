@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from learnpath.toygauss import (TEST, TRAIN, VALID, GaussianSpec, ToyDataset,
-                                compute_p_star, flip_labels, gen_class_means,
-                                load_dataset, perturb_target, sample_dataset,
+from learnpath.toygauss import (SPLIT_NAMES, TEST, TRAIN, VALID, GaussianSpec,
+                                ToyDataset, compute_p_star, flip_labels,
+                                gen_class_means, perturb_target, sample_dataset,
                                 save_dataset, split_dataset)
 
 
@@ -223,6 +223,17 @@ class TestPerturb:
             dists.append(np.mean(d))
         assert all(a < b for a, b in zip(dists, dists[1:]))
 
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("scale", [0.0, 0.01, 0.28, 1.0, 5.0])
+    def test_table_matches_per_row_calls_bitwise(self, k, scale):
+        p = np.random.default_rng(k).dirichlet(np.full(k, 0.5), size=3000)
+        rng = np.random.default_rng(11)
+        want = np.vstack([perturb_target(row, scale, rng) for row in p])
+        got = perturb_target(p, scale, np.random.default_rng(11))
+        assert np.array_equal(got, want)
+        if scale >= 1.0:  # rows pushed to 0 fall back to uniform in both
+            assert (got == 1.0 / k).all(axis=1).any()
+
     def test_large_noise_can_flip_argmax(self):
         p = np.array([0.5, 0.3, 0.2])
         rng = np.random.default_rng(7)
@@ -236,14 +247,23 @@ class TestRoundTrip:
         ds = flip_labels(ds, 0.2, seed=1)
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.x, ds.x)
-        assert np.array_equal(loaded.y, ds.y)
-        assert np.array_equal(loaded.original_y, ds.original_y)
-        assert np.array_equal(loaded.p_star, ds.p_star)
-        assert np.array_equal(loaded.split, ds.split)
-        assert loaded.spec == ds.spec
-        assert np.array_equal(loaded.means, ds.means)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + ds.n
+        rows = [line.split(",") for line in lines[1:]]
+        dim = ds.spec.input_dim
+        assert [int(r[0]) for r in rows] == list(range(ds.n))
+        assert [r[1] for r in rows] == [SPLIT_NAMES[s] for s in ds.split]
+        assert np.array_equal([int(r[2]) for r in rows], ds.y)
+        assert np.array_equal([int(r[3]) for r in rows], ds.original_y)
+        # %.17g reads back to the same doubles
+        assert np.array_equal([[float(v) for v in r[4:4 + dim]] for r in rows], ds.x)
+        assert np.array_equal([[float(v) for v in r[4 + dim:]] for r in rows],
+                              ds.p_star)
+        header = json.loads((tmp_path / "dataset.header.json").read_text())
+        assert GaussianSpec(**{f: header[f] for f in ("num_classes", "input_dim",
+                                                     "sigma", "delta_mu",
+                                                     "seed")}) == ds.spec
+        assert np.array_equal(header["means"], ds.means)
 
     def test_header_json(self, tmp_path):
         ds = sample_dataset(GaussianSpec(seed=1, sigma=2.5), 10)

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still binds every learnpath name it needs.
+
+perfbench/tracer.py wraps learnpath functions by name when it installs,
+so a rename under src/ can break the benchmark while every other test
+passes. This runs perfbench/traced_cli.py on two TINY configs of
+criterion 11 and checks its exit code and that the traced run writes the
+same bytes as an untraced one.
+"""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+from learnpath.cli import main as cli_main
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_acceptance import TINY_CONFIGS  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACED_CLI = os.path.join(ROOT, "perfbench", "traced_cli.py")
+
+
+@pytest.mark.parametrize("command,jobs", [("distill", "2"), ("ntk-verify", "1")])
+def test_traced_run_writes_the_untraced_bytes(tmp_path, command, jobs):
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(TINY_CONFIGS[command])
+    args = [command, "--config", str(cfg), "--jobs", jobs]
+    plain, traced, trace_dir = tmp_path / "plain", tmp_path / "traced", tmp_path / "trace"
+    trace_dir.mkdir()
+    rc = cli_main(args + ["--out", str(plain)])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, TRACED_CLI, str(trace_dir), "test", *args,
+                           "--out", str(traced)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == rc, proc.stderr
+    assert glob.glob(str(trace_dir / "spans-*.jsonl"))
+    names = sorted(os.listdir(plain))
+    assert sorted(os.listdir(traced)) == names
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
