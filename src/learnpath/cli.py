@@ -3,8 +3,10 @@
     learnpath <command> [--config FILE] [--out DIR] [--seed N] [--jobs N]
 
 Every command runs entirely from its built-in defaults when no config
-file is given. Exit codes: 0 on success, 1 on a configuration problem,
-2 when the command ran but a verification check failed.
+file is given. Exit codes: 0 on success, 1 on a configuration problem
+or when a single-run command's model diverged (sweeps record a diverged
+run as a failed row instead), 2 when the command ran but a verification
+check failed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 
 from learnpath.config import ConfigError, load_config
 from learnpath.experiments import RUNNERS
+from learnpath.supervision import DivergenceError
 
 _STRICT = {"ntk-verify"}  # failed checks flip the exit code
 
@@ -49,17 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = args.out or os.path.join("out", args.command)
     try:
         cfg = load_config(args.command, path=args.config, seed=args.seed)
-    except ConfigError as err:
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be at least 1")
+        os.makedirs(out_dir, exist_ok=True)
+        checks = RUNNERS[args.command](cfg, out_dir, jobs=args.jobs)
+    except (ConfigError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 1
-    out_dir = args.out or os.path.join("out", args.command)
-    os.makedirs(out_dir, exist_ok=True)
-    checks = RUNNERS[args.command](cfg, out_dir, jobs=args.jobs)
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:
         print(f"check {name}: {'pass' if ok else 'FAIL'} ({detail})")

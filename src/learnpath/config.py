@@ -27,57 +27,6 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent values; maps to exit code 1."""
 
 
-def _parse_float_list(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
-
-
-def _parse_int_list(s):
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
-
-
-def _parse_str_list(s):
-    return tuple(p.strip() for p in s.split(",") if p.strip())
-
-
-_PARSERS = {
-    "kind": str,
-    "seed": int,
-    "num_classes": int,
-    "input_dim": int,
-    "sigma": float,
-    "delta_mu": float,
-    "n_samples": int,
-    "ratios": _parse_float_list,
-    "hidden_sizes": _parse_int_list,
-    "learning_rate": float,
-    "max_epochs": int,
-    "patience": int,  # 0 disables early stopping
-    "temperature": float,
-    "beta": float,
-    "flip_ratio": float,
-    "ls_epsilon": float,
-    "loss_bound": float,
-    "noise_grid": _parse_float_list,
-    "noise_seeds": int,
-    "baseline_seeds": int,
-    "perm_test": int,
-    "quantiles": _parse_float_list,
-    "ema_alpha": float,
-    "supervisions": _parse_str_list,
-    "filter_alpha": float,
-    "alpha_grid": _parse_float_list,
-    "flip_grid": _parse_float_list,
-    "seeds": _parse_int_list,
-    "n_pairs": int,
-    "n_similarity": int,
-    "target_noise": float,
-    "eta_grid": _parse_float_list,
-    "trace_epochs": int,
-    "trace_samples": int,
-}
-
 _COMMON = {
     "seed": 0,
     "num_classes": 3,
@@ -89,13 +38,14 @@ _COMMON = {
     "hidden_sizes": (32, 32, 32),
     "learning_rate": 0.01,
     "max_epochs": 60,
-    "patience": 10,
+    "patience": 10,  # 0 disables early stopping
     "temperature": 1.0,
     "beta": 1.0,
 }
 
 # Per-kind defaults, desk-scale. Order is the echo order in output
-# headers, so keep it stable.
+# headers, so keep it stable. A file's value is parsed as the type of its
+# key's default (see _parse), so every tuple default holds one type.
 KIND_DEFAULTS = {
     "gen-data": {**_COMMON, "flip_ratio": 0.0},
     "correlate": {
@@ -208,6 +158,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _parse(default, text):
+    """text as a value of default's type; a tuple default takes a comma
+    list of its first entry's type, with empty parts skipped."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p.strip()) for p in text.split(",") if p.strip())
+    return type(default)(text)
+
+
 def _parse_file(path) -> dict:
     raw = {}
     with open(path) as fh:
@@ -247,7 +205,7 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
             if key not in values:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {kind}")
             try:
-                values[key] = _PARSERS[key](val)
+                values[key] = _parse(KIND_DEFAULTS[kind][key], val)
             except ValueError as err:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}")
     if seed is not None:

@@ -27,8 +27,7 @@ from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
 from learnpath.numerics import init_mlp, predict_proba
 from learnpath.pathtrace import (barycentric_project, base_difficulty,
-                                 ema_filter_path, recovery_fraction,
-                                 zigzag_score)
+                                 ema_filter_path, zigzag_score)
 from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
@@ -102,6 +101,15 @@ def _test_metrics(model, ds):
     return accuracy(probs, ds.y[idx]), ece(probs, ds.y[idx])
 
 
+def _spearman_or_nan(xs, ys) -> float:
+    """spearman(xs, ys), or NaN where it is undefined: fewer than 2 points
+    or a constant side. A NaN fails every check that compares it."""
+    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan
+    return spearman(xs, ys)
+
+
 def _mean_se(values):
     """(mean, standard error) of values; one value has an error of 0."""
     a = np.array(values)
@@ -149,11 +157,31 @@ def _pool_entry(worker, task):
     return worker(_POOL_DS, task)
 
 
-def _split_failed(runs):
-    """(rows of finished runs, one line per failed run), order kept.
+def _train_cell(ds, runs, tconfig, teacher_error, measure):
+    """Train the runs of one cell in one lockstep stack (they share tconfig).
 
-    A failed run's row holds its name under "run" and why it has no
-    result under "error".
+    runs are (name, table, fields) triples. Returns one row per run: its
+    fields plus measure(table, result) when it finished, else its name
+    under "run" and why it has no result under "error": its own
+    divergence, or teacher_error where its table is None because the
+    teacher it comes from diverged.
+    """
+    trained = iter(train_models(ds, [t for _, t, _ in runs if t is not None], tconfig))
+    rows = []
+    for name, table, fields in runs:
+        result = teacher_error if table is None else next(trained)
+        if isinstance(result, (str, DivergenceError)):
+            rows.append({"run": name, "error": str(result)})
+        else:
+            rows.append({**fields, **measure(table, result)})
+    return rows
+
+
+def _write_sweep(path, cfg, columns, runs):
+    """Write a sweep's finished runs as numbered rows, its failed ones as
+    header lines; returns (finished rows, failure lines), order kept.
+
+    columns[0] numbers the rows; the others are keys of a finished row.
     """
     rows, failed = [], []
     for row in runs:
@@ -161,27 +189,11 @@ def _split_failed(runs):
             failed.append(f"{row['run']}: {' '.join(row['error'].split())}")
         else:
             rows.append(row)
+    header = (cfg.echo_lines() + [f"# diverged_runs = {len(failed)}"]
+              + [f"# failed_run = {message}" for message in failed])
+    write_csv(path, header, columns,
+              ([i, *(row[c] for c in columns[1:])] for i, row in enumerate(rows)))
     return rows, failed
-
-
-def _sweep_header(cfg, failed) -> list:
-    return (cfg.echo_lines() + [f"# diverged_runs = {len(failed)}"]
-            + [f"# failed_run = {message}" for message in failed])
-
-
-def _train_students(ds, tables, tconfig, teacher_error=None):
-    """Train every table in one lockstep stack (they share tconfig).
-
-    Returns per table its TrainResult or the message of why it has none:
-    its own divergence, or teacher_error where the table is None because
-    the teacher it comes from diverged.
-    """
-    trained = iter(train_models(ds, [t for t in tables if t is not None], tconfig))
-    outcomes = []
-    for table in tables:
-        result = teacher_error if table is None else next(trained)
-        outcomes.append(str(result) if isinstance(result, DivergenceError) else result)
-    return outcomes
 
 
 def _student_row(ds, targets, result, loss_bound):
@@ -229,25 +241,21 @@ def _correlate_group(ds, task):
             tables["eskd"] = extract_eskd_targets(teacher, ds)
         except DivergenceError as err:
             teacher_error = f"teacher: {err}"
-        runs = [(kind, math.nan, s, tables.get(kind)) for kind in _BASELINE_ORDER]
+        runs = [(f"baseline/seed={s} {kind}", tables.get(kind),
+                 {"supervision": kind, "noise_scale": math.nan, "seed": s})
+                for kind in _BASELINE_ORDER]
     else:
         r = task["repeat"]
         tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
         runs = []
         for j, noise in enumerate(cfg.noise_grid):
             rows_t = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
-            runs.append(("noisy_gt", noise, r, TargetTable(rows_t, "custom")))
-    outcomes = _train_students(ds, [t for *_, t in runs], tconfig, teacher_error)
-    rows = []
-    for (kind, noise, seed_index, targets), result in zip(runs, outcomes):
-        if isinstance(result, str):
-            cell = "baseline" if math.isnan(noise) else f"noise_scale={noise:g}"
-            rows.append({"error": result, "run": f"{cell}/seed={seed_index} {kind}"})
-            continue
-        row = _student_row(ds, targets, result, cfg.loss_bound)
-        row.update({"supervision": kind, "noise_scale": noise, "seed": seed_index})
-        rows.append(row)
-    return rows
+            runs.append((f"noise_scale={noise:g}/seed={r} noisy_gt",
+                         TargetTable(rows_t, "custom"),
+                         {"supervision": "noisy_gt", "noise_scale": noise, "seed": r}))
+    return _train_cell(ds, runs, tconfig, teacher_error,
+                       lambda table, result: _student_row(ds, table, result,
+                                                          cfg.loss_bound))
 
 
 _XI_COLS = ("xi_l2", "xi_l1", "xi_kl_fwd_sq", "xi_kl_fwd",
@@ -266,35 +274,27 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     runs = [row for group in groups[:cfg.baseline_seeds] for row in group]
     runs += [noisy[r][j] for j in range(len(cfg.noise_grid))
              for r in range(cfg.noise_seeds)]
-    rows, diverged = _split_failed(runs)
-    columns = ["run_id", "supervision", "noise_scale", "seed", "l2_gap",
-               "l1_gap", "test_acc", "test_ece", *_XI_COLS, "epochs_run"]
-    table = [[i, row["supervision"], row["noise_scale"], row["seed"],
-              row["l2_gap"], row["l1_gap"], row["test_acc"], row["test_ece"],
-              *(row[c] for c in _XI_COLS), row["epochs_run"]]
-             for i, row in enumerate(rows)]
-    write_csv(os.path.join(out_dir, "runs.csv"), _sweep_header(cfg, diverged),
-              columns, table)
+    rows, diverged = _write_sweep(
+        os.path.join(out_dir, "runs.csv"), cfg,
+        ["run_id", "supervision", "noise_scale", "seed", "l2_gap", "l1_gap",
+         "test_acc", "test_ece", *_XI_COLS, "epochs_run"], runs)
 
     gaps = [row["l2_gap"] for row in rows]
     accs = [row["test_acc"] for row in rows]
     eces = [row["test_ece"] for row in rows]
-    if len(rows) < 2:  # too few finished runs to rank
-        rho_acc = rho_ece = math.nan
-    else:
-        rho_acc, rho_ece = spearman(gaps, accs), spearman(gaps, eces)
+    rho_acc, rho_ece = _spearman_or_nan(gaps, accs), _spearman_or_nan(gaps, eces)
     lines = [
         f"n_runs = {len(rows)}",
         f"n_diverged = {len(diverged)}",
         f"spearman_gap_acc = {rho_acc:.17g}",
         f"spearman_gap_ece = {rho_ece:.17g}",
     ]
-    if cfg.perm_test > 0 and len(rows) >= 2:
+    if cfg.perm_test > 0:
         rng = stream(cfg.seed, "permtest")
-        lines.append(f"perm_pvalue_gap_acc = "
-                     f"{spearman_perm_pvalue(gaps, accs, cfg.perm_test, rng):.17g}")
-        lines.append(f"perm_pvalue_gap_ece = "
-                     f"{spearman_perm_pvalue(gaps, eces, cfg.perm_test, rng):.17g}")
+        for name, rho, ys in (("acc", rho_acc, accs), ("ece", rho_ece, eces)):
+            if not math.isnan(rho):
+                lines.append(f"perm_pvalue_gap_{name} = "
+                             f"{spearman_perm_pvalue(gaps, ys, cfg.perm_test, rng):.17g}")
     by_kind = {}
     for row in rows:
         if row["supervision"] != "noisy_gt":
@@ -399,19 +399,14 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     raw_hist, filt_hist = [], []
 
     def snap(epoch, model, q_tables):
-        preds = predict_proba(model, ds.x[flip])
-        raw_hist.append(recovery_fraction(preds, np.arange(flip.size),
-                                          ds.original_y[flip]))
-        filt_hist.append(recovery_fraction(q_tables[alpha][flip],
-                                           np.arange(flip.size),
-                                           ds.original_y[flip]))
+        raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
+        filt_hist.append(accuracy(q_tables[alpha][flip], ds.original_y[flip]))
 
     tconfig = cfg.train_config(patience=None)
     teacher, _tables = train_teacher_filterkd_multi(ds, tconfig, (alpha,),
                                                     epoch_callback=snap)
-    init_preds = predict_proba(teacher.init_model, ds.x[flip])
-    init_rec = recovery_fraction(init_preds, np.arange(flip.size),
-                                 ds.original_y[flip])
+    init_rec = accuracy(predict_proba(teacher.init_model, ds.x[flip]),
+                        ds.original_y[flip])
     vacc0 = accuracy(predict_proba(teacher.init_model, ds.x[ds.valid_indices]),
                      ds.y[ds.valid_indices])
     tacc0 = accuracy(predict_proba(teacher.init_model, ds.x[ti]), ds.y[ti])
@@ -473,23 +468,20 @@ def _distill_group(ds, task):
     except DivergenceError as err:
         teacher_error = f"teacher: {err}"
         eskd, tables = None, {}
-    runs = [("oht", math.nan, make_onehot_targets(flipped)),
-            ("eskd", math.nan, eskd),
-            *(("filter_kd", a, tables.get(a)) for a in alphas),
-            ("gt", math.nan, make_gt_targets(flipped))]
-    outcomes = _train_students(flipped, [t for *_, t in runs], tconfig,
-                               teacher_error)
-    rows = []
-    for (kind, alpha, _), result in zip(runs, outcomes):
-        if isinstance(result, str):
-            name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind
-            rows.append({"error": result, "run": f"flip_ratio={fr:g}/seed={s} {name}"})
-            continue
+
+    def run(kind, table, alpha=math.nan):
+        name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind
+        return (f"flip_ratio={fr:g}/seed={s} {name}", table,
+                {"flip_ratio": fr, "seed": s, "supervision": kind, "alpha": alpha})
+
+    def measure(table, result):
         acc, cal = _test_metrics(result.best_model, flipped)
-        rows.append({"flip_ratio": fr, "seed": s, "supervision": kind,
-                     "alpha": alpha, "test_acc": acc, "test_ece": cal,
-                     "epochs_run": result.epochs_run})
-    return rows
+        return {"test_acc": acc, "test_ece": cal, "epochs_run": result.epochs_run}
+
+    runs = [run("oht", make_onehot_targets(flipped)), run("eskd", eskd),
+            *(run("filter_kd", tables.get(a), a) for a in alphas),
+            run("gt", make_gt_targets(flipped))]
+    return _train_cell(flipped, runs, tconfig, teacher_error, measure)
 
 
 def run_distill(cfg: ExperimentConfig, out_dir, jobs: int = 1):
@@ -497,14 +489,10 @@ def run_distill(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tasks = [{"cfg": cfg, "flip_index": fi, "seed": s}
              for fi in range(len(cfg.flip_grid)) for s in cfg.seeds]
     groups = _dispatch(_distill_group, ds, tasks, jobs)
-    rows, diverged = _split_failed(row for group in groups for row in group)
-    columns = ["run_id", "flip_ratio", "seed", "supervision", "alpha",
-               "test_acc", "test_ece", "epochs_run"]
-    table = [[i, r["flip_ratio"], r["seed"], r["supervision"], r["alpha"],
-              r["test_acc"], r["test_ece"], r["epochs_run"]]
-             for i, r in enumerate(rows)]
-    write_csv(os.path.join(out_dir, "distill.csv"), _sweep_header(cfg, diverged),
-              columns, table)
+    rows, diverged = _write_sweep(
+        os.path.join(out_dir, "distill.csv"), cfg,
+        ["run_id", "flip_ratio", "seed", "supervision", "alpha", "test_acc",
+         "test_ece", "epochs_run"], [row for group in groups for row in group])
 
     lines, checks = [], []
     order_desc = tuple(reversed(_DISTILL_ORDER))  # gt, filter_kd, eskd, oht
@@ -580,10 +568,10 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
         probe = ds.x[ti[pidx]]
         recs = similarity_trace_study(model, probe, sim_targets)
         mask = np.arange(n_sim) != pidx  # drop the self pair
-        rho = spearman(recs["cosine"][mask], recs["trace"][mask])
+        rho = _spearman_or_nan(recs["cosine"][mask], recs["trace"][mask])
         # measured sign is reported, not asserted: which way the rank
         # correlation points is an open empirical question
-        sign = "+" if rho >= 0 else "-"
+        sign = "+" if rho >= 0 else "-" if rho < 0 else "none"
         lines.append(f"similarity probe {pidx}: spearman = {rho:.17g} sign = {sign}")
         for rec in recs:
             sim_rows.append([pidx, int(rec["index"]), float(rec["cosine"]),
@@ -628,7 +616,7 @@ def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],
               zip(ti, diffs, scores, flags))
-    rho = spearman(diffs, scores)
+    rho = _spearman_or_nan(diffs, scores)
     lines = [f"n_train = {ti.size}",
              f"n_flipped = {int(flags.sum())}",
              f"spearman_difficulty_score = {rho:.17g}"]

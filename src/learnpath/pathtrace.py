@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from learnpath.metrics import as_rows
-
 __all__ = [
     "LearningPath", "PathStore", "ema_filter_path", "barycentric_project",
-    "base_difficulty", "zigzag_score", "recovery_fraction",
+    "base_difficulty", "zigzag_score",
 ]
 
 # simplex corners for the K = 3 planar projection
@@ -159,16 +157,3 @@ def zigzag_score(path: LearningPath, y: int) -> float:
     col[y] = -np.inf
     return float(col.max())
 
-
-def recovery_fraction(preds, flipped_indices, original_labels) -> float:
-    """Share of flipped samples whose argmax prediction is the original label.
-
-    preds rows are aligned with dataset indices; flipped_indices picks
-    the corrupted samples. An empty flip set has no recovery to measure.
-    """
-    rows = as_rows(preds)
-    idx = np.asarray(flipped_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("no flipped samples given")
-    orig = np.asarray(original_labels)
-    return float(np.mean(np.argmax(rows[idx], axis=1) == orig[idx]))

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from learnpath import experiments
 from learnpath.cli import build_parser, main
 from learnpath.config import load_config
+from learnpath.metrics import spearman
 
 COMMANDS = ("gen-data", "correlate", "paths", "distance-gap", "recovery",
             "distill", "ntk-verify", "zigzag")
@@ -140,6 +142,73 @@ class TestTeacherDivergence:
         # oht, ls, gt, kd, eskd
         assert [r["error"].startswith("teacher: ") for r in rows] == \
             [False, False, False, True, True]
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["distill", "correlate"])
+    def test_failed_runs_write_the_same_bytes_at_any_jobs(self, tmp_path, command):
+        path = cfg_file(tmp_path, self.DISTILL if command == "distill" else self.CORRELATE)
+        outs = [tmp_path / "j1", tmp_path / "j2"]
+        for jobs, out in zip(("1", "2"), outs):
+            assert main([command, "--config", path, "--out", str(out),
+                         "--jobs", jobs]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestSingleRunDivergence:
+    """A model that diverges in a single-run command is an error exit."""
+
+    DIVERGING = ("n_samples = 100\nratios = 0.5,0.25,0.25\nmax_epochs = 3\n"
+                 "hidden_sizes = 8\nlearning_rate = 1000\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["distance-gap", "ntk-verify"])
+    def test_exits_one_with_the_message(self, tmp_path, capsys, command):
+        rc = main([command, "--config", cfg_file(tmp_path, self.DIVERGING),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite state at epoch")
+
+
+class TestUndefinedSpearman:
+    """A rank correlation with constant input reads NaN and fails its check;
+    the summary is still written and the exit code stays 0."""
+
+    CORRELATE = ("n_samples = 30\nratios = 0.1,0.1,0.8\nmax_epochs = 2\n"
+                 "hidden_sizes = 4\nnoise_seeds = 1\nbaseline_seeds = 1\n"
+                 "noise_grid = 0.1\n")
+    ZIGZAG = ("n_samples = 150\nratios = 0.5,0.25,0.25\nmax_epochs = 8\n"
+              "hidden_sizes = 16\ndelta_mu = 0\n")
+
+    @pytest.mark.parametrize("perm_test", [0, 20])
+    def test_correlate_with_constant_accuracy(self, tmp_path, perm_test):
+        out = tmp_path / "o"
+        path = cfg_file(tmp_path, self.CORRELATE + f"perm_test = {perm_test}\n")
+        assert main(["correlate", "--config", path, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "spearman_gap_acc = nan\n" in summary
+        assert "check gap_acc_negative: FAIL (spearman = nan)\n" in summary
+        # the p-value of an undefined rho is skipped, the defined one kept
+        assert "perm_pvalue_gap_acc" not in summary
+        assert ("perm_pvalue_gap_ece = " in summary) == (perm_test > 0)
+
+    def test_helper_is_spearman_where_defined(self):
+        rank = experiments._spearman_or_nan
+        assert all(math.isnan(rank(x, y)) for x, y in (
+            ([], []), ([1.0], [2.0]), ([1, 1, 1], [1, 2, 3]), ([1, 2, 3], [5, 5, 5])))
+        assert rank([1, 2, 3, 4], [1, 3, 2, 4]) == spearman([1, 2, 3, 4], [1, 3, 2, 4])
+
+    @pytest.mark.filterwarnings("ignore:delta_mu = 0")
+    def test_zigzag_with_equal_difficulties(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["zigzag", "--config", cfg_file(tmp_path, self.ZIGZAG),
+                     "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "spearman_difficulty_score = nan\n" in summary
+        assert "check difficulty_score_rank: FAIL (spearman = nan)\n" in summary
 
 
 class TestGenData:

@@ -1,7 +1,7 @@
 import pytest
 
-from learnpath.config import (KINDS, ConfigError, ExperimentConfig,
-                              load_config)
+from learnpath.config import (KIND_DEFAULTS, KINDS, ConfigError,
+                              ExperimentConfig, load_config)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -188,6 +188,19 @@ class TestConfigObject:
         assert lines[0] == "# kind = distill"
         assert "# alpha_grid = 0.01,0.05,0.1,0.2,0.5,1" in lines
         assert all(line.startswith("# ") for line in lines)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_echoed_defaults_load_back_as_equal_values_of_equal_types(self,
+                                                                      tmp_path, kind):
+        cfg = load_config(kind)
+        text = "".join(line[2:] + "\n" for line in cfg.echo_lines())
+        back = load_config(kind, write_cfg(tmp_path, text))
+        for key, value in KIND_DEFAULTS[kind].items():
+            got = getattr(back, key)
+            assert got == value, key
+            assert type(got) is type(value), key
+            if isinstance(value, tuple):
+                assert [type(v) for v in got] == [type(v) for v in value], key
 
     def test_replace(self):
         cfg = load_config("gen-data")

@@ -9,6 +9,7 @@ from scipy import stats
 from learnpath.metrics import (BoundReport, EceConfig, accuracy, ece,
                                kl_divergence, mean_gap, spearman,
                                spearman_perm_pvalue, xi_bounds)
+from learnpath.supervision import make_gt_targets
 
 LN2 = 0.69314718055994530942
 
@@ -54,6 +55,10 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             accuracy(np.empty((0, 3)), np.empty(0, dtype=int))
+
+    def test_target_table_scores_as_its_rows(self, small_ds):
+        table = make_gt_targets(small_ds)
+        assert accuracy(table, small_ds.y) == accuracy(table.rows, small_ds.y)
 
 
 class TestEce:

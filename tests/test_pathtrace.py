@@ -6,8 +6,7 @@ from learnpath.experiments import read_csv, run_distance_gap
 from learnpath.numerics import init_mlp, predict_proba
 from learnpath.pathtrace import (LearningPath, PathStore, barycentric_project,
                                  base_difficulty, ema_filter_path,
-                                 recovery_fraction, zigzag_score)
-from learnpath.supervision import make_gt_targets
+                                 zigzag_score)
 from learnpath.toygauss import sample_dataset, split_dataset
 
 SQRT23 = 0.81649658092772603273  # sqrt(2/3)
@@ -233,36 +232,3 @@ class TestDistanceGap:
         assert np.allclose(init["oht"][:, 3], np.linalg.norm(q - onehot, axis=1),
                            rtol=0, atol=1e-15)
 
-
-class TestRecoveryFraction:
-    def test_full_recovery(self):
-        preds = np.eye(3)[[0, 1, 2, 0]]
-        orig = np.array([0, 1, 2, 0])
-        assert recovery_fraction(preds, [1, 3], orig) == 1.0
-
-    def test_no_recovery(self):
-        preds = np.eye(3)[[1, 2, 0, 1]]
-        orig = np.array([0, 1, 2, 0])
-        assert recovery_fraction(preds, [0, 2], orig) == 0.0
-
-    def test_half_recovery(self):
-        preds = np.eye(3)[[0, 2, 2, 1]]
-        orig = np.array([0, 1, 2, 0])
-        assert recovery_fraction(preds, [1, 2, 3, 0], orig) == 0.5
-
-    def test_random_predictions_near_chance(self, rng):
-        n = 6000
-        preds = rng.dirichlet(np.ones(3), size=n)
-        orig = rng.integers(0, 3, size=n)
-        got = recovery_fraction(preds, np.arange(n), orig)
-        assert abs(got - 1 / 3) < 0.03
-
-    def test_table_rows_accepted(self, small_ds):
-        table = make_gt_targets(small_ds)
-        got = recovery_fraction(table, small_ds.train_indices, small_ds.y)
-        direct = recovery_fraction(table.rows, small_ds.train_indices, small_ds.y)
-        assert got == direct
-
-    def test_empty_flip_set_rejected(self):
-        with pytest.raises(ValueError):
-            recovery_fraction(np.eye(3), [], np.array([0, 1, 2]))
