@@ -4,9 +4,9 @@
 
 Every command runs entirely from its built-in defaults when no config
 file is given. Exit codes: 0 on success, 1 on a configuration problem
-or when a single-run command's model diverged (sweeps record a diverged
-run as a failed row instead), 2 when the command ran but a verification
-check failed.
+or when a single-run command's model diverged (its summary.txt then
+holds an `error = ...` line; sweeps record a diverged run as a failed
+row instead), 2 when the command ran but a verification check failed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from learnpath.config import ConfigError, load_config
-from learnpath.experiments import RUNNERS
+from learnpath.experiments import RUNNERS, _write_summary
 from learnpath.supervision import DivergenceError
 
 _STRICT = {"ntk-verify"}  # failed checks flip the exit code
@@ -60,6 +60,10 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         checks = RUNNERS[args.command](cfg, out_dir, jobs=args.jobs)
     except (ConfigError, DivergenceError) as err:
+        if isinstance(err, DivergenceError):
+            # the runner had not written its summary: mark --out as failed
+            message = " ".join(str(err).split())
+            _write_summary(out_dir, cfg, [f"error = {message}"], [])
         print(f"error: {err}", file=sys.stderr)
         return 1
     failed = [c for c in checks if not c[1]]

@@ -15,6 +15,7 @@ is always reproducible from its own artifacts plus the master seed.
 
 from __future__ import annotations
 
+import math
 import os
 
 from learnpath.supervision import TrainConfig
@@ -122,12 +123,6 @@ class ExperimentConfig:
         except KeyError:
             raise AttributeError(f"config for {self.kind!r} has no field {name!r}")
 
-    def replace(self, **updates) -> "ExperimentConfig":
-        bad = set(updates) - set(self._values)
-        if bad:
-            raise ConfigError(f"unknown config fields {sorted(bad)}")
-        return ExperimentConfig(self.kind, {**self._values, **updates})
-
     def gaussian_spec(self) -> GaussianSpec:
         return GaussianSpec(num_classes=self.num_classes, input_dim=self.input_dim,
                             sigma=self.sigma, delta_mu=self.delta_mu, seed=self.seed)
@@ -215,12 +210,47 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
     return cfg
 
 
-# kinds that score on the validation rows whatever `patience` is (the
-# best-validation checkpoint of ESKD targets, early-stop students and
-# stages; recovery's validation-accuracy column), and kinds whose training
-# honours `patience`
-_VALIDATION_KINDS = ("correlate", "distance-gap", "distill", "recovery")
-_PATIENCE_KINDS = ("correlate", "paths", "distance-gap", "distill", "zigzag")
+# The range of each key that TrainConfig and GaussianSpec do not check,
+# as an interval (or a set of choices), applied to a scalar and to every
+# entry of a grid. Every number must also be finite, and every grid
+# non-empty with distinct entries; ratios and hidden_sizes are vectors,
+# not grids (an empty hidden_sizes is a linear model).
+_RANGES = {
+    "seed": "[0, inf)", "seeds": "[0, inf)", "n_samples": "[10, inf)",
+    "patience": "[0, inf)", "ratios": "[0, 1]", "flip_ratio": "[0, 1]",
+    "flip_grid": "[0, 1]", "noise_grid": "[0, inf)", "noise_seeds": "[1, inf)",
+    "baseline_seeds": "[1, inf)", "ls_epsilon": "[0, 1]",
+    "loss_bound": "(0, inf)", "perm_test": "[0, inf)", "quantiles": "[0, 1]",
+    "ema_alpha": "(0, 1]", "filter_alpha": "(0, 1]", "alpha_grid": "(0, 1]",
+    "supervisions": ("oht", "ls", "gt"), "n_pairs": "[1, inf)",
+    "target_noise": "[0, inf)", "eta_grid": "(0, inf)",
+    "trace_epochs": "[1, inf)", "trace_samples": "[1, inf)",
+}
+_VECTORS = ("ratios", "hidden_sizes")
+
+# The splits each command reads: validation for the best-validation
+# checkpoint (ESKD targets, early-stop students and stages) and recovery's
+# validation-accuracy column, test for the students' test metrics. paths
+# and zigzag read validation only to stop early (patience > 0).
+_SPLITS = {
+    "gen-data": (),
+    "correlate": ("train", "validation", "test"),
+    "paths": ("train",),
+    "distance-gap": ("train", "validation"),
+    "recovery": ("train", "validation"),
+    "distill": ("train", "validation", "test"),
+    "ntk-verify": ("train",),
+    "zigzag": ("train",),
+}
+
+
+def _within(v, rng) -> bool:
+    """v lies in rng, an interval such as "(0, 1]" or a tuple of choices."""
+    if isinstance(rng, tuple):
+        return v in rng
+    lo, hi = (float(x) for x in rng[1:-1].split(","))
+    return ((lo < v if rng[0] == "(" else lo <= v)
+            and (v < hi if rng[-1] == ")" else v <= hi))
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -229,54 +259,30 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.train_config()
     except ValueError as err:
         raise ConfigError(str(err))
-    if cfg.n_samples < 10:
-        raise ConfigError(f"n_samples too small: {cfg.n_samples}")
+    for key, value in cfg._values.items():
+        entries = value if isinstance(value, tuple) else (value,)
+        if (isinstance(value, tuple) and key not in _VECTORS
+                and not 0 < len(set(value)) == len(value)):
+            raise ConfigError(f"{key} must be a non-empty list of distinct "
+                              f"entries, got {_fmt(value)!r}")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"{key} must be finite, got {_fmt(value)}")
+        rng = _RANGES.get(key)
+        if rng is not None and not all(_within(v, rng) for v in entries):
+            allowed = ",".join(rng) if isinstance(rng, tuple) else rng
+            raise ConfigError(f"{key} must be in {allowed}, got {_fmt(value)}")
     r = cfg.ratios
-    if len(r) != 3 or any(x < 0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must be 3 non-negative values summing to 1, got {r}")
-    n_train, n_valid, _ = split_counts(cfg.n_samples, r)
-    if n_train == 0 and cfg.kind != "gen-data":
-        raise ConfigError(f"ratios {r} leave no train rows; {cfg.kind} trains on them")
-    if n_valid == 0:
-        # with no validation rows the best-validation checkpoint is the
-        # untrained init, early stopping never fires and validation
-        # accuracy is undefined
-        if cfg.kind in _VALIDATION_KINDS:
-            raise ConfigError(f"ratios {r} leave no validation rows; {cfg.kind} "
-                              "scores on them")
-        if cfg.kind in _PATIENCE_KINDS and cfg.patience > 0:
-            raise ConfigError(f"ratios {r} leave no validation rows; patience = "
-                              f"{cfg.patience} needs them for early stopping")
-    if "flip_ratio" in cfg._values and not 0 <= cfg.flip_ratio <= 1:
-        raise ConfigError(f"flip_ratio must be in [0, 1], got {cfg.flip_ratio}")
-    for grid_key in ("noise_grid", "alpha_grid", "flip_grid", "eta_grid",
-                     "quantiles", "seeds"):
-        if grid_key in cfg._values and not cfg._values[grid_key]:
-            raise ConfigError(f"{grid_key} must be non-empty")
-    if cfg.kind == "correlate":
-        if cfg.noise_seeds < 1 or cfg.baseline_seeds < 1:
-            raise ConfigError("noise_seeds and baseline_seeds must be >= 1")
-        if not 0 <= cfg.ls_epsilon <= 1:
-            raise ConfigError(f"ls_epsilon must be in [0, 1], got {cfg.ls_epsilon}")
-        if not cfg.loss_bound > 0:
-            raise ConfigError(f"loss_bound must be positive, got {cfg.loss_bound}")
-        if any(n < 0 for n in cfg.noise_grid):
-            raise ConfigError("noise_grid entries must be >= 0")
-        if cfg.perm_test < 0:
-            raise ConfigError("perm_test must be >= 0")
-    if cfg.kind == "paths":
-        if any(not 0 <= q <= 1 for q in cfg.quantiles):
-            raise ConfigError(f"quantiles must lie in [0, 1], got {cfg.quantiles}")
-        if not 0 < cfg.ema_alpha <= 1:
-            raise ConfigError(f"ema_alpha must be in (0, 1], got {cfg.ema_alpha}")
-    if cfg.kind == "distance-gap":
-        allowed = {"oht", "ls", "gt"}
-        bad = [s for s in cfg.supervisions if s not in allowed]
-        if bad:
-            raise ConfigError(f"unknown supervisions {bad}; choose from {sorted(allowed)}")
-    if cfg.kind in ("recovery", "distill"):
-        if not 0 < cfg.filter_alpha <= 1:
-            raise ConfigError(f"filter_alpha must be in (0, 1], got {cfg.filter_alpha}")
+    if len(r) != 3 or abs(sum(r) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must be 3 values summing to 1, got {r}")
+    counts = dict(zip(("train", "validation", "test"), split_counts(cfg.n_samples, r)))
+    for split in _SPLITS[cfg.kind]:
+        if counts[split] == 0:
+            raise ConfigError(f"ratios {r} leave no {split} rows; {cfg.kind} "
+                              "reads them")
+    n_train, n_valid = counts["train"], counts["validation"]
+    if cfg.kind in ("paths", "zigzag") and cfg.patience > 0 and n_valid == 0:
+        raise ConfigError(f"ratios {r} leave no validation rows; patience = "
+                          f"{cfg.patience} needs them for early stopping")
     # flip_labels flips round(flip_ratio * n_train) train labels
     if cfg.kind == "recovery" and round(cfg.flip_ratio * n_train) == 0:
         raise ConfigError(f"recovery needs flipped labels; flip_ratio = "
@@ -284,25 +290,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.kind == "zigzag" and n_train < 2:
         raise ConfigError(f"ratios {r} leave {n_train} train row; zigzag ranks "
                           "the train rows and needs at least 2")
-    if cfg.kind == "distill":
-        if any(not 0 < a <= 1 for a in cfg.alpha_grid):
-            raise ConfigError(f"alpha_grid entries must be in (0, 1], got {cfg.alpha_grid}")
-        if any(not 0 <= f <= 1 for f in cfg.flip_grid):
-            raise ConfigError(f"flip_grid entries must be in [0, 1], got {cfg.flip_grid}")
     if cfg.kind == "ntk-verify":
-        if cfg.n_pairs < 1:
-            raise ConfigError("n_pairs must be >= 1")
         # a similarity probe is ranked against the others of the first
         # min(n_similarity, n_train) train rows; a Spearman needs 2 of them
         if min(cfg.n_similarity, n_train) < 3:
             raise ConfigError(f"n_similarity = {cfg.n_similarity} with {n_train} "
                               "train rows leaves a probe fewer than 2 rows to rank; "
                               "both must be >= 3")
-        if any(not e > 0 for e in cfg.eta_grid):
-            raise ConfigError(f"eta_grid entries must be positive, got {cfg.eta_grid}")
         if list(cfg.eta_grid) != sorted(cfg.eta_grid, reverse=True):
-            raise ConfigError("eta_grid must be strictly decreasing")
-        if cfg.target_noise < 0:
-            raise ConfigError("target_noise must be >= 0")
-        if cfg.trace_epochs < 1 or cfg.trace_samples < 1:
-            raise ConfigError("trace_epochs and trace_samples must be >= 1")
+            raise ConfigError(f"eta_grid must be decreasing, got {_fmt(cfg.eta_grid)}")

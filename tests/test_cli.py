@@ -68,19 +68,43 @@ class TestErrorExits:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("kind,text", [
-        ("distill", "n_samples = 100\nratios = 0,0.5,0.5\n"),
-        ("recovery", "n_samples = 40\nflip_ratio = 0.2\n"),
-        ("zigzag", "n_samples = 20\n"),
-        ("ntk-verify", "n_samples = 20\n"),
-        ("ntk-verify", "n_similarity = 2\n"),
+    # small enough that a config which slips past validation fails fast
+    SMALL = "n_samples = 100\nmax_epochs = 2\nhidden_sizes = 4\n"
+
+    @pytest.mark.parametrize("kind,text,flags", [
+        ("distill", "n_samples = 100\nratios = 0,0.5,0.5\n", ()),
+        ("recovery", "n_samples = 40\nflip_ratio = 0.2\n", ()),
+        ("zigzag", "n_samples = 20\n", ()),
+        ("ntk-verify", "n_samples = 20\n", ()),
+        ("ntk-verify", "n_similarity = 2\n", ()),
+        ("gen-data", "ratios = nan,0.5,0.5\n", ()),
+        ("gen-data", "seed = -1\n", ()),
+        ("gen-data", "", ("--seed", "-1")),
+        ("distill", SMALL + "seeds = -1\n", ()),
+        ("correlate", SMALL + "noise_grid = nan\n", ()),
+        ("ntk-verify", SMALL + "target_noise = nan\n", ()),
+        ("gen-data", "sigma = inf\n", ()),
+        ("ntk-verify", SMALL + "eta_grid = inf,1\n", ()),
+        ("distance-gap", SMALL + "supervisions = ls\nls_epsilon = -1\n", ()),
+        ("distill", SMALL + "ratios = 0.75,0.25,0\n", ()),
+        ("correlate", SMALL + "ratios = 0.75,0.25,0\n", ()),
+        ("distill", SMALL + "seeds = 0,0\n", ()),
+        ("ntk-verify", SMALL + "eta_grid = 0.01,0.01\n", ()),
+        ("distance-gap", SMALL + "supervisions = oht,oht\n", ()),
+        ("paths", SMALL + "patience = -3\n", ()),
+        ("paths", SMALL + "learning_rate = nan\n", ()),
     ], ids=["distill-no-train-rows", "recovery-no-flips", "zigzag-1-train-row",
-            "ntk-verify-1-train-row", "ntk-verify-n_similarity-2"])
+            "ntk-verify-1-train-row", "ntk-verify-n_similarity-2", "ratios-nan",
+            "seed-negative", "seed-flag-negative", "seeds-negative",
+            "noise_grid-nan", "target_noise-nan", "sigma-inf", "eta_grid-inf",
+            "ls_epsilon-negative", "distill-no-test-rows", "correlate-no-test-rows",
+            "seeds-repeated", "eta_grid-repeated", "supervisions-repeated",
+            "patience-negative", "learning_rate-nan"])
     def test_configs_that_cannot_run_exit_before_output(self, tmp_path, capsys,
-                                                        kind, text):
+                                                        kind, text, flags):
         out = tmp_path / "o"
         assert main([kind, "--config", cfg_file(tmp_path, text),
-                     "--out", str(out)]) == 1
+                     "--out", str(out), *flags]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -167,10 +191,16 @@ class TestSingleRunDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["distance-gap", "ntk-verify"])
     def test_exits_one_with_the_message(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
         rc = main([command, "--config", cfg_file(tmp_path, self.DIVERGING),
-                   "--out", str(tmp_path / "o")])
+                   "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: non-finite state at epoch")
+        # the partial --out says that the run failed, and why
+        cfg = load_config(command, cfg_file(tmp_path, self.DIVERGING))
+        *echo, error = (out / "summary.txt").read_text().splitlines()
+        assert echo == cfg.echo_lines()
+        assert error.startswith("error = non-finite state at epoch")
 
 
 class TestUndefinedSpearman:

@@ -10,6 +10,18 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _numeric_cases():
+    """(kind, key, value) for every numeric key: -1, and for a float key
+    also nan and +-inf (a grid key gets a one-entry grid)."""
+    for kind, defaults in KIND_DEFAULTS.items():
+        for key, default in defaults.items():
+            first = default[0] if isinstance(default, tuple) else default
+            if isinstance(first, float):
+                yield from ((kind, key, text) for text in ("nan", "inf", "-inf", "-1"))
+            elif isinstance(first, int):
+                yield kind, key, "-1"
+
+
 class TestDefaults:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_loads_from_defaults(self, kind):
@@ -161,6 +173,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="no train rows"):
             load_config(kind, path)
 
+    @pytest.mark.parametrize("kind,key,text", list(_numeric_cases()))
+    def test_every_numeric_key_rejects_non_finite_and_negative(self, tmp_path, kind,
+                                                               key, text):
+        # guards keys added later: each must get a range or stay finite
+        match = key if text != "-1" else None
+        with pytest.raises(ConfigError, match=match):
+            load_config(kind, write_cfg(tmp_path, f"{key} = {text}\n"))
+
     @pytest.mark.parametrize("kind,text,match", [
         # round(0.2 * 2 train rows) = 0 flipped labels
         ("recovery", "n_samples = 40\nflip_ratio = 0.2\n", "flips none"),
@@ -169,8 +189,18 @@ class TestValidation:
         ("ntk-verify", "n_samples = 20\n", "1 train rows"),
         # the self pair leaves each probe 1 row to rank
         ("ntk-verify", "n_similarity = 2\n", "n_similarity = 2"),
+        # the students' test metrics read the test rows
+        ("distill", "n_samples = 100\nratios = 0.75,0.25,0\n", "no test rows"),
+        ("correlate", "n_samples = 100\nratios = 0.75,0.25,0\n", "no test rows"),
+        # a repeated grid entry does the same work twice
+        ("distill", "seeds = 0,1,0\n", "seeds must be a non-empty list of distinct"),
+        ("ntk-verify", "eta_grid = 0.01,0.01\n", "eta_grid must be a non-empty"),
+        ("distance-gap", "supervisions = oht,oht\n", "supervisions must be"),
+        ("paths", "quantiles = 0.5,0.5\n", "quantiles must be"),
     ], ids=["recovery-no-flips", "zigzag-1-train-row", "ntk-verify-1-train-row",
-            "ntk-verify-n_similarity-2"])
+            "ntk-verify-n_similarity-2", "distill-no-test-rows",
+            "correlate-no-test-rows", "seeds-repeated", "eta_grid-repeated",
+            "supervisions-repeated", "quantiles-repeated"])
     def test_configs_that_cannot_run_rejected(self, tmp_path, kind, text, match):
         with pytest.raises(ConfigError, match=match):
             load_config(kind, write_cfg(tmp_path, text))
@@ -201,13 +231,6 @@ class TestConfigObject:
             assert type(got) is type(value), key
             if isinstance(value, tuple):
                 assert [type(v) for v in got] == [type(v) for v in value], key
-
-    def test_replace(self):
-        cfg = load_config("gen-data")
-        other = cfg.replace(seed=5)
-        assert other.seed == 5 and cfg.seed == 0
-        with pytest.raises(ConfigError):
-            cfg.replace(not_a_field=1)
 
     def test_unknown_attribute(self):
         cfg = load_config("gen-data")

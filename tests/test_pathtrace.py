@@ -196,10 +196,11 @@ class TestDistanceGap:
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
-        cfg = load_config("distance-gap").replace(
-            n_samples=150, ratios=(0.4, 0.2, 0.4), max_epochs=2,
-            hidden_sizes=(8,), supervisions=("oht", "gt"))
         out = tmp_path_factory.mktemp("distance-gap")
+        path = out / "run.cfg"
+        path.write_text("n_samples = 150\nratios = 0.4,0.2,0.4\nmax_epochs = 2\n"
+                        "hidden_sizes = 8\nsupervisions = oht,gt\n")
+        cfg = load_config("distance-gap", str(path))
         run_distance_gap(cfg, str(out))
         columns, rows = read_csv(out / "distance_gap.csv")
         ds = split_dataset(sample_dataset(cfg.gaussian_spec(), cfg.n_samples),
