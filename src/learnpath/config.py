@@ -217,6 +217,7 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
 # not grids (an empty hidden_sizes is a linear model).
 _RANGES = {
     "seed": "[0, inf)", "seeds": "[0, inf)", "n_samples": "[10, inf)",
+    "sigma": "[1e-100, 1e100]",  # p* under- or overflows beyond
     "patience": "[0, inf)", "ratios": "[0, 1]", "flip_ratio": "[0, 1]",
     "flip_grid": "[0, 1]", "noise_grid": "[0, inf)", "noise_seeds": "[1, inf)",
     "baseline_seeds": "[1, inf)", "ls_epsilon": "[0, 1]",

@@ -27,7 +27,7 @@ from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
 from learnpath.numerics import init_mlp, predict_proba
 from learnpath.pathtrace import (barycentric_project, base_difficulty,
-                                 ema_filter_path, zigzag_score)
+                                 ema_filter, zigzag_score)
 from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
@@ -317,38 +317,34 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     tconfig = cfg.train_config(record_paths=True)
-    result = train_model(ds, make_onehot_targets(ds), tconfig)
-    result.paths.export_csv(os.path.join(out_dir, "paths.csv"),
-                            header_lines=cfg.echo_lines())
+    paths = train_model(ds, make_onehot_targets(ds), tconfig).paths
+    paths.export_csv(os.path.join(out_dir, "paths.csv"), cfg.echo_lines())
 
-    ti = ds.train_indices
+    ti = ds.train_indices  # the columns of paths.preds
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     order = np.argsort(diffs, kind="stable")
-    proj_rows, lines = [], []
-    k3 = ds.num_classes == 3
-    for q in cfg.quantiles:
-        pos = min(int(round(q * (len(ti) - 1))), len(ti) - 1)
-        i = int(ti[order[pos]])
-        path = result.paths[i]
-        filtered = ema_filter_path(path, cfg.ema_alpha)
-        qs = path.as_array()
-        ey = np.zeros(ds.num_classes)
-        ey[ds.y[i]] = 1.0
-        d_star = np.linalg.norm(qs - ds.p_star[i], axis=1)
+    cols = [order[min(int(round(q * (len(ti) - 1))), len(ti) - 1)]
+            for q in cfg.quantiles]
+    qs = paths.preds[:, cols]  # (T, quantiles, K)
+    lines = []
+    for j, (q, col) in enumerate(zip(cfg.quantiles, cols)):
+        i = int(ti[col])
+        ey = np.eye(ds.num_classes)[ds.y[i]]
+        d_star = np.linalg.norm(qs[:, j] - ds.p_star[i], axis=1)
         lines.append(
-            f"quantile {q:g}: sample = {i} difficulty = {diffs[order[pos]]:.17g} "
-            f"end_dist_onehot = {np.linalg.norm(qs[-1] - ey):.17g} "
+            f"quantile {q:g}: sample = {i} difficulty = {diffs[col]:.17g} "
+            f"end_dist_onehot = {np.linalg.norm(qs[-1, j] - ey):.17g} "
             f"min_dist_pstar = {d_star.min():.17g} "
             f"final_dist_pstar = {d_star[-1]:.17g}")
-        if k3:
-            for flag, p in ((0, path), (1, filtered)):
-                for step, qv in zip(p.steps, p.qs):
-                    px, py = barycentric_project(qv)
-                    proj_rows.append([i, q, step, px, py, flag])
-    if k3:
+    if ds.num_classes == 3:
+        filtered = ema_filter(qs[1:], cfg.ema_alpha, qs[0])
+        xy = barycentric_project(np.stack([qs, filtered]))  # (2, T, quantiles, 2)
+        steps = paths.steps[:, cols]
         write_csv(os.path.join(out_dir, "projections.csv"), cfg.echo_lines(),
                   ["sample_index", "quantile", "step", "px", "py", "filtered"],
-                  proj_rows)
+                  ([ti[col], q, step, *xy[flag, t, j], flag]
+                   for j, (q, col) in enumerate(zip(cfg.quantiles, cols))
+                   for flag in (0, 1) for t, step in enumerate(steps[:, j])))
     _write_summary(out_dir, cfg, lines, [])
     return []
 
@@ -396,15 +392,19 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     flip = ds.flipped_indices
     alpha = cfg.filter_alpha
     ti = ds.train_indices
-    raw_hist, filt_hist = [], []
+    raw_hist = []
 
-    def snap(epoch, model, q_tables):
+    def snap(epoch, model):
         raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
-        filt_hist.append(accuracy(q_tables[alpha][flip], ds.original_y[flip]))
 
     tconfig = cfg.train_config(patience=None)
     teacher, _tables = train_teacher_filterkd_multi(ds, tconfig, (alpha,),
                                                     epoch_callback=snap)
+    # the Filter-KD table after each epoch, at the flipped rows
+    cols = np.searchsorted(teacher.paths.indices, flip)
+    filtered = ema_filter(teacher.paths.preds[:, cols], alpha,
+                          predict_proba(teacher.init_model, ds.x)[flip])[1:]
+    filt_hist = [accuracy(rows, ds.original_y[flip]) for rows in filtered]
     init_rec = accuracy(predict_proba(teacher.init_model, ds.x[flip]),
                         ds.original_y[flip])
     vacc0 = accuracy(predict_proba(teacher.init_model, ds.x[ds.valid_indices]),
@@ -582,7 +582,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     checkpoints = [model.copy()]
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=None)
     train_model(ds, make_onehot_targets(ds), tcfg,
-                epoch_callback=lambda e, m, q: checkpoints.append(m.copy()))
+                epoch_callback=lambda e, m: checkpoints.append(m.copy()))
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     order = np.argsort(diffs, kind="stable")
     picks = [int(ti[order[int(round(f * (ti.size - 1)))]])
@@ -609,9 +609,9 @@ def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     tconfig = cfg.train_config(record_paths=True)
     result = train_model(ds, make_onehot_targets(ds), tconfig)
-    ti = ds.train_indices
+    ti = ds.train_indices  # the columns of result.paths.preds
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
-    scores = np.array([zigzag_score(result.paths[int(i)], int(ds.y[i])) for i in ti])
+    scores = zigzag_score(result.paths.preds, ds.y[ti])
     flags = np.isin(ti, ds.flipped_indices)
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],

@@ -37,6 +37,7 @@ import numpy as np
 
 from learnpath.numerics import (MlpModel, jacobian_factors, logits_jacobian,
                                 mlp_backward, mlp_forward, sgd_step, softmax)
+from learnpath.supervision import DivergenceError
 
 __all__ = [
     "DecompositionRecord", "softmax_jacobian", "empirical_ntk",
@@ -132,7 +133,11 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
                             model.weights + model.biases):
             dst[...] = src
         sgd_step(scratch, grads, eta)
-        act = softmax(mlp_forward(scratch, x_o).logits) - q_o
+        logits = mlp_forward(scratch, x_o).logits
+        if not np.isfinite(logits).all():
+            raise DivergenceError("non-finite logits after the decomposition step "
+                                  f"of pair {pair_id} at eta = {eta:g}: {logits!r}")
+        act = softmax(logits) - q_o
         records.append(DecompositionRecord(
             pair_id=pair_id, eta=float(eta), predicted=pred, actual=act,
             residual_norm=float(np.linalg.norm(act - pred)),

@@ -2,9 +2,11 @@
 
 A learning path is the sequence of softmax predictions a model emits for
 one training sample over the course of training, recorded at every
-visit, before the update. Paths live on the probability simplex; for
-K = 3 they project to the plane through the usual barycentric map,
-which is how the trajectories get plotted.
+visit, before the update. Every epoch visits each train row once, so the
+paths of a run form one dense (epochs, n_train, K) array. Paths live on
+the probability simplex; for K = 3 they project to the plane through the
+usual barycentric map, which is how the trajectories get plotted. Their
+exponential moving average, ema_filter, gives the Filter-KD tables.
 
 Two scalar summaries matter downstream. The base difficulty of a sample
 is ||e_y - p*||_2, the distance from its training label to the true
@@ -17,106 +19,99 @@ samples produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "LearningPath", "PathStore", "ema_filter_path", "barycentric_project",
-    "base_difficulty", "zigzag_score",
+    "PathStore", "ema_filter", "barycentric_project", "base_difficulty",
+    "zigzag_score",
 ]
 
 # simplex corners for the K = 3 planar projection
 _BARY_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
 
-@dataclass
-class LearningPath:
-    """Prediction trajectory of a single sample."""
-
-    sample_index: int
-    steps: list = field(default_factory=list)
-    qs: list = field(default_factory=list)
-
-    def append(self, step: int, q: np.ndarray) -> None:
-        if self.steps and step <= self.steps[-1]:
-            raise ValueError(f"steps must increase, got {step} after {self.steps[-1]}")
-        self.steps.append(int(step))
-        self.qs.append(np.asarray(q, dtype=np.float64).copy())
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def as_array(self) -> np.ndarray:
-        """(T, K) matrix of recorded predictions."""
-        return np.array(self.qs)
-
-
-@dataclass
 class PathStore:
-    """Paths for many samples, keyed by sample index."""
+    """The learning paths of one run's train rows, as dense arrays.
 
-    num_classes: int
-    paths: dict = field(default_factory=dict)
+    preds[t, j] is the prediction at the t-th visit of train row
+    indices[j], with indices ascending, and steps[t, j] is the run's step
+    count at that visit. Both hold the epochs in which every row was
+    visited; visits may be logged in any order.
+    """
+
+    def __init__(self, indices, num_classes: int):
+        self.indices = np.sort(np.asarray(indices, dtype=np.int64))
+        self.num_classes = num_classes
+        self._column = {int(i): j for j, i in enumerate(self.indices)}
+        self._visits = [0] * self.indices.size
+        self._preds = np.empty((1, self.indices.size, num_classes))
+        self._steps = np.empty((1, self.indices.size), dtype=np.int64)
 
     def log(self, sample_index: int, step: int, q: np.ndarray) -> None:
-        path = self.paths.get(sample_index)
-        if path is None:
-            path = self.paths[sample_index] = LearningPath(sample_index)
-        path.append(step, q)
+        j = self._column[sample_index]
+        t = self._visits[j]
+        if t == len(self._preds):  # double the room
+            self._preds = np.concatenate((self._preds, np.empty_like(self._preds)))
+            self._steps = np.concatenate((self._steps, np.empty_like(self._steps)))
+        self._preds[t, j] = q
+        self._steps[t, j] = step
+        self._visits[j] = t + 1
 
-    def __len__(self) -> int:
-        return len(self.paths)
+    @property
+    def preds(self) -> np.ndarray:
+        return self._preds[:min(self._visits, default=0)]
 
-    def __getitem__(self, sample_index: int) -> LearningPath:
-        return self.paths[sample_index]
+    @property
+    def steps(self) -> np.ndarray:
+        return self._steps[:min(self._visits, default=0)]
 
-    def indices(self) -> list:
-        return sorted(self.paths)
+    @property
+    def paths(self) -> dict:
+        """Sample index -> its (epochs, K) path, a view into preds."""
+        return dict(zip(self.indices.tolist(), self.preds.transpose(1, 0, 2)))
 
     def export_csv(self, path, header_lines=()) -> None:
-        """Stream all paths to CSV: sample_index, step, q_0..q_{K-1}."""
+        """All paths as CSV, grouped by sample ascending: sample_index,
+        step, q_0..q_{K-1}."""
         cols = ["sample_index", "step"] + [f"q_{j}" for j in range(self.num_classes)]
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
             fh.write(",".join(cols) + "\n")
-            for i in self.indices():
-                p = self.paths[i]
-                for step, q in zip(p.steps, p.qs):
-                    vals = [format(v, ".17g") for v in q]
-                    fh.write(",".join([str(i), str(step), *vals]) + "\n")
+            for i, steps, qs in zip(self.indices.tolist(), self.steps.T.tolist(),
+                                    self.preds.transpose(1, 0, 2).tolist()):
+                for step, q in zip(steps, qs):
+                    fh.write(f"{i},{step}," + ",".join(format(v, ".17g") for v in q)
+                             + "\n")
 
 
-def ema_filter_path(path: LearningPath, alpha: float) -> LearningPath:
-    """Exponential smoothing along a path.
+def ema_filter(qs, alpha: float, start) -> np.ndarray:
+    """Exponential moving average along paths, all samples at once.
 
-    out[0] = in[0]; out[t] = (1 - alpha) out[t-1] + alpha in[t]. Each
-    smoothed point is a convex combination of simplex points, so it
-    stays on the simplex up to accumulated rounding; drift beyond 1e-12
-    is renormalized away.
+    qs is (T, ..., K), T points of each path, and start (..., K) the
+    average before the first point. Returns out of shape (T + 1, ..., K)
+    with out[0] = start and out[t] = (1 - alpha) out[t-1] + alpha qs[t-1].
+    Each smoothed point is a convex combination of simplex points, so it
+    stays on the simplex up to accumulated rounding; a row that drifts
+    beyond 1e-12 is renormalized.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if len(path) == 0:
-        raise ValueError("cannot filter an empty path")
-    out = LearningPath(path.sample_index)
-    acc = path.qs[0].copy()
-    out.append(path.steps[0], acc)
-    for step, q in zip(path.steps[1:], path.qs[1:]):
-        acc = (1.0 - alpha) * acc + alpha * q
-        total = acc.sum()
-        if abs(total - 1.0) > 1e-12:
-            acc = acc / total
-        out.append(step, acc)
+    qs = np.asarray(qs, dtype=np.float64)
+    out = np.empty((qs.shape[0] + 1, *qs.shape[1:]))
+    out[0] = start
+    for t, q in enumerate(qs):
+        acc = (1.0 - alpha) * out[t] + alpha * q
+        total = acc.sum(axis=-1, keepdims=True)
+        out[t + 1] = np.where(np.abs(total - 1.0) > 1e-12, acc / total, acc)
     return out
 
 
 def barycentric_project(q) -> np.ndarray:
-    """Map a K = 3 simplex point to the plane: sum_i q_i v_i with
-    v_0 = (0,0), v_1 = (1,0), v_2 = (1/2, sqrt(3)/2)."""
+    """Map K = 3 simplex points (..., 3) to the plane (..., 2):
+    sum_i q_i v_i with v_0 = (0,0), v_1 = (1,0), v_2 = (1/2, sqrt(3)/2)."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (3,):
+    if q.ndim == 0 or q.shape[-1] != 3:
         raise ValueError(f"projection is defined for K = 3 only, got {q.shape}")
     return q @ _BARY_VERTS
 
@@ -141,19 +136,20 @@ def base_difficulty(labels, p_star) -> np.ndarray:
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
-def zigzag_score(path: LearningPath, y: int) -> float:
-    """Largest wrong-class column sum of the path's prediction matrix.
+def zigzag_score(paths, labels) -> np.ndarray:
+    """Largest wrong-class column sum of each path's prediction matrix.
 
-    Column sums of a T-point path add to T, so the score lives in
+    paths (T, n, K) holds n paths of T points and labels (n,) their
+    labels. Column sums of a T-point path add to T, so a score lives in
     [0, T]; confidently-correct paths stay near 0.
     """
-    qs = path.as_array()
-    if qs.size == 0:
-        raise ValueError("cannot score an empty path")
-    k = qs.shape[1]
-    if not 0 <= y < k:
-        raise ValueError(f"label {y} out of range for {k} classes")
+    qs = np.asarray(paths, dtype=np.float64)
+    y = np.asarray(labels)
+    if qs.ndim != 3 or qs.shape[0] == 0 or y.shape != qs.shape[1:2]:
+        raise ValueError(f"need paths (T > 0, n, K) and labels (n,), "
+                         f"got {qs.shape}/{y.shape}")
+    if y.size and not (0 <= y.min() and y.max() < qs.shape[2]):
+        raise ValueError(f"labels out of range for {qs.shape[2]} classes")
     col = qs.sum(axis=0)
-    col[y] = -np.inf
-    return float(col.max())
-
+    col[np.arange(y.size), y] = -np.inf
+    return col.max(axis=1)

@@ -8,17 +8,17 @@ consumes the rows of the train split. Builders cover the usual schemes:
   - the true posterior p* (and noisy versions of it),
   - teacher predictions, either at the best-validation checkpoint
     ("eskd") or at convergence ("kd_converged"),
-  - the filtered teacher: a per-sample exponential moving average of the
-    teacher's own predictions collected while the teacher trains
-    ("filter_kd").
+  - the filtered teacher: the exponential moving average of the
+    teacher's learning path ("filter_kd").
 
-The filtered teacher follows one pass of plain one-hot SGD training; at
-every visit the pre-update prediction is folded into the sample's
-running average before the step. Averaging across visits smooths out
-the oscillation that noisy-labeled neighbours induce, so the table can
-be better supervision than any single checkpoint.
+The filtered teacher is one run of plain one-hot SGD training with its
+learning path recorded, the pre-update prediction at every visit. Each
+table row is the EMA of that row's path (pathtrace.ema_filter), started
+from the untrained model's prediction. Averaging across visits smooths
+out the oscillation that noisy-labeled neighbours induce, so the table
+can be better supervision than any single checkpoint.
 train_teacher_filterkd_multi fills one such table per smoothing rate
-alpha from the same run; a single rate is a grid of one, (alpha,).
+alpha from the same path; a single rate is a grid of one, (alpha,).
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
@@ -36,14 +36,14 @@ leaves the stack without touching the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from learnpath.metrics import accuracy, as_rows
 from learnpath.numerics import (MlpModel, init_mlp, predict_proba, sgd_step,
                                 softmax)
-from learnpath.pathtrace import PathStore
+from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import stream
 from learnpath.toygauss import ToyDataset
 
@@ -275,7 +275,6 @@ class _Run:
     init_model: MlpModel
     best_model: MlpModel
     paths: PathStore | None
-    q_tables: dict        # alpha -> live (n, K) table; filtered teachers only
     grads: list = None    # views into the stack's gradient buffers
     best_acc: float = -np.inf
     best_epoch: int = 0
@@ -321,7 +320,7 @@ class _Stack:
 
 
 def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
-             filter_alphas=None, epoch_callback=None):
+             epoch_callback=None):
     """The SGD loop: R runs that share one config, stepped in lockstep.
 
     Sharing the config means sharing the initialization and the shuffle
@@ -334,20 +333,17 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
     all other operations act row by row.
 
     With targets, a list of R (n, K) row arrays, each run descends the
-    tempered loss against its own rows. With targets None and
-    filter_alphas set instead, one run trains against one-hot labels and
-    keeps one running-average prediction table per alpha; the tables
-    never influence the training itself, so a whole alpha grid costs one
-    run.
+    tempered loss against its own rows. With targets None, one run
+    descends cross entropy against the labels, with the logit gradient
+    softmax(z) - e_y: the filtered teacher's loop.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
-    Returns one (TrainResult or DivergenceError, {alpha: TargetTable})
-    per run, in the order given.
+    Returns one TrainResult or DivergenceError per run, in the order
+    given.
 
-    epoch_callback(epoch, model, q_tables) fires for every run after each
-    epoch's bookkeeping, before any stop decision; q_tables maps alpha to
-    the live (n, K) table and is empty for students.
+    epoch_callback(epoch, model) fires for every run after each epoch's
+    bookkeeping, before any stop decision.
     """
     train_idx = ds.train_indices
     if train_idx.size == 0:
@@ -355,15 +351,9 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
     k = ds.num_classes
     tau, beta = config.temperature, config.beta
     model = init_mlp(config.layer_sizes(ds.spec.input_dim, k), config.seed)
-    filtering = targets is None
-    if filtering:
-        alphas = tuple(float(a) for a in filter_alphas)
-        if not alphas or any(not 0 < a <= 1 for a in alphas):
-            raise ValueError(f"filter alphas must be in (0, 1], got {filter_alphas}")
-        # the smoothing tables start from the untrained model's predictions
-        init_pred = predict_proba(model, ds.x)
-        tables, n_runs = None, 1
-    else:
+    onehot = targets is None
+    tables, n_runs = None, 1
+    if not onehot:
         rows = [np.asarray(t, dtype=np.float64) for t in targets]
         for t in rows:
             if t.shape != (ds.n, k):
@@ -379,24 +369,22 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
 
     runs = [_Run(slot=r, model=model.copy(), init_model=model.copy(),
                  best_model=model.copy(),
-                 paths=PathStore(num_classes=k) if config.record_paths else None,
-                 q_tables={a: init_pred.copy() for a in alphas} if filtering else {})
+                 paths=PathStore(train_idx, k) if config.record_paths else None)
             for r in range(n_runs)]
     stack = _Stack(runs, model, tables)
     out = [None] * n_runs
 
     def finish(run, stopped_early):
-        out[run.slot] = (TrainResult(
+        out[run.slot] = TrainResult(
             final_model=run.model.copy(), best_model=run.best_model,
             best_epoch=run.best_epoch, epochs_run=len(run.valid_hist),
             valid_acc_history=run.valid_hist, train_acc_history=run.train_hist,
             init_model=run.init_model, stopped_early=stopped_early,
-            paths=run.paths),
-            {a: TargetTable(t, "filter_kd") for a, t in run.q_tables.items()})
+            paths=run.paths)
 
     def diverge(run, epoch, step, reason):
-        out[run.slot] = (DivergenceError(
-            f"non-finite state at epoch {epoch}, step {step}: {reason}"), {})
+        out[run.slot] = DivergenceError(
+            f"non-finite state at epoch {epoch}, step {step}: {reason}")
 
     def prune(bad, epoch, step, reason, arrays):
         """Drop the runs flagged in bad as diverged; returns the kept rows."""
@@ -424,15 +412,12 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
                     [logits, *hidden])
                 if not stack.runs:
                     break
-            if filtering or config.record_paths:
+            if onehot or config.record_paths:
                 q = softmax(logits)
+            if config.record_paths:
                 for run, q_r in zip(stack.runs, q):
-                    if run.paths is not None:
-                        run.paths.log(int(i), step, q_r)
-                    for alpha, table in run.q_tables.items():
-                        table[i] *= 1.0 - alpha
-                        table[i] += alpha * q_r
-            if filtering:
+                    run.paths.log(int(i), step, q_r)
+            if onehot:
                 delta = q.copy()
                 delta[:, label] -= 1.0
             else:
@@ -472,7 +457,7 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
             run.valid_hist.append(vacc)
             run.train_hist.append(tacc)
             if epoch_callback is not None:
-                epoch_callback(epoch, run.model, run.q_tables)
+                epoch_callback(epoch, run.model)
             if np.isfinite(vacc) and vacc > run.best_acc:
                 run.best_acc = vacc
                 run.best_model = run.model.copy()
@@ -504,14 +489,14 @@ def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
     its DivergenceError in its slot instead, and the others are
     unaffected.
     """
-    return [result for result, _ in _run_sgd(ds, config, [as_rows(t) for t in tables])]
+    return _run_sgd(ds, config, [as_rows(t) for t in tables])
 
 
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
                 epoch_callback=None) -> TrainResult:
     """Train a student against a fixed supervision table."""
-    [(result, _)] = _run_sgd(ds, config, [as_rows(targets)],
-                             epoch_callback=epoch_callback)
+    [result] = _run_sgd(ds, config, [as_rows(targets)],
+                        epoch_callback=epoch_callback)
     if isinstance(result, DivergenceError):
         raise result
     return result
@@ -519,15 +504,26 @@ def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
 
 def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
                                  epoch_callback=None):
-    """One one-hot teacher run, one smoothed table per alpha.
+    """One one-hot teacher run, one Filter-KD table per alpha.
 
-    Returns (TrainResult, {alpha: TargetTable}). alpha = 1 keeps no
+    Returns (TrainResult, {alpha: TargetTable}); result.paths holds the
+    teacher's path. Each table is the untrained model's predictions with
+    the train rows set to their path's EMA from there. alpha = 1 keeps no
     history: each row is simply the last pre-update prediction seen.
     """
-    [(result, tables)] = _run_sgd(ds, config, filter_alphas=alphas,
-                                  epoch_callback=epoch_callback)
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas or any(not 0 < a <= 1 for a in alphas):
+        raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
+    [result] = _run_sgd(ds, replace(config, record_paths=True),
+                        epoch_callback=epoch_callback)
     if isinstance(result, DivergenceError):
         raise result
+    init_pred = predict_proba(result.init_model, ds.x)
+    ti, tables = result.paths.indices, {}
+    for a in alphas:
+        rows = init_pred.copy()
+        rows[ti] = ema_filter(result.paths.preds, a, init_pred[ti])[-1]
+        tables[a] = TargetTable(rows, "filter_kd")
     return result, tables
 
 

@@ -84,6 +84,9 @@ class TestErrorExits:
         ("correlate", SMALL + "noise_grid = nan\n", ()),
         ("ntk-verify", SMALL + "target_noise = nan\n", ()),
         ("gen-data", "sigma = inf\n", ()),
+        ("gen-data", "sigma = 1e-300\n", ()),
+        ("gen-data", "sigma = 1e160\n", ()),
+        ("gen-data", "sigma = 1e300\n", ()),
         ("ntk-verify", SMALL + "eta_grid = inf,1\n", ()),
         ("distance-gap", SMALL + "supervisions = ls\nls_epsilon = -1\n", ()),
         ("distill", SMALL + "ratios = 0.75,0.25,0\n", ()),
@@ -96,7 +99,8 @@ class TestErrorExits:
     ], ids=["distill-no-train-rows", "recovery-no-flips", "zigzag-1-train-row",
             "ntk-verify-1-train-row", "ntk-verify-n_similarity-2", "ratios-nan",
             "seed-negative", "seed-flag-negative", "seeds-negative",
-            "noise_grid-nan", "target_noise-nan", "sigma-inf", "eta_grid-inf",
+            "noise_grid-nan", "target_noise-nan", "sigma-inf", "sigma-1e-300",
+            "sigma-1e160", "sigma-1e300", "eta_grid-inf",
             "ls_epsilon-negative", "distill-no-test-rows", "correlate-no-test-rows",
             "seeds-repeated", "eta_grid-repeated", "supervisions-repeated",
             "patience-negative", "learning_rate-nan"])
@@ -201,6 +205,22 @@ class TestSingleRunDivergence:
         *echo, error = (out / "summary.txt").read_text().splitlines()
         assert echo == cfg.echo_lines()
         assert error.startswith("error = non-finite state at epoch")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_decomposition_step_that_overflows(self, tmp_path, capsys):
+        # no training run diverges here: the decomposition's own SGD step
+        # at eta = 1e300 leaves non-finite logits
+        text = ("eta_grid = 1e300\nnum_classes = 2\nn_samples = 60\n"
+                "hidden_sizes = 4\n")
+        out = tmp_path / "o"
+        assert main(["ntk-verify", "--config", cfg_file(tmp_path, text),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: non-finite logits after the decomposition step")
+        cfg = load_config("ntk-verify", cfg_file(tmp_path, text))
+        *echo, error = (out / "summary.txt").read_text().splitlines()
+        assert echo == cfg.echo_lines()
+        assert error.startswith("error = non-finite logits after the decomposition step")
 
 
 class TestUndefinedSpearman:

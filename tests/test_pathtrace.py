@@ -4,9 +4,8 @@ import pytest
 from learnpath.config import load_config
 from learnpath.experiments import read_csv, run_distance_gap
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (LearningPath, PathStore, barycentric_project,
-                                 base_difficulty, ema_filter_path,
-                                 zigzag_score)
+from learnpath.pathtrace import (PathStore, barycentric_project,
+                                 base_difficulty, ema_filter, zigzag_score)
 from learnpath.toygauss import sample_dataset, split_dataset
 
 SQRT23 = 0.81649658092772603273  # sqrt(2/3)
@@ -14,51 +13,57 @@ SQRT3_2 = 0.86602540378443864676  # sqrt(3)/2
 SQRT3_6 = 0.28867513459481288225  # sqrt(3)/6
 
 
-def make_path(qs, start=0):
-    path = LearningPath(sample_index=7)
-    for t, q in enumerate(qs):
-        path.append(start + t, np.asarray(q, dtype=np.float64))
-    return path
+def one_path(qs) -> np.ndarray:
+    """A single path of T points as the (T, 1, K) array of one sample."""
+    return np.asarray(qs, dtype=np.float64)[:, None, :]
 
 
-class TestLearningPath:
-    def test_append_and_len(self):
-        path = make_path([(1, 0, 0), (0.5, 0.5, 0)])
-        assert len(path) == 2
-        assert path.steps == [0, 1]
-        assert path.as_array().shape == (2, 3)
-
-    def test_steps_must_increase(self):
-        path = make_path([(1, 0, 0)], start=5)
-        with pytest.raises(ValueError):
-            path.append(5, np.array([0.0, 1.0, 0.0]))
-        with pytest.raises(ValueError):
-            path.append(3, np.array([0.0, 1.0, 0.0]))
-
-    def test_append_copies_input(self):
-        q = np.array([1.0, 0.0, 0.0])
-        path = LearningPath(0)
-        path.append(0, q)
-        q[0] = -1.0
-        assert path.qs[0][0] == 1.0
+def filter_path(qs, alpha):
+    """The EMA of a path started at its own first point, as `paths` plots it."""
+    qs = np.asarray(qs, dtype=np.float64)
+    return ema_filter(qs[1:], alpha, qs[0])
 
 
 class TestPathStore:
     def test_log_and_lookup(self):
-        store = PathStore(num_classes=3)
+        store = PathStore([4, 2], num_classes=3)
         store.log(4, 0, np.array([1.0, 0.0, 0.0]))
-        store.log(2, 0, np.array([0.0, 1.0, 0.0]))
-        store.log(4, 1, np.array([0.5, 0.5, 0.0]))
-        assert len(store) == 2
-        assert store.indices() == [2, 4]
-        assert len(store[4]) == 2
+        store.log(2, 1, np.array([0.0, 1.0, 0.0]))
+        assert store.indices.tolist() == [2, 4]
+        assert len(store.preds) == 1
+        store.log(4, 2, np.array([0.5, 0.5, 0.0]))
+        # the second epoch is not complete until every row was visited
+        assert store.preds.shape == (1, 2, 3) and store.steps.shape == (1, 2)
+        store.log(2, 3, np.array([0.0, 0.0, 1.0]))
+        assert store.preds.shape == (2, 2, 3)
+        assert store.steps.tolist() == [[1, 0], [3, 2]]
+        assert np.array_equal(store.preds[:, 1], [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        paths = store.paths
+        assert sorted(paths) == [2, 4] and len(paths[4]) == 2
+        assert np.array_equal(paths[2], store.preds[:, 0])
+
+    def test_log_copies_input(self):
+        store = PathStore([0], num_classes=3)
+        q = np.array([1.0, 0.0, 0.0])
+        store.log(0, 0, q)
+        q[0] = -1.0
+        assert store.preds[0, 0, 0] == 1.0
+
+    def test_room_grows_past_any_epoch_count(self):
+        store = PathStore([5, 1, 3], num_classes=2)
+        for t in range(37):
+            for j, i in enumerate((5, 1, 3)):
+                store.log(i, 3 * t + j, np.array([t, i], dtype=np.float64))
+        assert store.preds.shape == (37, 3, 2) and store.steps.shape == (37, 3)
+        assert np.array_equal(store.preds[:, :, 0], np.repeat(np.arange(37.0)[:, None], 3, 1))
+        assert np.array_equal(store.preds[:, :, 1], np.tile([1.0, 3.0, 5.0], (37, 1)))
 
     def test_export_csv_round_trip(self, tmp_path):
-        store = PathStore(num_classes=3)
+        store = PathStore([3, 1], num_classes=3)
         rng = np.random.default_rng(0)
-        for i in (3, 1):
-            for t in range(4):
-                store.log(i, t, rng.dirichlet(np.ones(3)))
+        for t in range(4):
+            for i in (3, 1):
+                store.log(i, 2 * t + (i == 1), rng.dirichlet(np.ones(3)))
         out = tmp_path / "paths.csv"
         store.export_csv(out, header_lines=("# run = demo",))
         lines = out.read_text().splitlines()
@@ -67,45 +72,87 @@ class TestPathStore:
         assert len(lines) == 2 + 8
         # %.17g reproduces the doubles exactly, grouped by sample ascending
         first = lines[2].split(",")
-        assert [int(first[0]), int(first[1])] == [1, 0]
+        assert [int(first[0]), int(first[1])] == [1, 1]
         assert np.array_equal(np.array([float(v) for v in first[2:]]),
-                              store[1].qs[0])
+                              store.preds[0, 0])
+
+    def test_export_is_the_same_for_any_visit_order(self, tmp_path):
+        # one epoch after another, each in its own shuffle order, against
+        # the per-sample, per-visit rows written one at a time
+        rng = np.random.default_rng(1)
+        indices = rng.choice(1000, size=40, replace=False)
+        store = PathStore(indices, num_classes=4)
+        visits = {int(i): [] for i in indices}
+        step = 0
+        for _ in range(6):
+            for i in rng.permutation(indices):
+                q = rng.dirichlet(np.ones(4))
+                store.log(int(i), step, q)
+                visits[int(i)].append((step, q))
+                step += 1
+        out = tmp_path / "paths.csv"
+        store.export_csv(out)
+        want = ["sample_index,step,q_0,q_1,q_2,q_3"]
+        for i in sorted(visits):
+            for s, q in visits[i]:
+                want.append(",".join([str(i), str(s), *(format(v, ".17g") for v in q)]))
+        assert out.read_text().splitlines() == want
 
 
 class TestEmaFilter:
     def test_alpha_one_is_identity(self):
-        path = make_path([(1, 0, 0), (0.2, 0.3, 0.5), (0, 0, 1)])
-        out = ema_filter_path(path, 1.0)
-        assert np.array_equal(out.as_array(), path.as_array())
-        assert out.steps == path.steps
+        qs = [(1, 0, 0), (0.2, 0.3, 0.5), (0, 0, 1)]
+        assert np.array_equal(filter_path(qs, 1.0), np.asarray(qs, dtype=np.float64))
 
     def test_constant_path_is_fixed_point(self):
-        path = make_path([(0.2, 0.3, 0.5)] * 5)
-        out = ema_filter_path(path, 0.3)
-        assert np.allclose(out.as_array(), path.as_array(), atol=1e-15)
+        qs = [(0.2, 0.3, 0.5)] * 5
+        assert np.allclose(filter_path(qs, 0.3), qs, atol=1e-15)
 
     def test_three_step_hand_case(self):
-        path = make_path([(1, 0, 0), (0.5, 0.5, 0), (0.25, 0.25, 0.5)])
-        out = ema_filter_path(path, 0.5).as_array()
+        out = filter_path([(1, 0, 0), (0.5, 0.5, 0), (0.25, 0.25, 0.5)], 0.5)
         want = np.array([[1.0, 0.0, 0.0],
                          [0.75, 0.25, 0.0],
                          [0.5, 0.25, 0.25]])
         assert np.allclose(out, want, atol=1e-15)
 
+    def test_starts_from_start(self):
+        start = np.array([[0.2, 0.8], [1.0, 0.0]])
+        out = ema_filter(np.zeros((0, 2, 2)), 0.5, start)
+        assert out.shape == (1, 2, 2) and np.array_equal(out[0], start)
+
     def test_output_stays_on_simplex(self, rng):
-        path = make_path(rng.dirichlet(np.ones(3), size=200))
-        out = ema_filter_path(path, 0.07).as_array()
+        out = filter_path(rng.dirichlet(np.ones(3), size=200), 0.07)
         assert np.all(out >= -1e-12)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-10)
 
-    def test_bad_inputs(self):
-        path = make_path([(1, 0, 0)])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_rows_match_the_scalar_recursion_bitwise(self, k):
+        # the vectorised recursion against one row at a time; row 0's
+        # points sum to 1 + 1e-9, so its average drifts and is renormalized
+        rng = np.random.default_rng(k)
+        t, n, alpha = 30, 25, 0.3
+        qs = rng.dirichlet(np.full(k, 0.5), size=(t, n))
+        qs[:, 0] *= 1.0 + 1e-9
+        start = rng.dirichlet(np.ones(k), size=n)
+        out = ema_filter(qs, alpha, start)
+        renormalized = 0
+        for j in range(n):
+            acc = start[j].copy()
+            assert np.array_equal(out[0, j], acc)
+            for step in range(t):
+                acc = (1.0 - alpha) * acc + alpha * qs[step, j]
+                total = acc.sum()
+                if abs(total - 1.0) > 1e-12:
+                    acc = acc / total
+                    renormalized += j == 0
+                assert np.array_equal(out[step + 1, j], acc), (j, step)
+        assert renormalized == t
+
+    def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            ema_filter_path(path, 0.0)
+            filter_path([(1, 0, 0)], 0.0)
         with pytest.raises(ValueError):
-            ema_filter_path(path, 1.5)
-        with pytest.raises(ValueError):
-            ema_filter_path(LearningPath(0), 0.5)
+            filter_path([(1, 0, 0)], 1.5)
 
 
 class TestBarycentric:
@@ -119,11 +166,20 @@ class TestBarycentric:
         got = barycentric_project([1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(got, [0.5, SQRT3_6], atol=1e-16)
 
+    def test_batch_matches_points_bitwise(self, rng):
+        qs = rng.dirichlet(np.ones(3), size=(2, 7, 5))
+        got = barycentric_project(qs)
+        assert got.shape == (2, 7, 5, 2)
+        for idx in np.ndindex(qs.shape[:-1]):
+            assert np.array_equal(got[idx], barycentric_project(qs[idx]))
+
     def test_other_k_rejected(self):
         with pytest.raises(ValueError):
             barycentric_project([0.5, 0.5])
         with pytest.raises(ValueError):
             barycentric_project([0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError):
+            barycentric_project(np.full((4, 2), 0.5))
 
 
 class TestBaseDifficulty:
@@ -165,30 +221,42 @@ class TestBaseDifficulty:
 
 class TestZigzag:
     def test_confident_correct_path_scores_zero(self):
-        path = make_path([(1, 0, 0)] * 4)
-        assert zigzag_score(path, 0) == 0.0
+        assert zigzag_score(one_path([(1, 0, 0)] * 4), [0]).tolist() == [0.0]
 
     def test_uniform_path_scores_t_over_k(self):
-        path = make_path([(1 / 3, 1 / 3, 1 / 3)] * 6)
-        assert zigzag_score(path, 0) == pytest.approx(2.0, abs=1e-12)
+        got = zigzag_score(one_path([(1 / 3, 1 / 3, 1 / 3)] * 6), [0])
+        assert got[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_case(self):
         # columns sum to (1.5, 0.3, 0.2); strongest wrong class is 0.3
-        path = make_path([(0.7, 0.2, 0.1), (0.8, 0.1, 0.1)])
-        assert zigzag_score(path, 0) == pytest.approx(0.3, abs=1e-15)
+        got = zigzag_score(one_path([(0.7, 0.2, 0.1), (0.8, 0.1, 0.1)]), [0])
+        assert got[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_oscillation_scores_higher_than_decay(self):
-        osc = make_path([(0.5, 0.5, 0), (0.1, 0.9, 0), (0.5, 0.5, 0),
-                         (0.1, 0.9, 0)])
-        decay = make_path([(0.5, 0.5, 0), (0.8, 0.2, 0), (0.95, 0.05, 0),
-                           (0.99, 0.01, 0)])
-        assert zigzag_score(osc, 0) > zigzag_score(decay, 0)
+        osc = [(0.5, 0.5, 0), (0.1, 0.9, 0), (0.5, 0.5, 0), (0.1, 0.9, 0)]
+        decay = [(0.5, 0.5, 0), (0.8, 0.2, 0), (0.95, 0.05, 0), (0.99, 0.01, 0)]
+        osc_score, decay_score = zigzag_score(np.stack([osc, decay], axis=1), [0, 0])
+        assert osc_score > decay_score
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_scores_match_per_path_column_sums_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        paths = rng.dirichlet(np.full(k, 0.3), size=(50, 200))
+        y = rng.integers(0, k, size=200)
+        want = []
+        for j, label in enumerate(y):
+            col = np.array(paths[:, j]).sum(axis=0)
+            col[label] = -np.inf
+            want.append(float(col.max()))
+        assert np.array_equal(zigzag_score(paths, y), want)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            zigzag_score(LearningPath(0), 0)
+            zigzag_score(np.zeros((0, 1, 3)), [0])
         with pytest.raises(ValueError):
-            zigzag_score(make_path([(1, 0, 0)]), 5)
+            zigzag_score(one_path([(1, 0, 0)]), [5])
+        with pytest.raises(ValueError):
+            zigzag_score(one_path([(1, 0, 0)]), [0, 1])
 
 
 class TestDistanceGap:

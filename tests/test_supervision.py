@@ -207,10 +207,14 @@ class TestTrainModel:
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
                           patience=None, seed=0, record_paths=True)
         result = train_model(ds, make_onehot_targets(ds), cfg)
-        train = set(int(i) for i in ds.train_indices)
-        assert set(result.paths.indices()) == train
-        for i in train:
-            assert len(result.paths[i].steps) == 3  # one visit per epoch
+        ti = ds.train_indices
+        assert np.array_equal(result.paths.indices, ti)
+        # one visit per epoch: epoch t's steps are a permutation of its range
+        n = ti.size
+        assert result.paths.preds.shape == (3, n, 3)
+        for t, steps in enumerate(result.paths.steps):
+            assert sorted(steps) == list(range(t * n, (t + 1) * n))
+        assert np.allclose(result.paths.preds.sum(axis=2), 1.0, atol=1e-12)
 
 
 class TestFilterKd:
@@ -223,24 +227,49 @@ class TestFilterKd:
         alphas = (0.3, 1.0)
         result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         init_pred = predict_proba(result.init_model, ds.x)
+        paths = result.paths.paths
         for a in alphas:
             replay = init_pred.copy()
             for i in ds.train_indices:
                 row = replay[i]
-                for q in result.paths[int(i)].qs:
+                for q in paths[int(i)]:
                     row *= 1.0 - a
                     row += a * q
-            assert np.allclose(tables[a].rows, replay, atol=1e-15)
+            assert np.array_equal(tables[a].rows, replay)
+
+    def test_tables_equal_the_per_visit_reference(self):
+        # a one-hot teacher on the reference kernels that folds every
+        # pre-update prediction into its tables before the step
+        ds = tiny_ds(seed=12, n=60)
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=4,
+                          patience=None, seed=3)
+        alphas = (0.05, 0.2, 0.3, 0.5, 1.0)
+        result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
+        model = init_mlp(cfg.layer_sizes(ds.spec.input_dim, ds.num_classes), cfg.seed)
+        init_pred = predict_proba(model, ds.x)
+        want = {a: init_pred.copy() for a in alphas}
+        ti = ds.train_indices
+        for epoch in range(cfg.max_epochs):
+            for i in ti[stream(cfg.seed, "shuffle", epoch).permutation(ti.size)]:
+                cache = mlp_forward(model, ds.x[i])
+                q = softmax(cache.logits)
+                for a, table in want.items():
+                    table[i] *= 1.0 - a
+                    table[i] += a * q
+                grad = q.copy()
+                grad[ds.y[i]] -= 1.0
+                sgd_step(model, mlp_backward(model, cache, grad), cfg.learning_rate)
+        assert np.array_equal(result.final_model.flat(), model.flat())
+        for a in alphas:
+            assert np.array_equal(tables[a].rows, want[a]), a
 
     def test_alpha_one_is_last_prediction(self):
         ds = tiny_ds(seed=6, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
                           patience=None, seed=0, record_paths=True)
-        _, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
-        result, _ = train_teacher_filterkd_multi(ds, cfg, (1.0,))
-        for i in ds.train_indices:
-            last_q = result.paths[int(i)].qs[-1]
-            assert np.allclose(tables[1.0].rows[int(i)], last_q, atol=1e-15)
+        result, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
+        ti = ds.train_indices
+        assert np.array_equal(tables[1.0].rows[ti], result.paths.preds[-1])
 
     def test_non_train_rows_stay_at_init(self):
         ds = tiny_ds(seed=7, n=50)
