@@ -57,7 +57,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.command, path=args.config, seed=args.seed)
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create --out {out_dir}: {err}") from err
         checks = RUNNERS[args.command](cfg, out_dir, jobs=args.jobs)
     except (ConfigError, DivergenceError) as err:
         if isinstance(err, DivergenceError):

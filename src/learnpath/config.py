@@ -16,7 +16,7 @@ is always reproducible from its own artifacts plus the master seed.
 from __future__ import annotations
 
 import math
-import os
+from dataclasses import fields
 
 from learnpath.supervision import TrainConfig
 from learnpath.toygauss import GaussianSpec, split_counts
@@ -28,7 +28,7 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent values; maps to exit code 1."""
 
 
-_COMMON = {
+_DATA = {
     "seed": 0,
     "num_classes": 3,
     "input_dim": 30,
@@ -36,19 +36,18 @@ _COMMON = {
     "delta_mu": 1.0,
     "n_samples": 10000,
     "ratios": (0.05, 0.05, 0.9),
-    "hidden_sizes": (32, 32, 32),
-    "learning_rate": 0.01,
-    "max_epochs": 60,
-    "patience": 10,  # 0 disables early stopping
-    "temperature": 1.0,
-    "beta": 1.0,
 }
+# the training settings: TrainConfig's defaults, in its field order
+_TRAINING = {f.name: f.default for f in fields(TrainConfig)
+             if f.name not in ("seed", "record_paths", "stop_at_train_acc")}
+_COMMON = {**_DATA, **_TRAINING}
 
-# Per-kind defaults, desk-scale. Order is the echo order in output
-# headers, so keep it stable. A file's value is parsed as the type of its
-# key's default (see _parse), so every tuple default holds one type.
+# Per-kind defaults, desk-scale; a kind has exactly the keys its runs
+# read. Order is the echo order in output headers, so keep it stable. A
+# file's value is parsed as the type of its key's default (see _parse),
+# so every tuple default holds one type.
 KIND_DEFAULTS = {
-    "gen-data": {**_COMMON, "flip_ratio": 0.0},
+    "gen-data": {**_DATA, "flip_ratio": 0.0},
     "correlate": {
         **_COMMON,
         "noise_grid": (0.01, 0.015, 0.023, 0.035, 0.053, 0.08, 0.12,
@@ -69,16 +68,15 @@ KIND_DEFAULTS = {
     },
     "distance-gap": {
         **_COMMON,
-        "max_epochs": 60,
         "patience": 0,
         "flip_ratio": 0.0,
         "supervisions": ("oht", "gt"),
         "ls_epsilon": 0.1,
     },
+    # the one-hot teacher: no early stopping, no tempered loss
     "recovery": {
-        **_COMMON,
-        "max_epochs": 60,
-        "patience": 0,
+        **{k: v for k, v in _COMMON.items()
+           if k not in ("patience", "temperature", "beta")},
         "flip_ratio": 0.3,
         "filter_alpha": 0.5,
     },
@@ -90,8 +88,9 @@ KIND_DEFAULTS = {
         "alpha_grid": (0.01, 0.05, 0.1, 0.2, 0.5, 1.0),
         "seeds": (0, 1, 2, 3, 4),
     },
+    # the trace run lasts trace_epochs, without early stopping
     "ntk-verify": {
-        **_COMMON,
+        **{k: v for k, v in _COMMON.items() if k not in ("max_epochs", "patience")},
         "n_samples": 2000,
         "n_pairs": 50,
         "n_similarity": 200,
@@ -128,14 +127,9 @@ class ExperimentConfig:
                             sigma=self.sigma, delta_mu=self.delta_mu, seed=self.seed)
 
     def train_config(self, **overrides) -> TrainConfig:
-        base = dict(hidden_sizes=self.hidden_sizes,
-                    learning_rate=self.learning_rate,
-                    max_epochs=self.max_epochs,
-                    patience=self.patience if self.patience > 0 else None,
-                    temperature=self.temperature, beta=self.beta,
-                    seed=self.seed)
-        base.update(overrides)
-        return TrainConfig(**base)
+        """The kind's training keys and the seed; overrides win."""
+        base = {k: v for k, v in self._values.items() if k in _TRAINING}
+        return TrainConfig(**{**base, "seed": self.seed, **overrides})
 
     def echo_lines(self) -> list:
         """'# key = value' lines in the kind's canonical field order."""
@@ -162,19 +156,25 @@ def _parse(default, text):
 
 
 def _parse_file(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = text.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = (val, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = text.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = (val, lineno)
     return raw
 
 
@@ -188,8 +188,6 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     values = dict(KIND_DEFAULTS[kind])
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         for key, (val, lineno) in _parse_file(path).items():
             if key == "kind":
                 if val != kind:
@@ -218,7 +216,7 @@ def load_config(kind: str, path=None, seed=None) -> ExperimentConfig:
 _RANGES = {
     "seed": "[0, inf)", "seeds": "[0, inf)", "n_samples": "[10, inf)",
     "sigma": "[1e-100, 1e100]",  # p* under- or overflows beyond
-    "patience": "[0, inf)", "ratios": "[0, 1]", "flip_ratio": "[0, 1]",
+    "ratios": "[0, 1]", "flip_ratio": "[0, 1]",
     "flip_grid": "[0, 1]", "noise_grid": "[0, inf)", "noise_seeds": "[1, inf)",
     "baseline_seeds": "[1, inf)", "ls_epsilon": "[0, 1]",
     "loss_bound": "(0, inf)", "perm_test": "[0, inf)", "quantiles": "[0, 1]",

@@ -144,10 +144,12 @@ def _pool_init(ds):
 
 
 def _dispatch(worker, ds, tasks, jobs: int):
-    """Run worker(ds, task) for every task, preserving task order."""
-    if jobs <= 1:
+    """Run worker(ds, task) for every task, preserving task order, on at
+    most one worker process per task (none for a single worker)."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(ds, t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(ds,)) as pool:
         futures = [pool.submit(_pool_entry, worker, t) for t in tasks]
         return [f.result() for f in futures]
@@ -228,7 +230,7 @@ def _correlate_group(ds, task):
         s = task["seed_index"]
         seed = derive_seed(cfg.seed, 1, s)
         tconfig = cfg.train_config(seed=seed)
-        teacher_cfg = cfg.train_config(seed=seed, patience=None,
+        teacher_cfg = cfg.train_config(seed=seed, patience=0,
                                        stop_at_train_acc=1.0)
         tables = {
             "oht": make_onehot_targets(ds),
@@ -251,7 +253,7 @@ def _correlate_group(ds, task):
         for j, noise in enumerate(cfg.noise_grid):
             rows_t = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
             runs.append((f"noise_scale={noise:g}/seed={r} noisy_gt",
-                         TargetTable(rows_t, "custom"),
+                         TargetTable(rows_t),
                          {"supervision": "noisy_gt", "noise_scale": noise, "seed": r}))
     return _train_cell(ds, runs, tconfig, teacher_error,
                        lambda table, result: _student_row(ds, table, result,
@@ -397,7 +399,7 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     def snap(epoch, model):
         raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
 
-    tconfig = cfg.train_config(patience=None)
+    tconfig = cfg.train_config(patience=0)
     teacher, _tables = train_teacher_filterkd_multi(ds, tconfig, (alpha,),
                                                     epoch_callback=snap)
     # the Filter-KD table after each epoch, at the flipped rows
@@ -534,8 +536,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     ti = ds.train_indices
     k = ds.num_classes
-    sizes = cfg.train_config().layer_sizes(ds.spec.input_dim, k)
-    model = init_mlp(sizes, seed=cfg.seed)
+    model = init_mlp((cfg.input_dim, *cfg.hidden_sizes, k), seed=cfg.seed)
 
     pair_rng = stream(cfg.seed, "pairs")
     drawn = [pair_rng.choice(ti, size=2, replace=False) for _ in range(cfg.n_pairs)]
@@ -580,7 +581,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
               ["probe_id", "index", "cosine", "trace"], sim_rows)
 
     checkpoints = [model.copy()]
-    tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=None)
+    tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)
     train_model(ds, make_onehot_targets(ds), tcfg,
                 epoch_callback=lambda e, m: checkpoints.append(m.copy()))
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])

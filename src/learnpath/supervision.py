@@ -47,15 +47,12 @@ from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import stream
 from learnpath.toygauss import ToyDataset
 
-PROVENANCES = ("onehot", "smoothed", "ground_truth", "kd_converged",
-               "eskd", "filter_kd", "custom")
-
 __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
     "kd_loss_and_grad", "train_model", "train_models",
     "train_teacher_filterkd_multi", "extract_eskd_targets",
-    "extract_kd_targets", "PROVENANCES",
+    "extract_kd_targets",
 ]
 
 
@@ -68,14 +65,11 @@ class TargetTable:
     """Per-sample supervision rows aligned with dataset indices."""
 
     rows: np.ndarray  # (n, K)
-    provenance: str
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValueError(f"rows must be (n, K), got {self.rows.shape}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if np.any(self.rows < -1e-12) or np.any(self.rows > 1 + 1e-12):
             raise ValueError("target entries must lie in [0, 1]")
         if not np.allclose(self.rows.sum(axis=1), 1.0, atol=1e-8):
@@ -102,7 +96,7 @@ class TargetTable:
 def make_onehot_targets(ds: ToyDataset) -> TargetTable:
     rows = np.zeros((ds.n, ds.num_classes))
     rows[np.arange(ds.n), ds.y] = 1.0
-    return TargetTable(rows, "onehot")
+    return TargetTable(rows)
 
 
 def make_ls_targets(ds: ToyDataset, epsilon: float = 0.1) -> TargetTable:
@@ -112,12 +106,12 @@ def make_ls_targets(ds: ToyDataset, epsilon: float = 0.1) -> TargetTable:
     k = ds.num_classes
     rows = np.full((ds.n, k), epsilon / k)
     rows[np.arange(ds.n), ds.y] += 1.0 - epsilon
-    return TargetTable(rows, "smoothed")
+    return TargetTable(rows)
 
 
 def make_gt_targets(ds: ToyDataset) -> TargetTable:
     """The true posterior as supervision; the cleanest targets available."""
-    return TargetTable(ds.p_star.copy(), "ground_truth")
+    return TargetTable(ds.p_star.copy())
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -198,18 +192,18 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one training run.
+    """Knobs for one training run; the defaults are the CLI's.
 
     learning_rate 0 is allowed and freezes the model, which gives the
-    cheapest possible control run for path diagnostics. patience=None
+    cheapest possible control run for path diagnostics. patience 0
     disables early stopping; stop_at_train_acc halts once the train-split
     accuracy reaches the threshold (used to define "converged" teachers).
     """
 
-    hidden_sizes: tuple = (128, 128, 128)
-    learning_rate: float = 0.05
-    max_epochs: int = 200
-    patience: int | None = 10
+    hidden_sizes: tuple = (32, 32, 32)
+    learning_rate: float = 0.01
+    max_epochs: int = 60
+    patience: int = 10
     temperature: float = 1.0
     beta: float = 1.0
     seed: int = 0
@@ -221,8 +215,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {self.patience}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.beta <= 1.0:
@@ -467,7 +461,7 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
                 run.since_improve += 1
             if ((config.stop_at_train_acc is not None
                  and tacc >= config.stop_at_train_acc)
-                    or (config.patience is not None and np.isfinite(vacc)
+                    or (config.patience > 0 and np.isfinite(vacc)
                         and run.since_improve >= config.patience)):
                 finish(run, stopped_early=True)
                 leaving[j] = True
@@ -523,15 +517,15 @@ def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
     for a in alphas:
         rows = init_pred.copy()
         rows[ti] = ema_filter(result.paths.preds, a, init_pred[ti])[-1]
-        tables[a] = TargetTable(rows, "filter_kd")
+        tables[a] = TargetTable(rows)
     return result, tables
 
 
 def extract_eskd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
     """Teacher predictions at the best-validation checkpoint."""
-    return TargetTable(predict_proba(result.best_model, ds.x), "eskd")
+    return TargetTable(predict_proba(result.best_model, ds.x))
 
 
 def extract_kd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
     """Teacher predictions at the end of training."""
-    return TargetTable(predict_proba(result.final_model, ds.x), "kd_converged")
+    return TargetTable(predict_proba(result.final_model, ds.x))

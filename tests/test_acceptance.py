@@ -332,8 +332,7 @@ TINY_CONFIGS = {
                 "seeds = 0,1\nalpha_grid = 0.2\nmax_epochs = 8\n"
                 "hidden_sizes = 16\n"),
     "ntk-verify": ("n_samples = 200\nn_pairs = 6\nn_similarity = 10\n"
-                   "trace_epochs = 3\ntrace_samples = 2\nhidden_sizes = 16\n"
-                   "max_epochs = 8\n"),
+                   "trace_epochs = 3\ntrace_samples = 2\nhidden_sizes = 16\n"),
     "zigzag": ("n_samples = 150\nratios = 0.5,0.25,0.25\nmax_epochs = 8\n"
                "hidden_sizes = 16\n"),
 }

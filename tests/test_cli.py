@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -7,6 +9,10 @@ from learnpath import experiments
 from learnpath.cli import build_parser, main
 from learnpath.config import load_config
 from learnpath.metrics import spearman
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_acceptance import TINY_CONFIGS  # noqa: E402
+from test_config import REMOVED_KEYS, REMOVED_VALUES  # noqa: E402
 
 COMMANDS = ("gen-data", "correlate", "paths", "distance-gap", "recovery",
             "distill", "ntk-verify", "zigzag")
@@ -52,6 +58,36 @@ class TestErrorExits:
         assert main(["recovery", "--config", path,
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["gen-data", "--config", cfg_file(tmp_path, "n_samples = 100\n"),
+                     "--out", str(out)]) == 1
+        assert "error: cannot create --out" in capsys.readouterr().err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["gen-data", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error: cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"n_samples = 100 # \xff\xfe\n")
+        assert main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error: cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind,key", REMOVED_KEYS)
+    def test_key_the_command_does_not_read(self, tmp_path, capsys, kind, key):
+        out = tmp_path / "o"
+        text = f"n_samples = 100\n{key} = {REMOVED_VALUES[key]}\n"
+        assert main([kind, "--config", cfg_file(tmp_path, text),
+                     "--out", str(out)]) == 1
+        assert f"unknown key '{key}' for {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_must_be_positive(self, tmp_path):
         path = cfg_file(tmp_path, "n_samples = 100\n")
         rc = main(["gen-data", "--config", path, "--jobs", "0",
@@ -68,8 +104,10 @@ class TestErrorExits:
         assert not out.exists()
 
 
-    # small enough that a config which slips past validation fails fast
+    # small enough that a config which slips past validation fails fast;
+    # ntk-verify has no max_epochs (its trace run lasts trace_epochs)
     SMALL = "n_samples = 100\nmax_epochs = 2\nhidden_sizes = 4\n"
+    SMALL_NTK = "n_samples = 100\nhidden_sizes = 4\ntrace_epochs = 2\n"
 
     @pytest.mark.parametrize("kind,text,flags", [
         ("distill", "n_samples = 100\nratios = 0,0.5,0.5\n", ()),
@@ -82,17 +120,17 @@ class TestErrorExits:
         ("gen-data", "", ("--seed", "-1")),
         ("distill", SMALL + "seeds = -1\n", ()),
         ("correlate", SMALL + "noise_grid = nan\n", ()),
-        ("ntk-verify", SMALL + "target_noise = nan\n", ()),
+        ("ntk-verify", SMALL_NTK + "target_noise = nan\n", ()),
         ("gen-data", "sigma = inf\n", ()),
         ("gen-data", "sigma = 1e-300\n", ()),
         ("gen-data", "sigma = 1e160\n", ()),
         ("gen-data", "sigma = 1e300\n", ()),
-        ("ntk-verify", SMALL + "eta_grid = inf,1\n", ()),
+        ("ntk-verify", SMALL_NTK + "eta_grid = inf,1\n", ()),
         ("distance-gap", SMALL + "supervisions = ls\nls_epsilon = -1\n", ()),
         ("distill", SMALL + "ratios = 0.75,0.25,0\n", ()),
         ("correlate", SMALL + "ratios = 0.75,0.25,0\n", ()),
         ("distill", SMALL + "seeds = 0,0\n", ()),
-        ("ntk-verify", SMALL + "eta_grid = 0.01,0.01\n", ()),
+        ("ntk-verify", SMALL_NTK + "eta_grid = 0.01,0.01\n", ()),
         ("distance-gap", SMALL + "supervisions = oht,oht\n", ()),
         ("paths", SMALL + "patience = -3\n", ()),
         ("paths", SMALL + "learning_rate = nan\n", ()),
@@ -186,22 +224,72 @@ class TestTeacherDivergence:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class _InlineExecutor:
+    """A ProcessPoolExecutor stand-in that records its max_workers and runs
+    every task in this process, at submit."""
+
+    opened = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.opened.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestDispatch:
+    """The pool has at most one worker per task, and none for one task."""
+
+    @pytest.mark.parametrize("jobs,n_tasks,opened", [
+        (64, 5, [5]), (2, 5, [2]), (64, 1, []), (1, 5, [])])
+    def test_workers_capped_at_the_task_count(self, monkeypatch, jobs, n_tasks,
+                                              opened):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(_InlineExecutor, "opened", [])
+        monkeypatch.setattr(experiments, "_POOL_DS", None)
+        got = experiments._dispatch(lambda ds, t: (ds, t * t), "ds",
+                                    list(range(n_tasks)), jobs)
+        assert got == [("ds", t * t) for t in range(n_tasks)]
+        assert _InlineExecutor.opened == opened
+
+    def test_more_jobs_than_cells_writes_the_same_bytes(self, tmp_path):
+        path = cfg_file(tmp_path, TINY_CONFIGS["distill"])
+        outs = [tmp_path / "j1", tmp_path / "j8"]
+        for jobs, out in zip(("1", "8"), outs):
+            assert main(["distill", "--config", path, "--out", str(out),
+                         "--jobs", jobs]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestSingleRunDivergence:
     """A model that diverges in a single-run command is an error exit."""
 
-    DIVERGING = ("n_samples = 100\nratios = 0.5,0.25,0.25\nmax_epochs = 3\n"
+    DIVERGING = ("n_samples = 100\nratios = 0.5,0.25,0.25\n"
                  "hidden_sizes = 8\nlearning_rate = 1000\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["distance-gap", "ntk-verify"])
-    def test_exits_one_with_the_message(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,extra", [("distance-gap", "max_epochs = 3\n"),
+                                               ("ntk-verify", "")])
+    def test_exits_one_with_the_message(self, tmp_path, capsys, command, extra):
         out = tmp_path / "o"
-        rc = main([command, "--config", cfg_file(tmp_path, self.DIVERGING),
-                   "--out", str(out)])
+        path = cfg_file(tmp_path, self.DIVERGING + extra)
+        rc = main([command, "--config", path, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: non-finite state at epoch")
         # the partial --out says that the run failed, and why
-        cfg = load_config(command, cfg_file(tmp_path, self.DIVERGING))
+        cfg = load_config(command, path)
         *echo, error = (out / "summary.txt").read_text().splitlines()
         assert echo == cfg.echo_lines()
         assert error.startswith("error = non-finite state at epoch")

@@ -2,6 +2,20 @@ import pytest
 
 from learnpath.config import (KIND_DEFAULTS, KINDS, ConfigError,
                               ExperimentConfig, load_config)
+from learnpath.supervision import TrainConfig
+
+# (kind, key) for the training keys a kind's runs never read: gen-data
+# trains nothing, recovery's one-hot teacher runs without early stopping
+# or a tempered loss, and ntk-verify's trace run lasts trace_epochs
+REMOVED_KEYS = [
+    *(("gen-data", k) for k in ("hidden_sizes", "learning_rate", "max_epochs",
+                                "patience", "temperature", "beta")),
+    *(("recovery", k) for k in ("patience", "temperature", "beta")),
+    *(("ntk-verify", k) for k in ("max_epochs", "patience")),
+]
+# a valid value of each, which the kinds that read the key accept
+REMOVED_VALUES = {"hidden_sizes": "8", "learning_rate": "0.05", "max_epochs": "3",
+                  "patience": "2", "temperature": "3", "beta": "0.5"}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -61,7 +75,7 @@ baseline_seeds = 2
 
     def test_tuple_fields_parse(self, tmp_path):
         path = write_cfg(tmp_path, "hidden_sizes = 16,16\nratios = 0.5,0.25,0.25\n")
-        cfg = load_config("gen-data", path)
+        cfg = load_config("correlate", path)
         assert cfg.hidden_sizes == (16, 16)
         assert cfg.ratios == (0.5, 0.25, 0.25)
 
@@ -78,6 +92,12 @@ baseline_seeds = 2
         path = write_cfg(tmp_path, "wibble = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config("gen-data", path)
+
+    @pytest.mark.parametrize("kind,key", REMOVED_KEYS)
+    def test_training_key_the_kind_does_not_read(self, tmp_path, kind, key):
+        path = write_cfg(tmp_path, f"{key} = {REMOVED_VALUES[key]}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' for {kind}"):
+            load_config(kind, path)
 
     def test_key_not_valid_for_kind(self, tmp_path):
         # alpha_grid exists for distill but not for gen-data
@@ -148,7 +168,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind,extra", [
         ("distill", "patience = 0\n"), ("correlate", "patience = 0\n"),
-        ("distance-gap", ""), ("recovery", "patience = 0\n"),
+        ("distance-gap", ""), ("recovery", ""),
         ("paths", "patience = 5\n"), ("zigzag", "patience = 5\n")])
     def test_empty_validation_split_rejected(self, tmp_path, kind, extra):
         path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\n" + extra)
@@ -161,10 +181,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="no validation rows"):
             load_config("distill", path)
 
-    @pytest.mark.parametrize("kind", ["gen-data", "paths", "zigzag", "ntk-verify"])
+    @pytest.mark.parametrize("kind,extra", [
+        ("gen-data", ""), ("paths", "patience = 0\n"), ("zigzag", "patience = 0\n"),
+        ("ntk-verify", "")])
     def test_empty_validation_split_allowed_without_early_stopping(self, tmp_path,
-                                                                   kind):
-        path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\npatience = 0\n")
+                                                                   kind, extra):
+        path = write_cfg(tmp_path, "ratios = 0.5,0,0.5\n" + extra)
         assert load_config(kind, path).ratios == (0.5, 0.0, 0.5)
 
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "gen-data"])
@@ -239,8 +261,12 @@ class TestConfigObject:
 
     def test_patience_zero_disables_early_stop(self, tmp_path):
         path = write_cfg(tmp_path, "patience = 0\n")
-        cfg = load_config("gen-data", path)
-        assert cfg.train_config().patience is None
+        cfg = load_config("correlate", path)
+        assert cfg.train_config().patience == 0
+
+    @pytest.mark.parametrize("kind", ["correlate", "distill"])
+    def test_training_defaults_are_train_config_defaults(self, kind):
+        assert load_config(kind).train_config() == TrainConfig()
 
     def test_picklable(self):
         import pickle

@@ -7,40 +7,35 @@ from learnpath.metrics import accuracy
 from learnpath.numerics import (init_mlp, mlp_backward, mlp_forward,
                                 predict_proba, sgd_step, softmax)
 from learnpath.rngstreams import stream
-from learnpath.supervision import (PROVENANCES, DivergenceError, TargetTable,
-                                   TrainConfig, TrainResult,
-                                   extract_eskd_targets, extract_kd_targets,
-                                   kd_loss_and_grad, make_gt_targets,
-                                   make_ls_targets, make_onehot_targets,
-                                   train_model, train_models,
-                                   train_teacher_filterkd_multi)
+from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
+                                   TrainResult, extract_eskd_targets,
+                                   extract_kd_targets, kd_loss_and_grad,
+                                   make_gt_targets, make_ls_targets,
+                                   make_onehot_targets, train_model,
+                                   train_models, train_teacher_filterkd_multi)
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
 
 TINY = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=4,
-                   patience=None, seed=0)
+                   patience=0, seed=0)
 
 
 class TestTargetTable:
     def test_valid_rows_accepted(self, small_ds):
-        table = TargetTable(small_ds.p_star.copy(), "ground_truth")
+        table = TargetTable(small_ds.p_star.copy())
         assert table.n == small_ds.n and table.num_classes == 3
-
-    def test_bad_provenance(self, small_ds):
-        with pytest.raises(ValueError):
-            TargetTable(small_ds.p_star.copy(), "mystery")
 
     def test_non_simplex_rejected(self):
         with pytest.raises(ValueError):
-            TargetTable(np.array([[0.5, 0.6]]), "custom")
+            TargetTable(np.array([[0.5, 0.6]]))
         with pytest.raises(ValueError):
-            TargetTable(np.array([[1.2, -0.2]]), "custom")
+            TargetTable(np.array([[1.2, -0.2]]))
 
     def test_rounding_negatives_clipped_and_renormalized(self):
         # at tau = 1.5 the raw row gives a NaN loss and gradient
         rows = np.array([[1 + 5e-13, -5e-13, 0.0], [0.2, 0.3, 0.5]])
         raw = rows.copy()
-        table = TargetTable(rows, "custom")
+        table = TargetTable(rows)
         assert np.array_equal(rows, raw)  # the caller's array is not touched
         assert np.all(table.rows >= 0.0)
         assert table.rows[0].sum() == pytest.approx(1.0, abs=1e-15)
@@ -51,13 +46,12 @@ class TestTargetTable:
 
     def test_rows_in_range_keep_their_bits(self, small_ds):
         rows = small_ds.p_star.copy()
-        assert np.array_equal(TargetTable(rows, "ground_truth").rows, rows)
+        assert np.array_equal(TargetTable(rows).rows, rows)
 
 
 class TestBuilders:
     def test_onehot_rows(self, small_ds):
         table = make_onehot_targets(small_ds)
-        assert table.provenance == "onehot"
         assert np.array_equal(table.rows.argmax(axis=1), small_ds.y)
         assert np.all(table.rows.sum(axis=1) == 1.0)
         assert set(np.unique(table.rows)) == {0.0, 1.0}
@@ -88,7 +82,6 @@ class TestBuilders:
 
     def test_gt_is_p_star(self, small_ds):
         table = make_gt_targets(small_ds)
-        assert table.provenance == "ground_truth"
         assert np.array_equal(table.rows, small_ds.p_star)
 
     def test_gt_minus_onehot_is_base_difficulty(self, small_ds):
@@ -169,7 +162,7 @@ class TestTrainModel:
     def test_memorizes_small_training_set(self):
         ds = tiny_ds(seed=3, n=40)
         cfg = TrainConfig(hidden_sizes=(32, 32), learning_rate=0.05,
-                          max_epochs=300, patience=None, seed=1,
+                          max_epochs=300, patience=0, seed=1,
                           stop_at_train_acc=1.0)
         result = train_model(ds, make_onehot_targets(ds), cfg)
         assert result.train_acc_history[-1] == 1.0
@@ -197,7 +190,7 @@ class TestTrainModel:
     def test_divergence_reported(self):
         ds = tiny_ds()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=1e6,
-                          max_epochs=5, patience=None, seed=0)
+                          max_epochs=5, patience=0, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
                 train_model(ds, make_onehot_targets(ds), cfg)
@@ -205,7 +198,7 @@ class TestTrainModel:
     def test_paths_recorded_per_visit(self):
         ds = tiny_ds()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
-                          patience=None, seed=0, record_paths=True)
+                          patience=0, seed=0, record_paths=True)
         result = train_model(ds, make_onehot_targets(ds), cfg)
         ti = ds.train_indices
         assert np.array_equal(result.paths.indices, ti)
@@ -223,7 +216,7 @@ class TestFilterKd:
         # pre-update predictions, starting from the init-model forward pass
         ds = tiny_ds(seed=5, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=4,
-                          patience=None, seed=2, record_paths=True)
+                          patience=0, seed=2, record_paths=True)
         alphas = (0.3, 1.0)
         result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         init_pred = predict_proba(result.init_model, ds.x)
@@ -242,7 +235,7 @@ class TestFilterKd:
         # pre-update prediction into its tables before the step
         ds = tiny_ds(seed=12, n=60)
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=4,
-                          patience=None, seed=3)
+                          patience=0, seed=3)
         alphas = (0.05, 0.2, 0.3, 0.5, 1.0)
         result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         model = init_mlp(cfg.layer_sizes(ds.spec.input_dim, ds.num_classes), cfg.seed)
@@ -266,7 +259,7 @@ class TestFilterKd:
     def test_alpha_one_is_last_prediction(self):
         ds = tiny_ds(seed=6, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
-                          patience=None, seed=0, record_paths=True)
+                          patience=0, seed=0, record_paths=True)
         result, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
         ti = ds.train_indices
         assert np.array_equal(tables[1.0].rows[ti], result.paths.preds[-1])
@@ -274,7 +267,7 @@ class TestFilterKd:
     def test_non_train_rows_stay_at_init(self):
         ds = tiny_ds(seed=7, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=2,
-                          patience=None, seed=0)
+                          patience=0, seed=0)
         result, tables = train_teacher_filterkd_multi(ds, cfg, (0.5,))
         init_pred = predict_proba(result.init_model, ds.x)
         others = np.concatenate([ds.valid_indices, ds.test_indices])
@@ -294,7 +287,7 @@ class TestFilterKd:
         epochs = 5
         alpha = 0.3
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.0,
-                          max_epochs=epochs, patience=None, seed=3)
+                          max_epochs=epochs, patience=0, seed=3)
         result, tables = train_teacher_filterkd_multi(ds, cfg, (alpha,))
         fixed = predict_proba(result.init_model, ds.x)
         i = int(ds.train_indices[0])
@@ -328,7 +321,7 @@ def reference_student(ds, rows, cfg):
             best, best_acc, best_epoch, since = model.copy(), vacc, epoch, 0
         else:
             since += 1
-        if since >= cfg.patience:
+        if cfg.patience > 0 and since >= cfg.patience:
             stopped = True
             break
     return model, best, best_epoch, valid, train, stopped
@@ -385,7 +378,7 @@ class TestLockstep:
     def test_diverging_run_leaves_the_others_unchanged(self, tau, why):
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=5,
-                          patience=None, seed=1, temperature=tau)
+                          patience=0, seed=1, temperature=tau)
         bad = tables[0].rows.copy()
         if tau == 1.0:
             bad *= 1e300  # one step blows the weights up
@@ -452,7 +445,7 @@ class TestSimplexContract:
         ds = split_dataset(sample_dataset(GaussianSpec(seed=seed), 30),
                            (0.5, 0.2, 0.3))
         cfg = TrainConfig(hidden_sizes=(8,), learning_rate=0.1, max_epochs=2,
-                          patience=None, seed=seed)
+                          patience=0, seed=seed)
         _, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         assert all(simplex_ok(t) for t in tables.values())
 
@@ -462,7 +455,6 @@ class TestExtraction:
         ds = tiny_ds(seed=10, n=60)
         result = train_model(ds, make_onehot_targets(ds), TINY)
         table = extract_eskd_targets(result, ds)
-        assert table.provenance == "eskd"
         assert np.allclose(table.rows, predict_proba(result.best_model, ds.x),
                            atol=0)
 
@@ -470,21 +462,15 @@ class TestExtraction:
         ds = tiny_ds(seed=10, n=60)
         result = train_model(ds, make_onehot_targets(ds), TINY)
         table = extract_kd_targets(result, ds)
-        assert table.provenance == "kd_converged"
         assert np.allclose(table.rows, predict_proba(result.final_model, ds.x),
                            atol=0)
 
     def test_converged_teacher_near_onehot(self):
         ds = tiny_ds(seed=11, n=40)
         cfg = TrainConfig(hidden_sizes=(32, 32), learning_rate=0.05,
-                          max_epochs=400, patience=None, seed=1,
+                          max_epochs=400, patience=0, seed=1,
                           stop_at_train_acc=1.0)
         result = train_model(ds, make_onehot_targets(ds), cfg)
         rows = extract_kd_targets(result, ds).rows[ds.train_indices]
         onehot = np.eye(3)[ds.y[ds.train_indices]]
         assert np.linalg.norm(rows - onehot, axis=1).mean() < 0.2
-
-
-def test_provenance_enum_is_closed():
-    assert PROVENANCES == ("onehot", "smoothed", "ground_truth", "kd_converged",
-                           "eskd", "filter_kd", "custom")
