@@ -28,15 +28,11 @@ class ConfigError(ValueError):
     """Bad config file or inconsistent values; maps to exit code 1."""
 
 
-_DATA = {
-    "seed": 0,
-    "num_classes": 3,
-    "input_dim": 30,
-    "sigma": 2.0,
-    "delta_mu": 1.0,
-    "n_samples": 10000,
-    "ratios": (0.05, 0.05, 0.9),
-}
+# the data settings: GaussianSpec's defaults, seed first, then the
+# sample count and the train/validation/test split
+_SPEC = {f.name: f.default for f in fields(GaussianSpec)}
+_DATA = {"seed": _SPEC["seed"], **_SPEC, "n_samples": 10000,
+         "ratios": (0.05, 0.05, 0.9)}
 # the training settings: TrainConfig's defaults, in its field order
 _TRAINING = {f.name: f.default for f in fields(TrainConfig)
              if f.name not in ("seed", "record_paths", "stop_at_train_acc")}
@@ -123,8 +119,7 @@ class ExperimentConfig:
             raise AttributeError(f"config for {self.kind!r} has no field {name!r}")
 
     def gaussian_spec(self) -> GaussianSpec:
-        return GaussianSpec(num_classes=self.num_classes, input_dim=self.input_dim,
-                            sigma=self.sigma, delta_mu=self.delta_mu, seed=self.seed)
+        return GaussianSpec(**{k: self._values[k] for k in _SPEC})
 
     def train_config(self, **overrides) -> TrainConfig:
         """The kind's training keys and the seed; overrides win."""

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from learnpath.config import ExperimentConfig
-from learnpath.metrics import (accuracy, ece, mean_gap, spearman,
+from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
                                spearman_perm_pvalue, xi_bounds)
 from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
@@ -99,15 +99,6 @@ def _test_metrics(model, ds):
     idx = ds.test_indices
     probs = predict_proba(model, ds.x[idx])
     return accuracy(probs, ds.y[idx]), ece(probs, ds.y[idx])
-
-
-def _spearman_or_nan(xs, ys) -> float:
-    """spearman(xs, ys), or NaN where it is undefined: fewer than 2 points
-    or a constant side. A NaN fails every check that compares it."""
-    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
-        return math.nan
-    return spearman(xs, ys)
 
 
 def _mean_se(values):
@@ -201,18 +192,17 @@ def _write_sweep(path, cfg, columns, runs):
 def _student_row(ds, targets, result, loss_bound):
     """Measure one trained student against its targets."""
     ti = ds.train_indices
-    rows = targets.rows
-    bounds = xi_bounds(rows[ti], ds.p_star[ti], loss_bound=loss_bound)
     acc, cal = _test_metrics(result.best_model, ds)
-    out = {
-        "l2_gap": mean_gap(rows[ti], ds.p_star[ti], "l2"),
-        "l1_gap": mean_gap(rows[ti], ds.p_star[ti], "l1"),
-        "test_acc": acc,
-        "test_ece": cal,
-        "epochs_run": result.epochs_run,
-    }
-    out.update(bounds.as_dict())
-    return out
+    return {**xi_bounds(targets.rows[ti], ds.p_star[ti], loss_bound),
+            "test_acc": acc, "test_ece": cal, "epochs_run": result.epochs_run}
+
+
+def _teacher_free_tables(ds, ls_epsilon):
+    """The supervisions built from labels or p* alone: one-hot, label
+    smoothing and ground truth."""
+    return {"oht": make_onehot_targets(ds),
+            "ls": make_ls_targets(ds, ls_epsilon),
+            "gt": make_gt_targets(ds)}
 
 
 _BASELINE_ORDER = ("oht", "ls", "gt", "kd", "eskd")
@@ -232,13 +222,9 @@ def _correlate_group(ds, task):
         tconfig = cfg.train_config(seed=seed)
         teacher_cfg = cfg.train_config(seed=seed, patience=0,
                                        stop_at_train_acc=1.0)
-        tables = {
-            "oht": make_onehot_targets(ds),
-            "ls": make_ls_targets(ds, cfg.ls_epsilon),
-            "gt": make_gt_targets(ds),
-        }
+        tables = _teacher_free_tables(ds, cfg.ls_epsilon)
         try:
-            teacher = train_model(ds, make_onehot_targets(ds), teacher_cfg)
+            teacher = train_model(ds, tables["oht"], teacher_cfg)
             tables["kd"] = extract_kd_targets(teacher, ds)
             tables["eskd"] = extract_eskd_targets(teacher, ds)
         except DivergenceError as err:
@@ -260,10 +246,6 @@ def _correlate_group(ds, task):
                                                           cfg.loss_bound))
 
 
-_XI_COLS = ("xi_l2", "xi_l1", "xi_kl_fwd_sq", "xi_kl_fwd",
-            "xi_kl_rev_sq", "xi_kl_rev", "xi_jeffreys")
-
-
 def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     tasks = [{"cfg": cfg, "what": "baselines", "seed_index": s}
@@ -279,12 +261,12 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     rows, diverged = _write_sweep(
         os.path.join(out_dir, "runs.csv"), cfg,
         ["run_id", "supervision", "noise_scale", "seed", "l2_gap", "l1_gap",
-         "test_acc", "test_ece", *_XI_COLS, "epochs_run"], runs)
+         "test_acc", "test_ece", *XI_TERMS, "epochs_run"], runs)
 
     gaps = [row["l2_gap"] for row in rows]
     accs = [row["test_acc"] for row in rows]
     eces = [row["test_ece"] for row in rows]
-    rho_acc, rho_ece = _spearman_or_nan(gaps, accs), _spearman_or_nan(gaps, eces)
+    rho_acc, rho_ece = spearman(gaps, accs), spearman(gaps, eces)
     lines = [
         f"n_runs = {len(rows)}",
         f"n_diverged = {len(diverged)}",
@@ -316,6 +298,16 @@ def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 # ------------------------------------------------------------------- paths
 
+def _difficulty_picks(ds, fractions):
+    """(base difficulty of each train row, the train columns at each
+    fraction f in [0, 1] of the stable difficulty order, at position
+    round(f * (n_train - 1)))."""
+    ti = ds.train_indices
+    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
+    order = np.argsort(diffs, kind="stable")
+    return diffs, [order[int(round(f * (ti.size - 1)))] for f in fractions]
+
+
 def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     tconfig = cfg.train_config(record_paths=True)
@@ -323,10 +315,7 @@ def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     paths.export_csv(os.path.join(out_dir, "paths.csv"), cfg.echo_lines())
 
     ti = ds.train_indices  # the columns of paths.preds
-    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
-    order = np.argsort(diffs, kind="stable")
-    cols = [order[min(int(round(q * (len(ti) - 1))), len(ti) - 1)]
-            for q in cfg.quantiles]
+    diffs, cols = _difficulty_picks(ds, cfg.quantiles)
     qs = paths.preds[:, cols]  # (T, quantiles, K)
     lines = []
     for j, (q, col) in enumerate(zip(cfg.quantiles, cols)):
@@ -355,16 +344,12 @@ def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_distance_gap(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    builders = {
-        "oht": lambda: make_onehot_targets(ds),
-        "ls": lambda: make_ls_targets(ds, cfg.ls_epsilon),
-        "gt": lambda: make_gt_targets(ds),
-    }
+    tables = _teacher_free_tables(ds, cfg.ls_epsilon)
     ti = ds.train_indices
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     rows, lines = [], []
     for kind in cfg.supervisions:
-        targets = builders[kind]()
+        targets = tables[kind]
         result = train_model(ds, targets, cfg.train_config())
         stages = (("init", result.init_model),
                   ("early_stop", result.best_model),
@@ -569,7 +554,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
         probe = ds.x[ti[pidx]]
         recs = similarity_trace_study(model, probe, sim_targets)
         mask = np.arange(n_sim) != pidx  # drop the self pair
-        rho = _spearman_or_nan(recs["cosine"][mask], recs["trace"][mask])
+        rho = spearman(recs["cosine"][mask], recs["trace"][mask])
         # measured sign is reported, not asserted: which way the rank
         # correlation points is an open empirical question
         sign = "+" if rho >= 0 else "-" if rho < 0 else "none"
@@ -584,10 +569,8 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)
     train_model(ds, make_onehot_targets(ds), tcfg,
                 epoch_callback=lambda e, m: checkpoints.append(m.copy()))
-    diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
-    order = np.argsort(diffs, kind="stable")
-    picks = [int(ti[order[int(round(f * (ti.size - 1)))]])
-             for f in np.linspace(0.0, 1.0, cfg.trace_samples)]
+    _, cols = _difficulty_picks(ds, np.linspace(0.0, 1.0, cfg.trace_samples))
+    picks = [int(ti[col]) for col in cols]
     trace_rows = []
     slack_max = 1.0 - 1.0 / k
     traces_ok = True
@@ -617,7 +600,7 @@ def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],
               zip(ti, diffs, scores, flags))
-    rho = _spearman_or_nan(diffs, scores)
+    rho = spearman(diffs, scores)
     lines = [f"n_train = {ti.size}",
              f"n_flipped = {int(flags.sum())}",
              f"spearman_difficulty_score = {rho:.17g}"]

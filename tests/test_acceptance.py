@@ -17,7 +17,7 @@ from learnpath.cli import main as cli_main
 from learnpath.config import load_config
 from learnpath.experiments import (RUNNERS, read_csv, run_correlate,
                                    run_distill, run_recovery, run_zigzag)
-from learnpath.metrics import EceConfig, ece, spearman, xi_bounds
+from learnpath.metrics import ece, spearman, xi_bounds
 from learnpath.ntkcheck import residual_scaling_test, softmax_jacobian
 from learnpath.numerics import (finite_diff_grad, init_mlp, mlp_backward,
                                 mlp_forward, softmax)
@@ -222,7 +222,7 @@ def test_criterion_08_bound_term_suite(capsys):
         conc = (0.3, 1.0, 5.0)[i % 3]
         p_tar = rng.dirichlet(np.full(k, conc), size=n)
         p_star = rng.dirichlet(np.full(k, conc), size=n)
-        d = xi_bounds(p_tar, p_star, loss_bound=4.0).as_dict()
+        d = xi_bounds(p_tar, p_star, loss_bound=4.0)
         if any(d[key] < 0 for key in keys):
             violations.append((i, "negative term"))
         if not _finite_le(d["xi_l1"], d["xi_l2"]):
@@ -238,7 +238,7 @@ def test_criterion_08_bound_term_suite(capsys):
             abs(d["xi_jeffreys"] - jeff) <= 1e-12
         if not same:
             violations.append((i, "jeffreys mean"))
-        z = xi_bounds(p_tar, p_tar.copy(), loss_bound=4.0).as_dict()
+        z = xi_bounds(p_tar, p_tar.copy(), loss_bound=4.0)
         if any(abs(z[key]) > 1e-12 for key in keys):
             violations.append((i, "nonzero at p_tar = p*"))
     verdict(capsys, 8, "bound-term-invariants", not violations,
@@ -274,10 +274,10 @@ def test_criterion_09_ece_oracle(capsys):
         n = int(rng.integers(1, 200))
         preds = rng.dirichlet(np.ones(3), size=n)
         labels = rng.integers(0, 3, size=n)
-        got = ece(preds, labels, EceConfig(n_bins=10))
+        got = ece(preds, labels, n_bins=10)
         worst = max(worst, abs(got - brute_force_ece(preds, labels, 10)))
     hand = ece(np.array([[0.95, 0.03, 0.02], [0.95, 0.04, 0.01]]),
-               np.array([0, 1]), EceConfig(n_bins=10))
+               np.array([0, 1]), n_bins=10)
     ok = worst <= 1e-12 and abs(hand - 0.45) <= 1e-15
     verdict(capsys, 9, "ece-brute-force-equivalence", ok,
             f"max |diff| = {worst:.2g} over 100 sets, hand case = {hand:.17g}")

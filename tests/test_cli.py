@@ -1,4 +1,3 @@
-import math
 import os
 import sys
 from concurrent.futures import Future
@@ -8,7 +7,6 @@ import pytest
 from learnpath import experiments
 from learnpath.cli import build_parser, main
 from learnpath.config import load_config
-from learnpath.metrics import spearman
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_acceptance import TINY_CONFIGS  # noqa: E402
@@ -332,12 +330,6 @@ class TestUndefinedSpearman:
         # the p-value of an undefined rho is skipped, the defined one kept
         assert "perm_pvalue_gap_acc" not in summary
         assert ("perm_pvalue_gap_ece = " in summary) == (perm_test > 0)
-
-    def test_helper_is_spearman_where_defined(self):
-        rank = experiments._spearman_or_nan
-        assert all(math.isnan(rank(x, y)) for x, y in (
-            ([], []), ([1.0], [2.0]), ([1, 1, 1], [1, 2, 3]), ([1, 2, 3], [5, 5, 5])))
-        assert rank([1, 2, 3, 4], [1, 3, 2, 4]) == spearman([1, 2, 3, 4], [1, 3, 2, 4])
 
     @pytest.mark.filterwarnings("ignore:delta_mu = 0")
     def test_zigzag_with_equal_difficulties(self, tmp_path):
