@@ -41,7 +41,7 @@ from learnpath.supervision import DivergenceError
 
 __all__ = [
     "DecompositionRecord", "softmax_jacobian", "empirical_ntk",
-    "predicted_delta_q", "actual_delta_q", "residual_scaling_test",
+    "predicted_delta_q", "residual_scaling_test",
     "similarity_trace_study", "trace_evolution",
 ]
 
@@ -78,22 +78,6 @@ def predicted_delta_q(eta: float, a_matrix: np.ndarray, kernel: np.ndarray,
                                         - np.asarray(q_u, dtype=np.float64))))
 
 
-def actual_delta_q(model: MlpModel, x_o: np.ndarray, x_u: np.ndarray,
-                   p_tar_u: np.ndarray, eta: float) -> np.ndarray:
-    """Exact prediction move on x_o after one real SGD step on x_u.
-
-    The step descends cross entropy against p_tar_u, whose logit
-    gradient is q(x_u) - p_tar_u. The input model is left untouched.
-    """
-    q_before = softmax(mlp_forward(model, x_o).logits)
-    stepped = model.copy()
-    cache = mlp_forward(stepped, x_u)
-    grad_logits = softmax(cache.logits) - np.asarray(p_tar_u, dtype=np.float64)
-    sgd_step(stepped, mlp_backward(stepped, cache, grad_logits), eta)
-    q_after = softmax(mlp_forward(stepped, x_o).logits)
-    return q_after - q_before
-
-
 @dataclass(frozen=True)
 class DecompositionRecord:
     """One (pair, eta) comparison of predicted vs actual prediction move."""
@@ -123,16 +107,14 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
     q_o = softmax(mlp_forward(model, x_o).logits)
     a_matrix = softmax_jacobian(q_o)
     kernel = empirical_ntk(model, x_o, x_u)
-    grads = mlp_backward(model, cache_u, q_u - p_tar_u)
+    grad = mlp_backward(model, cache_u, q_u - p_tar_u)
     trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
     scratch = model.copy()
     records = []
     for eta in eta_grid:
         pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
-        for dst, src in zip(scratch.weights + scratch.biases,
-                            model.weights + model.biases):
-            dst[...] = src
-        sgd_step(scratch, grads, eta)
+        scratch.params[...] = model.params
+        sgd_step(scratch, grad, eta)
         logits = mlp_forward(scratch, x_o).logits
         if not np.isfinite(logits).all():
             raise DivergenceError("non-finite logits after the decomposition step "

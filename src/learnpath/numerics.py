@@ -5,9 +5,12 @@ numerically-safe softmax, SGD updates, and a central finite-difference
 gradient oracle used to cross-check backpropagation. Everything is
 float64; none of the models here are large enough for that to hurt.
 
-Weight layout per layer l: W[l] has shape (fan_out, fan_in), b[l] has
-shape (fan_out,). Logits are the last pre-activation; no activation is
-applied to the output layer.
+A model's parameters are one float64 vector `params`: per layer l, W[l]
+of shape (fan_out, fan_in) row-major, then b[l] of shape (fan_out,).
+`weights` and `biases` are views into it (param_views), and gradients
+are flat vectors in the same order, so an SGD step is one array update.
+Logits are the last pre-activation; no activation is applied to the
+output layer.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ import numpy as np
 
 from learnpath.rngstreams import stream
 
-# per-layer (dW, db) pairs, same shapes as the model parameters
-Grads = list
-
 __all__ = [
-    "MlpModel", "ForwardCache", "init_mlp", "softmax", "mlp_forward",
+    "MlpModel", "ForwardCache", "param_views", "init_mlp", "softmax", "mlp_forward",
     "mlp_backward", "logits_jacobian", "jacobian_factors", "sgd_step",
     "finite_diff_grad", "predict_proba",
 ]
@@ -42,18 +42,36 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def param_views(layer_sizes, params: np.ndarray):
+    """Per-layer (weights, biases) views into a flat parameter array.
+
+    params is (P,) for one model or (R, P) for a stack of R; weight l is
+    then (..., fan_out, fan_in) and bias l (..., fan_out), writing through
+    to params.
+    """
+    lead = params.shape[:-1]
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(params[..., at:at + fan_out * fan_in]
+                       .reshape(*lead, fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(params[..., at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
     """Fully-connected ReLU network.
 
     layer_sizes includes input and output widths, e.g. (30, 128, 128, 3).
     A length-2 layer_sizes degenerates to softmax regression, which keeps
-    the small-step analysis exactly quadratic (no ReLU kinks).
+    the small-step analysis exactly quadratic (no ReLU kinks). params is
+    used as given, not copied, so a model can live in a row of a stack.
     """
 
     layer_sizes: tuple
-    weights: list
-    biases: list
+    params: np.ndarray
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
@@ -61,14 +79,13 @@ class MlpModel:
             raise ValueError("need at least input and output layer sizes")
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive: {self.layer_sizes}")
-        if len(self.weights) != self.num_layers or len(self.biases) != self.num_layers:
-            raise ValueError("parameter count does not match layer_sizes")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_sizes[l + 1], self.layer_sizes[l])
-            if w.shape != want or b.shape != (want[0],):
-                raise ValueError(f"layer {l}: shapes {w.shape}/{b.shape}, want {want}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l}: non-finite parameters")
+        p = self.params
+        if getattr(p, "dtype", None) != np.float64 or np.shape(p) != (self.num_params,):
+            raise ValueError(f"params must be float64 ({self.num_params},), "
+                             f"got {np.asarray(p).dtype} {np.shape(p)}")
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite parameters")
+        self.weights, self.biases = param_views(self.layer_sizes, p)
 
     @property
     def num_layers(self) -> int:
@@ -84,31 +101,15 @@ class MlpModel:
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        sizes = self.layer_sizes
+        return sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.layer_sizes,
-                        [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        return MlpModel(self.layer_sizes, self.params.copy())
 
     def flat(self) -> np.ndarray:
-        """All parameters as one vector: per layer, W row-major then b."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def set_flat(self, v: np.ndarray) -> None:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} params, got {v.shape}")
-        at = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = v[at:at + w.size].reshape(w.shape)
-            at += w.size
-            b[...] = v[at:at + b.size]
-            at += b.size
+        """A copy of all parameters: per layer, W row-major then b."""
+        return self.params.copy()
 
 
 def init_mlp(layer_sizes, seed: int) -> MlpModel:
@@ -117,12 +118,11 @@ def init_mlp(layer_sizes, seed: int) -> MlpModel:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"need at least (input, output) positive sizes, got {sizes}")
     rng = stream(seed, "init")
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, weights, biases)
+        parts += [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=fan_out * fan_in),
+                  np.zeros(fan_out)]
+    return MlpModel(sizes, np.concatenate(parts))
 
 
 @dataclass
@@ -158,29 +158,33 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
     return ForwardCache(x=x, pre_activations=pre, activations=act)
 
 
-def mlp_backward(model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray) -> Grads:
+def mlp_backward(model: MlpModel, cache: ForwardCache,
+                 grad_logits: np.ndarray) -> np.ndarray:
     """Backpropagate a loss gradient w.r.t. logits to all parameters.
 
-    Linear in grad_logits; ReLU uses derivative 0 at exactly 0.
+    Returns the flat gradient, in the order of model.params. Linear in
+    grad_logits; ReLU uses derivative 0 at exactly 0.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != (model.num_classes,):
         raise ValueError(f"grad_logits shape {g.shape}, want ({model.num_classes},)")
-    grads = [None] * model.num_layers
+    grad = np.empty(model.num_params)
+    dw, db = param_views(model.layer_sizes, grad)
     delta = g
     for l in range(model.num_layers - 1, -1, -1):
         a_prev = cache.x if l == 0 else cache.activations[l - 1]
-        grads[l] = (np.outer(delta, a_prev), delta.copy())
+        np.outer(delta, a_prev, out=dw[l])
+        db[l][...] = delta
         if l > 0:
             delta = (model.weights[l].T @ delta) * (cache.pre_activations[l - 1] > 0.0)
-    return grads
+    return grad
 
 
 def logits_jacobian(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Jacobian of the logit vector w.r.t. all parameters, shape (K, d).
 
     Row k is the backward pass seeded with the unit vector e_k, flattened
-    in the same order as MlpModel.flat(); it is assembled from the
+    in the order of MlpModel.params; it is assembled from the
     jacobian_factors of the one-row batch x.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -227,54 +231,40 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     return list(zip(inputs, deltas))
 
 
-def sgd_step(model: MlpModel, grads: Grads, eta: float) -> MlpModel:
-    """In-place descent step: each parameter decremented by eta * gradient.
+def sgd_step(model: MlpModel, grad: np.ndarray, eta: float) -> MlpModel:
+    """In-place descent step: params decremented by eta * grad.
 
-    eta = 0 is allowed and leaves the model unchanged (useful as a frozen
-    control in diagnostics).
+    grad is flat, in the order of model.params. eta = 0 is allowed and
+    leaves the model unchanged (useful as a frozen control in diagnostics).
     """
-    if eta < 0:
-        raise ValueError(f"learning rate must be >= 0, got {eta}")
-    if len(grads) != model.num_layers:
-        raise ValueError("gradient layer count does not match model")
-    for (w, b), (dw, db) in zip(zip(model.weights, model.biases), grads):
-        if dw.shape != w.shape or db.shape != b.shape:
-            raise ValueError("gradient shapes do not match model")
-        w -= eta * dw
-        b -= eta * db
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"learning rate must be finite and >= 0, got {eta}")
+    if np.shape(grad) != model.params.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)}, want {model.params.shape}")
+    model.params -= eta * grad
     return model
 
 
-def finite_diff_grad(loss_fn, model: MlpModel, eps: float = 1e-6) -> Grads:
-    """Central finite-difference gradient of loss_fn(model) per parameter.
+def finite_diff_grad(loss_fn, model: MlpModel, eps: float = 1e-6) -> np.ndarray:
+    """Central finite-difference gradient of loss_fn(model), flat.
 
-    O(num_params) loss evaluations; intended for oracle checks on small
-    models only. The model is restored exactly before returning.
+    O(num_params) loss evaluations, each with one entry of model.params
+    moved in place; intended for oracle checks on small models only. The
+    model is restored exactly before returning.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    theta = model.flat()
-    flat_grad = np.empty_like(theta)
+    theta = model.params
+    grad = np.empty_like(theta)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + eps
-        model.set_flat(theta)
         up = loss_fn(model)
         theta[i] = orig - eps
-        model.set_flat(theta)
         down = loss_fn(model)
         theta[i] = orig
-        flat_grad[i] = (up - down) / (2.0 * eps)
-    model.set_flat(theta)
-    grads = []
-    at = 0
-    for w, b in zip(model.weights, model.biases):
-        dw = flat_grad[at:at + w.size].reshape(w.shape)
-        at += w.size
-        db = flat_grad[at:at + b.size]
-        at += b.size
-        grads.append((dw, db))
-    return grads
+        grad[i] = (up - down) / (2.0 * eps)
+    return grad
 
 
 def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from learnpath.metrics import spearman
-from learnpath.ntkcheck import (actual_delta_q, decompose_pair, empirical_ntk,
+from learnpath.ntkcheck import (decompose_pair, empirical_ntk,
                                 predicted_delta_q, residual_scaling_test,
                                 similarity_trace_study, softmax_jacobian,
                                 trace_evolution)
 from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
-                                softmax)
+                                sgd_step, softmax)
 from learnpath.toygauss import GaussianSpec, sample_dataset
 
 
@@ -19,15 +19,26 @@ def linear_model(dim, k=3, seed=0):
     rng = np.random.default_rng(seed)
     w = rng.normal(scale=0.3, size=(k, dim))
     b = rng.normal(scale=0.1, size=k)
-    return MlpModel((dim, k), [w], [b])
+    return MlpModel((dim, k), np.concatenate([w.ravel(), b]))
 
 
 def per_seed_jacobian(model, x):
     """Reference logit Jacobian: one backward pass per unit seed e_k."""
     cache = mlp_forward(model, x)
-    return np.vstack([np.concatenate([np.concatenate([dw.ravel(), db])
-                                      for dw, db in mlp_backward(model, cache, e)])
-                      for e in np.eye(model.num_classes)])
+    return np.vstack([mlp_backward(model, cache, e) for e in np.eye(model.num_classes)])
+
+
+def actual_delta_q(model, x_o, x_u, p_tar_u, eta):
+    """Reference move of q(x_o) after one real SGD step on x_u, on a copy.
+
+    The step descends cross entropy against p_tar_u, whose logit
+    gradient is q(x_u) - p_tar_u.
+    """
+    q_before = softmax(mlp_forward(model, x_o).logits)
+    stepped = model.copy()
+    cache = mlp_forward(stepped, x_u)
+    sgd_step(stepped, mlp_backward(stepped, cache, softmax(cache.logits) - p_tar_u), eta)
+    return softmax(mlp_forward(stepped, x_o).logits) - q_before
 
 
 class TestSoftmaxJacobian:
@@ -265,7 +276,6 @@ class TestTraceEvolution:
         assert got[0] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_confident_logits_give_near_zero_trace(self):
-        model = MlpModel((4, 3), [np.zeros((3, 4))],
-                         [np.array([50.0, 0.0, 0.0])])
+        model = MlpModel((4, 3), np.r_[np.zeros(12), 50.0, 0.0, 0.0])
         got = trace_evolution([model], np.ones(4))
         assert got[0] == pytest.approx(0.0, abs=1e-10)

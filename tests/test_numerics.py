@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from learnpath.numerics import (MlpModel, finite_diff_grad, init_mlp,
                                 logits_jacobian, mlp_backward, mlp_forward,
-                                predict_proba, sgd_step, softmax)
+                                param_views, predict_proba, sgd_step, softmax)
 
 # softmax(1, 2, 3) evaluated with mpmath at 50 digits, rounded to float64
 SOFTMAX_123 = (0.090030573170380457998,
@@ -108,16 +108,13 @@ def ce_loss_fn(x, target):
     return loss
 
 
-def flat_grads(grads):
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-
-
 class TestBackward:
     def test_zero_grad_logits(self):
         model = init_mlp((4, 3, 2), seed=0)
         cache = mlp_forward(model, np.ones(4))
-        grads = mlp_backward(model, cache, np.zeros(2))
-        assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+        grad = mlp_backward(model, cache, np.zeros(2))
+        assert grad.shape == (model.num_params,)
+        assert np.all(grad == 0)
 
     def test_linearity_in_grad_logits(self):
         model = init_mlp((4, 3, 2), seed=5)
@@ -125,9 +122,7 @@ class TestBackward:
         g = np.array([0.3, -0.7])
         one = mlp_backward(model, cache, g)
         two = mlp_backward(model, cache, 2 * g)
-        for (dw1, db1), (dw2, db2) in zip(one, two):
-            assert np.allclose(2 * dw1, dw2, rtol=1e-12, atol=1e-15)
-            assert np.allclose(2 * db1, db2, rtol=1e-12, atol=1e-15)
+        assert np.allclose(2 * one, two, rtol=1e-12, atol=1e-15)
 
     def test_matches_finite_differences(self):
         # central differences straddle the ReLU kink, so triples whose
@@ -143,8 +138,8 @@ class TestBackward:
             if np.abs(hidden).min() < 1e-6:
                 continue
             q = softmax(cache.logits)
-            analytic = flat_grads(mlp_backward(model, cache, q - target))
-            numeric = flat_grads(finite_diff_grad(ce_loss_fn(x, target), model))
+            analytic = mlp_backward(model, cache, q - target)
+            numeric = finite_diff_grad(ce_loss_fn(x, target), model)
             err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert err < 1e-6
             checked += 1
@@ -172,10 +167,8 @@ class TestJacobian:
         direction = rng.normal(size=model.num_params)
         direction /= np.linalg.norm(direction)
         eps = 1e-6
-        bumped = model.copy()
-        bumped.set_flat(model.flat() + eps * direction)
-        dipped = model.copy()
-        dipped.set_flat(model.flat() - eps * direction)
+        bumped = MlpModel(model.layer_sizes, model.params + eps * direction)
+        dipped = MlpModel(model.layer_sizes, model.params - eps * direction)
         numeric = (mlp_forward(bumped, x).logits
                    - mlp_forward(dipped, x).logits) / (2 * eps)
         assert np.allclose(jac @ direction, numeric, rtol=1e-5, atol=1e-8)
@@ -186,8 +179,7 @@ class TestJacobian:
         cache = mlp_forward(model, x)
         jac = logits_jacobian(model, x)
         seed_vec = np.array([1.0, 0.0])
-        grads = mlp_backward(model, cache, seed_vec)
-        assert np.array_equal(jac[0], flat_grads(grads))
+        assert np.array_equal(jac[0], mlp_backward(model, cache, seed_vec))
 
 
 class TestBatchedJacobian:
@@ -196,7 +188,7 @@ class TestBatchedJacobian:
     @staticmethod
     def per_seed_reference(model, x):
         cache = mlp_forward(model, x)
-        return np.vstack([flat_grads(mlp_backward(model, cache, e))
+        return np.vstack([mlp_backward(model, cache, e)
                           for e in np.eye(model.num_classes)])
 
     @pytest.mark.parametrize("sizes", [(6, 3), (5, 1), (4, 7, 2),
@@ -211,49 +203,89 @@ class TestBatchedJacobian:
             assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
-def zeros_like_params(model):
-    return [(np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(model.weights, model.biases)]
-
-
 class TestSgdStep:
     def test_zero_grads_identity(self):
         model = init_mlp((3, 2), seed=0)
-        before = model.flat().copy()
-        sgd_step(model, zeros_like_params(model), 0.5)
+        before = model.flat()
+        sgd_step(model, np.zeros(model.num_params), 0.5)
         assert np.array_equal(model.flat(), before)
 
     def test_zero_eta_identity(self):
         model = init_mlp((3, 2), seed=0)
         cache = mlp_forward(model, np.ones(3))
-        grads = mlp_backward(model, cache, np.array([1.0, -1.0]))
-        before = model.flat().copy()
-        sgd_step(model, grads, 0.0)
+        grad = mlp_backward(model, cache, np.array([1.0, -1.0]))
+        before = model.flat()
+        sgd_step(model, grad, 0.0)
         assert np.array_equal(model.flat(), before)
 
     def test_scalar_update(self):
-        model = MlpModel(layer_sizes=(1, 1), weights=[np.array([[1.0]])],
-                         biases=[np.array([0.0])])
-        sgd_step(model, [(np.array([[2.0]]), np.array([0.0]))], 0.1)
+        model = MlpModel(layer_sizes=(1, 1), params=np.array([1.0, 0.0]))
+        sgd_step(model, np.array([2.0, 0.0]), 0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.8, abs=0)
 
-    def test_negative_eta_rejected(self):
+    @pytest.mark.parametrize("eta", [-0.1, -1.0])
+    def test_negative_eta_rejected(self, eta):
         model = init_mlp((2, 2), seed=0)
-        with pytest.raises(ValueError):
-            sgd_step(model, zeros_like_params(model), -0.1)
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(model, np.zeros(model.num_params), eta)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        model = init_mlp((2, 2), seed=0)
+        before = model.flat()
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_step(model, np.zeros(model.num_params), eta)
+        assert np.array_equal(model.flat(), before)
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), ()])
+    def test_wrong_gradient_shape_rejected(self, shape):
+        model = init_mlp((2, 2), seed=0)  # 6 parameters
+        with pytest.raises(ValueError, match="gradient shape"):
+            sgd_step(model, np.zeros(shape), 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           eta=st.floats(0.0, 10.0), seed=st.integers(0, 1000))
+    def test_flat_step_equals_per_layer_reference(self, sizes, eta, seed):
+        model = init_mlp(sizes, seed=seed)
+        grad = np.random.default_rng(seed).normal(size=model.num_params)
+        ref_w = [w.copy() for w in model.weights]
+        ref_b = [b.copy() for b in model.biases]
+        dws, dbs = param_views(model.layer_sizes, grad)
+        for w, b, dw, db in zip(ref_w, ref_b, dws, dbs):
+            w -= eta * dw
+            b -= eta * db
+        sgd_step(model, grad, eta)
+        for w, b, want_w, want_b in zip(model.weights, model.biases, ref_w, ref_b):
+            assert np.array_equal(w, want_w) and np.array_equal(b, want_b)
 
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        model = MlpModel(layer_sizes=(1, 1), weights=[np.array([[3.0]])],
-                         biases=[np.array([0.0])])
-        grads = finite_diff_grad(lambda m: 0.5 * float(m.weights[0][0, 0]) ** 2, model)
-        assert grads[0][0][0, 0] == pytest.approx(3.0, abs=1e-6)
+        model = MlpModel(layer_sizes=(1, 1), params=np.array([3.0, 0.0]))
+        grad = finite_diff_grad(lambda m: 0.5 * float(m.weights[0][0, 0]) ** 2, model)
+        assert grad.shape == (2,)
+        assert grad[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_constant_loss(self):
         model = init_mlp((2, 3, 2), seed=0)
-        grads = finite_diff_grad(lambda m: 1.0, model)
-        assert np.allclose(flat_grads(grads), 0.0, atol=0)
+        grad = finite_diff_grad(lambda m: 1.0, model)
+        assert np.allclose(grad, 0.0, atol=0)
+
+    def test_perturbs_the_model_in_place(self):
+        # each probe moves one entry of the model's own params, bit-exactly back
+        model = init_mlp((2, 3, 2), seed=1)
+        params, before = model.params, model.flat()
+        seen = []
+
+        def loss(m):
+            assert m is model and m.params is params
+            seen.append(np.flatnonzero(m.params != before))
+            return 0.0
+        finite_diff_grad(loss, model)
+        assert [list(d) for d in seen] == [[i] for i in range(params.size)
+                                           for _ in (0, 1)]
+        assert np.array_equal(model.params, before)
 
 
 class TestInit:
@@ -280,21 +312,70 @@ class TestInit:
 class TestModelPlumbing:
     def test_flat_round_trip(self):
         model = init_mlp((4, 3, 2), seed=1)
-        flat = model.flat().copy()
+        flat = model.flat()
         other = init_mlp((4, 3, 2), seed=2)
-        other.set_flat(flat)
+        other.params[...] = flat
         assert np.array_equal(other.flat(), flat)
+        flat[0] += 1.0  # flat() is a copy
+        assert model.params[0] != flat[0]
 
     def test_copy_is_deep(self):
         model = init_mlp((3, 2), seed=0)
         clone = model.copy()
         clone.weights[0][0, 0] += 1.0
+        clone.biases[0][1] += 1.0
         assert model.weights[0][0, 0] != clone.weights[0][0, 0]
+        assert model.biases[0][1] != clone.biases[0][1]
+        assert not np.shares_memory(model.params, clone.params)
 
     def test_num_params(self):
         model = init_mlp((4, 5, 3), seed=0)
         assert model.num_params == 4 * 5 + 5 + 5 * 3 + 3
         assert model.flat().shape == (model.num_params,)
+
+    def test_layout_is_w_row_major_then_b(self):
+        sizes = (4, 5, 3)
+        model = MlpModel(sizes, np.arange(4 * 5 + 5 + 5 * 3 + 3, dtype=np.float64))
+        assert np.array_equal(model.weights[0], np.arange(20.0).reshape(5, 4))
+        assert np.array_equal(model.biases[0], np.arange(20.0, 25.0))
+        assert np.array_equal(model.weights[1], np.arange(25.0, 40.0).reshape(3, 5))
+        assert np.array_equal(model.biases[1], np.arange(40.0, 43.0))
+
+    def test_weights_and_biases_write_through(self):
+        model = init_mlp((4, 5, 3), seed=2)
+        model.weights[1][2, 3] = 7.0
+        model.biases[0][4] = -2.0
+        assert model.params[25 + 2 * 5 + 3] == 7.0
+        assert model.params[20 + 4] == -2.0
+        model.params[:] = 0.0
+        assert all(not w.any() for w in model.weights)
+        assert all(not b.any() for b in model.biases)
+
+    def test_model_on_a_row_of_a_stack(self):
+        sizes = (3, 4, 2)
+        stack = np.zeros((3, init_mlp(sizes, seed=0).num_params))
+        model = MlpModel(sizes, stack[1])
+        sgd_step(model, np.ones(model.num_params), 0.5)
+        assert np.all(stack[1] == -0.5)
+        assert not stack[0].any() and not stack[2].any()
+        weights, biases = param_views(sizes, stack)
+        assert [w.shape for w in weights] == [(3, 4, 3), (3, 2, 4)]
+        assert [b.shape for b in biases] == [(3, 4), (3, 2)]
+        assert all(np.shares_memory(w, stack) for w in weights + biases)
+        assert np.array_equal(weights[1][1], model.weights[1])
+
+    @pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((1, 6)),
+                                        np.zeros(6, dtype=np.float32), [0.0] * 6])
+    def test_wrong_params_rejected(self, params):
+        with pytest.raises(ValueError, match="params must be"):
+            MlpModel((2, 2), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, bad):
+        params = np.zeros(6)
+        params[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MlpModel((2, 2), params)
 
     def test_predict_proba_matches_single(self):
         model = init_mlp((4, 3), seed=5)

@@ -13,6 +13,7 @@ from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, train_model,
                                    train_models, train_teacher_filterkd_multi)
+from learnpath.supervision import _aligned_rows
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
 
@@ -151,6 +152,12 @@ class TestTrainModel:
         ds = split_dataset(sample_dataset(GaussianSpec(seed=0), 10), (0, 0.5, 0.5))
         with pytest.raises(ValueError):
             train_model(ds, make_onehot_targets(ds), TINY)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -1.0])
+    def test_bad_learning_rate_rejected_by_the_config(self, eta):
+        # rejected where it is given, not as a DivergenceError at step 1
+        with pytest.raises(ValueError, match="learning_rate must be finite and >= 0"):
+            TrainConfig(learning_rate=eta)
 
     def test_deterministic(self):
         ds = tiny_ds()
@@ -403,6 +410,12 @@ class TestLockstep:
         with pytest.raises(ValueError, match="targets shape"):
             train_models(ds, [tables[1], rows[:, :2]], TINY)
         assert train_models(ds, [], TINY) == []
+
+    @pytest.mark.parametrize("n_rows,width", [(0, 5), (1, 3203), (6, 3203), (3, 8)])
+    def test_stack_rows_start_on_cache_lines(self, n_rows, width):
+        rows = _aligned_rows(n_rows, width)
+        assert rows.shape == (n_rows, width) and rows.dtype == np.float64
+        assert all(row.ctypes.data % 64 == 0 for row in rows)
 
 
 def simplex_ok(table: TargetTable):
