@@ -13,7 +13,8 @@ from logit Jacobians J = d z / d w. The residual is O(eta^2), so
 halving eta should shrink it roughly 4x; residual_scaling_test measures
 exactly that ratio. Only the step size varies along the eta grid, so
 decompose_pair computes q, A, both Jacobians, K and the loss gradient
-once per pair and then takes one real SGD step per eta.
+once per pair, then takes one real SGD step per eta on a stack of
+copies of the model and reads every stepped q(x_o) from one forward pass.
 
 The kernel trace needs no Jacobian at all. Per layer l the Jacobian of
 logit k is the outer product of the backward delta delta^{l,k} with the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from learnpath.numerics import (MlpModel, jacobian_factors, logits_jacobian,
-                                mlp_backward, mlp_forward, sgd_step, softmax)
+                                mlp_backward, mlp_forward, softmax)
 from learnpath.supervision import DivergenceError
 
 __all__ = [
@@ -97,9 +98,12 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
 
     Everything but the step itself is independent of eta, so q, A, both
     Jacobians, K and the loss gradient at x_u are computed once. The
-    actual move at each eta still comes from a real SGD step, taken on one
-    scratch copy of the model reset before every step. Returns one record
-    per eta, in grid order.
+    actual move at each eta still comes from a real SGD step: row e of a
+    stack of copies of the model takes the step at eta_grid[e], and one
+    forward pass of the stack gives q(x_o) after every step. The stack is
+    built from the finite model and stepped in place, so a step that
+    overflows shows as non-finite logits. Returns one record per eta, in
+    grid order.
     """
     p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
     cache_u = mlp_forward(model, x_u)
@@ -109,13 +113,13 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
     kernel = empirical_ntk(model, x_o, x_u)
     grad = mlp_backward(model, cache_u, q_u - p_tar_u)
     trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
-    scratch = model.copy()
+    etas = np.array(eta_grid, dtype=np.float64)
+    stepped = MlpModel(model.layer_sizes, np.tile(model.params, (etas.size, 1)))
+    stepped.params -= etas[:, None] * grad
+    stepped_logits = mlp_forward(stepped, x_o).logits
     records = []
-    for eta in eta_grid:
+    for eta, logits in zip(eta_grid, stepped_logits):
         pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
-        scratch.params[...] = model.params
-        sgd_step(scratch, grad, eta)
-        logits = mlp_forward(scratch, x_o).logits
         if not np.isfinite(logits).all():
             raise DivergenceError("non-finite logits after the decomposition step "
                                   f"of pair {pair_id} at eta = {eta:g}: {logits!r}")
@@ -188,10 +192,9 @@ def trace_evolution(models, x: np.ndarray) -> np.ndarray:
     """1 - sum_i q_i(x)^2 for each checkpoint in models.
 
     0 at a one-hot prediction, 1 - 1/K at the uniform one; the sequence
-    tracks how much softmax slack the sample keeps during training.
+    tracks how much softmax slack the sample keeps during training. The
+    checkpoints are stacked into one model and read in one forward pass.
     """
-    vals = []
-    for m in models:
-        q = softmax(mlp_forward(m, x).logits)
-        vals.append(1.0 - float((q * q).sum()))
-    return np.array(vals)
+    stack = MlpModel(models[0].layer_sizes, np.stack([m.params for m in models]))
+    q = softmax(mlp_forward(stack, x).logits)
+    return 1.0 - (q * q).sum(axis=1)

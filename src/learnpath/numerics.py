@@ -11,6 +11,11 @@ of shape (fan_out, fan_in) row-major, then b[l] of shape (fan_out,).
 are flat vectors in the same order, so an SGD step is one array update.
 Logits are the last pre-activation; no activation is applied to the
 output layer.
+
+A stack of R models of one shape is one MlpModel on (R, P) params.
+mlp_forward and mlp_backward, the one per-sample kernel, take a model or
+a stack and give each row of a stack the bits of its model alone: the
+stacked mat-vecs reach the same BLAS gemv as `W @ a` and `W.T @ d`.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ class MlpModel:
     layer_sizes includes input and output widths, e.g. (30, 128, 128, 3).
     A length-2 layer_sizes degenerates to softmax regression, which keeps
     the small-step analysis exactly quadratic (no ReLU kinks). params is
-    used as given, not copied, so a model can live in a row of a stack.
+    (P,), or (R, P) for a stack of R models, and is used as given, not
+    copied, so a model can live in a row of a stack.
     """
 
     layer_sizes: tuple
@@ -80,9 +86,10 @@ class MlpModel:
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive: {self.layer_sizes}")
         p = self.params
-        if getattr(p, "dtype", None) != np.float64 or np.shape(p) != (self.num_params,):
-            raise ValueError(f"params must be float64 ({self.num_params},), "
-                             f"got {np.asarray(p).dtype} {np.shape(p)}")
+        if (getattr(p, "dtype", None) != np.float64 or np.ndim(p) not in (1, 2)
+                or np.shape(p)[-1] != self.num_params):
+            raise ValueError(f"params must be float64 ({self.num_params},) or (R, "
+                             f"{self.num_params}), got {np.asarray(p).dtype} {np.shape(p)}")
         if not np.isfinite(p).all():
             raise ValueError("non-finite parameters")
         self.weights, self.biases = param_views(self.layer_sizes, p)
@@ -144,6 +151,8 @@ class ForwardCache:
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
+    """Forward pass of one input (num_inputs,); the arrays of a stack's
+    cache have a leading run axis."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.num_inputs,):
         raise ValueError(f"input shape {x.shape}, model expects ({model.num_inputs},)")
@@ -151,33 +160,39 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
     a = x
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = w @ a + b
+        z = np.matmul(w, a[..., None])[..., 0] + b
         pre.append(z)
         a = z if l == last else np.maximum(z, 0.0)
         act.append(a)
     return ForwardCache(x=x, pre_activations=pre, activations=act)
 
 
-def mlp_backward(model: MlpModel, cache: ForwardCache,
-                 grad_logits: np.ndarray) -> np.ndarray:
+def mlp_backward(model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray,
+                 out: MlpModel | None = None) -> np.ndarray:
     """Backpropagate a loss gradient w.r.t. logits to all parameters.
 
-    Returns the flat gradient, in the order of model.params. Linear in
+    grad_logits is (K,), or (R, K) for a stack. The gradient is written
+    into out, a model of model's shape used as a buffer whose weights and
+    biases views are the per-layer blocks (so a caller that keeps it
+    builds them once), or into a new one; returns out.params. Linear in
     grad_logits; ReLU uses derivative 0 at exactly 0.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != (model.num_classes,):
-        raise ValueError(f"grad_logits shape {g.shape}, want ({model.num_classes},)")
-    grad = np.empty(model.num_params)
-    dw, db = param_views(model.layer_sizes, grad)
-    delta = g
+    want = (*model.params.shape[:-1], model.num_classes)
+    if g.shape != want:
+        raise ValueError(f"grad_logits shape {g.shape}, want {want}")
+    if out is None:
+        out = MlpModel(model.layer_sizes, np.zeros(model.params.shape))
+    dw, db = out.weights, out.biases
+    db[-1][...] = g  # the bias gradient of layer l is its delta
     for l in range(model.num_layers - 1, -1, -1):
+        delta = db[l]
         a_prev = cache.x if l == 0 else cache.activations[l - 1]
-        np.outer(delta, a_prev, out=dw[l])
-        db[l][...] = delta
+        np.einsum("...i,...j->...ij", delta, a_prev, out=dw[l])
         if l > 0:
-            delta = (model.weights[l].T @ delta) * (cache.pre_activations[l - 1] > 0.0)
-    return grad
+            back = np.matmul(delta[..., None, :], model.weights[l])[..., 0, :]
+            np.multiply(back, cache.pre_activations[l - 1] > 0.0, out=db[l - 1])
+    return out.params
 
 
 def logits_jacobian(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -209,8 +224,8 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     b_l, deltas[i, k]; no (K, d) block is ever formed.
     """
     a = np.asarray(xs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != model.num_inputs:
-        raise ValueError(f"batch shape {a.shape}, model expects (n, {model.num_inputs})")
+    if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
+        raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
     inputs, pre = [], []
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -270,8 +285,8 @@ def finite_diff_grad(loss_fn, model: MlpModel, eps: float = 1e-6) -> np.ndarray:
 def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """Softmax probabilities for a batch of inputs, shape (n, K)."""
     a = np.asarray(xs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != model.num_inputs:
-        raise ValueError(f"batch shape {a.shape}, model expects (n, {model.num_inputs})")
+    if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
+        raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w.T + b

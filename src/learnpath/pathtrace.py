@@ -33,37 +33,36 @@ _BARY_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 class PathStore:
     """The learning paths of one run's train rows, as dense arrays.
 
-    preds[t, j] is the prediction at the t-th visit of train row
+    preds[t, j] is the prediction at the visit in epoch t of train row
     indices[j], with indices ascending, and steps[t, j] is the run's step
-    count at that visit. Both hold the epochs in which every row was
-    visited; visits may be logged in any order.
+    count at that visit. Both hold the epochs logged so far, which the SGD
+    loop logs in order, every row of one before the next. The room doubles
+    as epochs arrive: max_epochs can far exceed what an early stop uses.
     """
 
     def __init__(self, indices, num_classes: int):
         self.indices = np.sort(np.asarray(indices, dtype=np.int64))
         self.num_classes = num_classes
-        self._column = {int(i): j for j, i in enumerate(self.indices)}
-        self._visits = [0] * self.indices.size
+        self._epochs = 0  # logged so far
         self._preds = np.empty((1, self.indices.size, num_classes))
         self._steps = np.empty((1, self.indices.size), dtype=np.int64)
 
-    def log(self, sample_index: int, step: int, q: np.ndarray) -> None:
-        j = self._column[sample_index]
-        t = self._visits[j]
-        if t == len(self._preds):  # double the room
+    def log(self, epoch: int, column: int, step: int, q: np.ndarray) -> None:
+        """Record q as the visit of row indices[column] in epoch."""
+        if epoch == len(self._preds):  # double the room
             self._preds = np.concatenate((self._preds, np.empty_like(self._preds)))
             self._steps = np.concatenate((self._steps, np.empty_like(self._steps)))
-        self._preds[t, j] = q
-        self._steps[t, j] = step
-        self._visits[j] = t + 1
+        self._preds[epoch, column] = q
+        self._steps[epoch, column] = step
+        self._epochs = epoch + 1
 
     @property
     def preds(self) -> np.ndarray:
-        return self._preds[:min(self._visits, default=0)]
+        return self._preds[:self._epochs]
 
     @property
     def steps(self) -> np.ndarray:
-        return self._steps[:min(self._visits, default=0)]
+        return self._steps[:self._epochs]
 
     @property
     def paths(self) -> dict:

@@ -26,13 +26,13 @@ loop, and it steps a stack of R runs in lockstep. The runs of a stack
 share one TrainConfig, so they share the initialization and the shuffle
 order and differ only in their target tables: train_models stacks the
 students given to it, and train_model and the filtered teacher are its
-R = 1 case. A stack's parameters are one (R, P) array, a flat vector
-per run; each visit does one stacked forward pass, loss gradient and
-backward pass, then one sgd_step per run, a vector update of its row.
-The contract is bitwise: every run ends with exactly the parameters,
-histories and stopping epoch it would have had trained alone. Early
-stopping stays per run, and a run that stops or diverges leaves the
-stack without touching the others.
+R = 1 case. A stack is one MlpModel with (R, P) parameters, a flat
+vector per run; each visit does one numerics.mlp_forward, one stacked
+loss gradient and one numerics.mlp_backward, then one sgd_step per run,
+a vector update of its row. The contract is bitwise: every run ends with
+exactly the parameters, histories and stopping epoch it would have had
+trained alone. Early stopping stays per run, and a run that stops or
+diverges leaves the stack without touching the others.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from learnpath.metrics import accuracy, as_rows
-from learnpath.numerics import (MlpModel, init_mlp, param_views, predict_proba,
-                                sgd_step, softmax)
+from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
+                                predict_proba, sgd_step, softmax)
 from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import stream
 from learnpath.toygauss import ToyDataset
@@ -271,7 +271,6 @@ class _Run:
     init_model: MlpModel
     best_model: MlpModel
     paths: PathStore | None
-    grad: np.ndarray = None  # a row of the stack's gradient buffer
     best_acc: float = -np.inf
     best_epoch: int = 0
     since_improve: int = 0
@@ -280,52 +279,46 @@ class _Run:
 
 
 def _aligned_rows(n_rows: int, width: int) -> np.ndarray:
-    """Empty (n_rows, width) float64 rows that start on 64-byte boundaries,
+    """Zeroed (n_rows, width) float64 rows that start on 64-byte boundaries,
     as does each weight block when the hidden widths are multiples of 8:
     an OpenBLAS gemv over an unaligned 128 x 128 block ran up to 28 % slower."""
     stride = -(-width // 8) * 8
-    buf = np.empty(n_rows * stride + 7)
+    buf = np.zeros(n_rows * stride + 7)
     start = (-buf.ctypes.data % 64) // 8
     return buf[start:start + n_rows * stride].reshape(n_rows, stride)[:, :width]
 
 
 class _Stack:
-    """Parameters of the active runs, stacked along a leading run axis.
+    """The active runs, as one stacked MlpModel.
 
-    params and grads are (R, P), one flat vector per run, and the
-    per-layer (R, out, in) and (R, out) blocks of the stacked matmuls are
-    param_views of them; targets are (n, R, K), so one sample's rows for
-    all runs form one block. Each run's model is an MlpModel on its row
-    of params and its grad is its row of grads, so numerics.sgd_step
-    updates the stack in place. Dropping runs copies the kept rows into
-    new arrays and re-points the runs.
+    model and grad are stacks of R on (R, P) arrays, one flat vector per
+    run; grad is mlp_backward's buffer. targets are (n, R, K), so one
+    sample's rows for all runs form one block. Each run's model is an
+    MlpModel on its row of model.params, so numerics.sgd_step with its
+    row of grad.params updates the stack in place. Dropping runs copies
+    the kept rows into a new stack.
     """
 
     def __init__(self, runs, model: MlpModel, targets):
         self.runs = runs
-        self.sizes = model.layer_sizes
-        self.params = _aligned_rows(len(runs), model.num_params)
-        self.params[...] = model.params
         self.targets = targets
-        self._point()
+        self._point(model.layer_sizes,
+                    np.broadcast_to(model.params, (len(runs), model.num_params)))
 
-    def _point(self):
-        self.grads = _aligned_rows(*self.params.shape)
-        self.weights, self.biases = param_views(self.sizes, self.params)
-        self.dw, self.db = param_views(self.sizes, self.grads)
-        for r, run in enumerate(self.runs):
-            run.model = MlpModel(self.sizes, self.params[r])
-            run.grad = self.grads[r]
+    def _point(self, layer_sizes, rows):
+        params = _aligned_rows(*rows.shape)
+        params[...] = rows
+        self.model = MlpModel(layer_sizes, params)
+        self.grad = MlpModel(layer_sizes, _aligned_rows(*rows.shape))
+        for run, row in zip(self.runs, params):
+            run.model = MlpModel(layer_sizes, row)
 
     def keep(self, mask) -> None:
         idx = np.flatnonzero(mask)
         self.runs = [self.runs[j] for j in idx]
-        params = _aligned_rows(idx.size, self.params.shape[1])
-        params[...] = self.params[idx]
-        self.params = params
         if self.targets is not None:
             self.targets = self.targets[:, idx]
-        self._point()
+        self._point(self.model.layer_sizes, self.model.params[idx])
 
 
 def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
@@ -334,12 +327,11 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
 
     Sharing the config means sharing the initialization and the shuffle
     order, so at every visit all runs see the same sample and only their
-    target rows differ. Each visit does one stacked forward pass, one
-    stacked loss gradient and one stacked backward pass, then one
-    numerics.sgd_step per run. Every run's arithmetic is bitwise that of
-    the run trained alone: the stacked mat-vecs are np.matmul calls that
-    reach the same BLAS gemv as the per-run `w @ a` and `w.T @ d`, and
-    all other operations act row by row.
+    target rows differ. Each visit does one mlp_forward of the stack, one
+    stacked loss gradient and one mlp_backward into the stack's gradient
+    buffer, then one numerics.sgd_step per run. Every run's arithmetic is
+    bitwise that of the run trained alone: the kernel computes every row
+    as its model alone (see numerics), and so does the loss gradient.
 
     With targets, a list of R (n, K) row arrays, each run descends the
     tempered loss against its own rows. With targets None, one run
@@ -395,61 +387,50 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
         out[run.slot] = DivergenceError(
             f"non-finite state at epoch {epoch}, step {step}: {reason}")
 
-    def prune(bad, epoch, step, reason, arrays):
-        """Drop the runs flagged in bad as diverged; returns the kept rows."""
+    def drop(bad, epoch, step, why, values):
+        """Drop the runs flagged in bad as diverged at this visit."""
         for j in np.flatnonzero(bad):
-            diverge(stack.runs[j], epoch, step, reason(j))
+            diverge(stack.runs[j], epoch, step, f"{why}{values[j]!r}")
         stack.keep(~bad)
-        return [arr[~bad] for arr in arrays]
 
     eta = config.learning_rate
     xs, ys = ds.x, ds.y
     step = 0
     for epoch in range(config.max_epochs):
-        order = train_idx[stream(config.seed, "shuffle", epoch).permutation(train_idx.size)]
-        for i in order:
+        # train_idx ascends, so a sample's path column is its place in it
+        columns = stream(config.seed, "shuffle", epoch).permutation(train_idx.size)
+        for i, column in zip(train_idx[columns].tolist(), columns.tolist()):
             x, label = xs[i], int(ys[i])
-            a, hidden = x, []
-            for w, b in zip(stack.weights[:-1], stack.biases[:-1]):
-                a = np.maximum(np.matmul(w, a[..., None])[..., 0] + b, 0.0)
-                hidden.append(a)
-            logits = np.matmul(stack.weights[-1], a[..., None])[..., 0] + stack.biases[-1]
-            if not np.isfinite(logits).all():
-                logits, *hidden = prune(
-                    ~np.isfinite(logits).all(axis=1), epoch, step,
-                    lambda j: f"softmax got non-finite logits: {logits[j]!r}",
-                    [logits, *hidden])
-                if not stack.runs:
-                    break
-            if onehot or config.record_paths:
-                q = softmax(logits)
+            # a visit at which runs diverge is redone without them; rows
+            # are independent, so the others' numbers do not change
+            while stack.runs:
+                cache = mlp_forward(stack.model, x)
+                logits = cache.logits
+                if not np.isfinite(logits).all():
+                    drop(~np.isfinite(logits).all(axis=1), epoch, step,
+                         "softmax got non-finite logits: ", logits)
+                    continue
+                if onehot or config.record_paths:
+                    q = softmax(logits)
+                if onehot:
+                    delta = q.copy()
+                    delta[:, label] -= 1.0
+                else:
+                    delta = _kd_grad(logits, stack.targets[i], label, tau, beta)[0]
+                    # at tau != 1 a tempered target row can be NaN
+                    if tau != 1.0 and not np.isfinite(delta).all():
+                        drop(~np.isfinite(delta).all(axis=1), epoch, step,
+                             "non-finite distillation gradient ", delta)
+                        continue
+                break
+            if not stack.runs:
+                break
             if config.record_paths:
                 for run, q_r in zip(stack.runs, q):
-                    run.paths.log(int(i), step, q_r)
-            if onehot:
-                delta = q.copy()
-                delta[:, label] -= 1.0
-            else:
-                delta = _kd_grad(logits, stack.targets[i], label, tau, beta)[0]
-                # at tau != 1 a tempered target row can be NaN
-                if tau != 1.0 and not np.isfinite(delta).all():
-                    delta, *hidden = prune(
-                        ~np.isfinite(delta).all(axis=1), epoch, step,
-                        lambda j: f"non-finite distillation gradient {delta[j]!r}",
-                        [delta, *hidden])
-                    if not stack.runs:
-                        break
-            # backward: the bias gradient of layer l is its delta
-            stack.db[-1][...] = delta
-            for l in range(len(stack.weights) - 1, -1, -1):
-                delta = stack.db[l]
-                a_prev = hidden[l - 1] if l else x
-                np.multiply(delta[:, :, None], a_prev[..., None, :], out=stack.dw[l])
-                if l:
-                    back = np.matmul(delta[:, None, :], stack.weights[l])[:, 0, :]
-                    np.multiply(back, hidden[l - 1] > 0.0, out=stack.db[l - 1])
-            for run in stack.runs:
-                sgd_step(run.model, run.grad, eta)
+                    run.paths.log(epoch, column, step, q_r)
+            mlp_backward(stack.model, cache, delta, out=stack.grad)
+            for run, grad in zip(stack.runs, stack.grad.params):
+                sgd_step(run.model, grad, eta)
             step += 1
         if not stack.runs:
             break

@@ -268,6 +268,15 @@ class TestTraceEvolution:
         assert np.all(traces >= -1e-12)
         assert np.all(traces <= 2 / 3 + 1e-12)
 
+    def test_stack_equals_each_checkpoint_alone(self, rng):
+        models = [init_mlp((6, 10, 3), seed=s) for s in range(4)]
+        x = rng.normal(size=6)
+        want = []
+        for m in models:
+            q = softmax(mlp_forward(m, x).logits)
+            want.append(1.0 - float((q * q).sum()))
+        assert np.array_equal(trace_evolution(models, x), want)
+
     def test_zero_weights_give_uniform_trace(self):
         model = init_mlp((6, 10, 3), seed=0)
         for w in model.weights:

@@ -144,6 +144,38 @@ class TestBackward:
             assert err < 1e-6
             checked += 1
 
+    def test_stack_rows_equal_each_model_alone(self):
+        # R = 3: every row of the stacked pass is bitwise its model's own
+        # pass, and its gradient matches central differences
+        sizes = (5, 6, 4, 3)
+        rng = np.random.default_rng(13)
+        models = [init_mlp(sizes, seed=s) for s in (3, 4, 5)]
+        stack = MlpModel(sizes, np.stack([m.params for m in models]))
+        x = rng.normal(size=5)
+        targets = rng.dirichlet(np.ones(3), size=3)
+        cache = mlp_forward(stack, x)
+        assert cache.logits.shape == (3, 3)
+        buf = MlpModel(sizes, np.zeros((3, stack.num_params)))
+        grads = mlp_backward(stack, cache, softmax(cache.logits) - targets, out=buf)
+        assert grads is buf.params
+        for r, (model, target) in enumerate(zip(models, targets)):
+            alone = mlp_forward(model, x)
+            hidden = np.concatenate(alone.pre_activations[:-1])
+            assert np.abs(hidden).min() > 1e-6  # clear of the ReLU kinks
+            for got, want in zip(cache.pre_activations, alone.pre_activations):
+                assert np.array_equal(got[r], want)
+            grad = mlp_backward(model, alone, softmax(alone.logits) - target)
+            assert np.array_equal(grads[r], grad)
+            numeric = finite_diff_grad(ce_loss_fn(x, target), model)
+            assert np.linalg.norm(grad - numeric) / np.linalg.norm(numeric) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 3)])
+    def test_wrong_grad_logits_shape_rejected(self, shape):
+        stack = MlpModel((3, 2), np.zeros((3, 8)))
+        cache = mlp_forward(stack, np.ones(3))
+        with pytest.raises(ValueError, match="grad_logits shape"):
+            mlp_backward(stack, cache, np.zeros(shape))
+
     def test_model_restored_by_finite_diff(self):
         model = init_mlp((3, 4, 2), seed=9)
         before = model.flat().copy()
@@ -364,8 +396,9 @@ class TestModelPlumbing:
         assert all(np.shares_memory(w, stack) for w in weights + biases)
         assert np.array_equal(weights[1][1], model.weights[1])
 
-    @pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((1, 6)),
-                                        np.zeros(6, dtype=np.float32), [0.0] * 6])
+    @pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((1, 1, 6)),
+                                        np.zeros((3, 5)), np.zeros(6, dtype=np.float32),
+                                        [0.0] * 6])
     def test_wrong_params_rejected(self, params):
         with pytest.raises(ValueError, match="params must be"):
             MlpModel((2, 2), params)
@@ -376,6 +409,13 @@ class TestModelPlumbing:
         params[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             MlpModel((2, 2), params)
+
+    def test_batch_functions_reject_a_stack(self):
+        stack = MlpModel((3, 3), np.zeros((2, 12)))
+        with pytest.raises(ValueError, match="one model"):
+            predict_proba(stack, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="one model"):
+            logits_jacobian(stack, np.ones(3))
 
     def test_predict_proba_matches_single(self):
         model = init_mlp((4, 3), seed=5)

@@ -27,14 +27,13 @@ def filter_path(qs, alpha):
 class TestPathStore:
     def test_log_and_lookup(self):
         store = PathStore([4, 2], num_classes=3)
-        store.log(4, 0, np.array([1.0, 0.0, 0.0]))
-        store.log(2, 1, np.array([0.0, 1.0, 0.0]))
-        assert store.indices.tolist() == [2, 4]
-        assert len(store.preds) == 1
-        store.log(4, 2, np.array([0.5, 0.5, 0.0]))
-        # the second epoch is not complete until every row was visited
-        assert store.preds.shape == (1, 2, 3) and store.steps.shape == (1, 2)
-        store.log(2, 3, np.array([0.0, 0.0, 1.0]))
+        assert store.indices.tolist() == [2, 4]  # row 4 is column 1
+        assert store.preds.shape == (0, 2, 3) and store.steps.shape == (0, 2)
+        store.log(0, 1, 0, np.array([1.0, 0.0, 0.0]))
+        store.log(0, 0, 1, np.array([0.0, 1.0, 0.0]))
+        assert store.preds.shape == (1, 2, 3)
+        store.log(1, 1, 2, np.array([0.5, 0.5, 0.0]))
+        store.log(1, 0, 3, np.array([0.0, 0.0, 1.0]))
         assert store.preds.shape == (2, 2, 3)
         assert store.steps.tolist() == [[1, 0], [3, 2]]
         assert np.array_equal(store.preds[:, 1], [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
@@ -45,25 +44,27 @@ class TestPathStore:
     def test_log_copies_input(self):
         store = PathStore([0], num_classes=3)
         q = np.array([1.0, 0.0, 0.0])
-        store.log(0, 0, q)
+        store.log(0, 0, 0, q)
         q[0] = -1.0
         assert store.preds[0, 0, 0] == 1.0
 
     def test_room_grows_past_any_epoch_count(self):
         store = PathStore([5, 1, 3], num_classes=2)
         for t in range(37):
-            for j, i in enumerate((5, 1, 3)):
-                store.log(i, 3 * t + j, np.array([t, i], dtype=np.float64))
-        assert store.preds.shape == (37, 3, 2) and store.steps.shape == (37, 3)
+            # rows 3, 1, 5 in this order; their columns are 1, 0, 2
+            for j, (i, column) in enumerate(((3, 1), (1, 0), (5, 2))):
+                store.log(t, column, 3 * t + j, np.array([t, i], dtype=np.float64))
+            assert store.preds.shape == (t + 1, 3, 2) and store.steps.shape == (t + 1, 3)
         assert np.array_equal(store.preds[:, :, 0], np.repeat(np.arange(37.0)[:, None], 3, 1))
         assert np.array_equal(store.preds[:, :, 1], np.tile([1.0, 3.0, 5.0], (37, 1)))
+        assert np.array_equal(store.steps[:, 1], 3 * np.arange(37))
 
     def test_export_csv_round_trip(self, tmp_path):
         store = PathStore([3, 1], num_classes=3)
         rng = np.random.default_rng(0)
         for t in range(4):
-            for i in (3, 1):
-                store.log(i, 2 * t + (i == 1), rng.dirichlet(np.ones(3)))
+            for column in (1, 0):
+                store.log(t, column, 2 * t + (column == 0), rng.dirichlet(np.ones(3)))
         out = tmp_path / "paths.csv"
         store.export_csv(out, header_lines=("# run = demo",))
         lines = out.read_text().splitlines()
@@ -77,18 +78,18 @@ class TestPathStore:
                               store.preds[0, 0])
 
     def test_export_is_the_same_for_any_visit_order(self, tmp_path):
-        # one epoch after another, each in its own shuffle order, against
-        # the per-sample, per-visit rows written one at a time
+        # one epoch after another, each in its own shuffle order of the
+        # columns, against the per-sample, per-visit rows written one at a time
         rng = np.random.default_rng(1)
         indices = rng.choice(1000, size=40, replace=False)
         store = PathStore(indices, num_classes=4)
         visits = {int(i): [] for i in indices}
         step = 0
-        for _ in range(6):
-            for i in rng.permutation(indices):
+        for epoch in range(6):
+            for column in rng.permutation(indices.size):
                 q = rng.dirichlet(np.ones(4))
-                store.log(int(i), step, q)
-                visits[int(i)].append((step, q))
+                store.log(epoch, column, step, q)
+                visits[int(np.sort(indices)[column])].append((step, q))
                 step += 1
         out = tmp_path / "paths.csv"
         store.export_csv(out)

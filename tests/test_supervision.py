@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import learnpath.supervision as supervision
 from learnpath.metrics import accuracy
-from learnpath.numerics import (init_mlp, mlp_backward, mlp_forward,
-                                predict_proba, sgd_step, softmax)
+from learnpath.numerics import init_mlp, predict_proba, softmax
 from learnpath.rngstreams import stream
 from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
                                    TrainResult, extract_eskd_targets,
@@ -19,6 +19,28 @@ from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
 
 TINY = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=4,
                    patience=0, seed=0)
+
+
+def reference_forward(model, x):
+    """One model's forward pass on plain `w @ a`, independent of numerics'
+    kernel; returns (layer inputs, pre-activations), logits last."""
+    inputs, pre, a = [], [], x
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        pre.append(w @ a + b)
+        a = pre[-1] if l == model.num_layers - 1 else np.maximum(pre[-1], 0.0)
+    return inputs, pre
+
+
+def reference_step(model, inputs, pre, grad_logits, eta):
+    """One model's backward pass on `np.outer` and `W.T @ d`, then its SGD
+    step, independent of numerics' kernel."""
+    parts, delta = [], grad_logits
+    for l in range(model.num_layers - 1, -1, -1):
+        parts[:0] = [np.outer(delta, inputs[l]).ravel(), delta]
+        if l:
+            delta = (model.weights[l].T @ delta) * (pre[l - 1] > 0.0)
+    model.params -= eta * np.concatenate(parts)
 
 
 class TestTargetTable:
@@ -238,7 +260,7 @@ class TestFilterKd:
             assert np.array_equal(tables[a].rows, replay)
 
     def test_tables_equal_the_per_visit_reference(self):
-        # a one-hot teacher on the reference kernels that folds every
+        # a one-hot teacher on the reference passes that folds every
         # pre-update prediction into its tables before the step
         ds = tiny_ds(seed=12, n=60)
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=4,
@@ -251,14 +273,14 @@ class TestFilterKd:
         ti = ds.train_indices
         for epoch in range(cfg.max_epochs):
             for i in ti[stream(cfg.seed, "shuffle", epoch).permutation(ti.size)]:
-                cache = mlp_forward(model, ds.x[i])
-                q = softmax(cache.logits)
+                inputs, pre = reference_forward(model, ds.x[i])
+                q = softmax(pre[-1])
                 for a, table in want.items():
                     table[i] *= 1.0 - a
                     table[i] += a * q
                 grad = q.copy()
                 grad[ds.y[i]] -= 1.0
-                sgd_step(model, mlp_backward(model, cache, grad), cfg.learning_rate)
+                reference_step(model, inputs, pre, grad, cfg.learning_rate)
         assert np.array_equal(result.final_model.flat(), model.flat())
         for a in alphas:
             assert np.array_equal(tables[a].rows, want[a]), a
@@ -310,17 +332,17 @@ class TestFilterKd:
 
 
 def reference_student(ds, rows, cfg):
-    """The per-sample loop on the reference kernels, one run at a time."""
+    """The per-sample loop on the reference passes, one run at a time."""
     model = init_mlp(cfg.layer_sizes(ds.spec.input_dim, ds.num_classes), cfg.seed)
     ti, vi = ds.train_indices, ds.valid_indices
     best, best_acc, best_epoch, since = model.copy(), -np.inf, 0, 0
     valid, train, stopped = [], [], False
     for epoch in range(cfg.max_epochs):
         for i in ti[stream(cfg.seed, "shuffle", epoch).permutation(ti.size)]:
-            cache = mlp_forward(model, ds.x[i])
-            _, grad = kd_loss_and_grad(cache.logits, rows[i], int(ds.y[i]),
+            inputs, pre = reference_forward(model, ds.x[i])
+            _, grad = kd_loss_and_grad(pre[-1], rows[i], int(ds.y[i]),
                                        cfg.temperature, cfg.beta)
-            sgd_step(model, mlp_backward(model, cache, grad), cfg.learning_rate)
+            reference_step(model, inputs, pre, grad, cfg.learning_rate)
         vacc = accuracy(predict_proba(model, ds.x[vi]), ds.y[vi])
         valid.append(vacc)
         train.append(accuracy(predict_proba(model, ds.x[ti]), ds.y[ti]))
@@ -367,6 +389,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
     def test_single_run_equals_reference_kernels(self, tau, beta):
+        # the loop against reference_forward / reference_step, which share
+        # no code with numerics' kernel
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
                           patience=3, seed=1, temperature=tau, beta=beta)
@@ -400,6 +424,23 @@ class TestLockstep:
         assert why in str(stacked[1])
         for i in (0, 2):
             assert_same_run(stacked[i], train_model(ds, runs[i], cfg))
+
+    def test_loop_runs_on_the_numerics_kernel(self, monkeypatch):
+        # one mlp_forward and one mlp_backward per visit, so the loop
+        # cannot grow a forward or backward pass of its own again
+        calls = {"mlp_forward": 0, "mlp_backward": 0}
+        for name in calls:
+            def counted(*args, _kernel=getattr(supervision, name), _name=name, **kw):
+                calls[_name] += 1
+                return _kernel(*args, **kw)
+            monkeypatch.setattr(supervision, name, counted)
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=3,
+                          patience=0, seed=1)
+        results = train_models(ds, tables, cfg)
+        visits = cfg.max_epochs * ds.train_indices.size
+        assert calls == {"mlp_forward": visits, "mlp_backward": visits}
+        assert [r.epochs_run for r in results] == [cfg.max_epochs] * len(tables)
 
     def test_targets_checked_when_the_stack_is_built(self):
         ds, tables = self.data()
