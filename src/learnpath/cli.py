@@ -7,6 +7,10 @@ file is given. Exit codes: 0 on success, 1 on a configuration problem
 or when a single-run command's model diverged (its summary.txt then
 holds an `error = ...` line; sweeps record a diverged run as a failed
 row instead), 2 when the command ran but a verification check failed.
+
+Each command, and each --jobs worker, runs BLAS on one thread: its hot
+calls are too small to split. Setting OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS leaves OpenBLAS at that count.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import os
 import sys
 
 from learnpath.config import ConfigError, load_config
-from learnpath.experiments import RUNNERS, _write_summary
+from learnpath.experiments import RUNNERS, _write_summary, cap_blas_threads
 from learnpath.supervision import DivergenceError
 
 _STRICT = {"ntk-verify"}  # failed checks flip the exit code
@@ -51,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    cap_blas_threads()
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.path.join("out", args.command)
     try:

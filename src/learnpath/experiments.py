@@ -14,6 +14,7 @@ absolute paths inside outputs.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -123,7 +124,39 @@ def run_gen_data(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     return []
 
 
-# --------------------------------------------------------------- correlate
+# ------------------------------------------------------- worker processes
+
+# the variables OpenBLAS reads its own thread count from
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_functions(name: str) -> list:
+    """openblas_<name> of each OpenBLAS library loaded in this process
+    (numpy's bundled one exports scipy_openblas_<name>64_); empty under
+    another BLAS or without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return []
+    symbols = [f"{p}openblas_{name}{s}" for p in ("scipy_", "") for s in ("64_", "_64", "")]
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        found += [getattr(lib, s) for s in symbols if hasattr(lib, s)][:1]
+    return found
+
+
+def cap_blas_threads() -> None:
+    """Give BLAS one thread, so --jobs is the only parallelism: each hot call
+    is a batch-1 gemv or a prediction of at most a few thousand rows, where
+    a second OpenBLAS thread only spins. A thread count set in the
+    environment wins."""
+    if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+        for set_threads in _openblas_functions("set_num_threads"):
+            set_threads(1)
+
 
 # worker-global dataset, set once per pool worker to avoid re-pickling
 _POOL_DS = None
@@ -132,6 +165,7 @@ _POOL_DS = None
 def _pool_init(ds):
     global _POOL_DS
     _POOL_DS = ds
+    cap_blas_threads()  # a forkserver or spawn worker starts uncapped
 
 
 def _dispatch(worker, ds, tasks, jobs: int):
@@ -149,6 +183,8 @@ def _dispatch(worker, ds, tasks, jobs: int):
 def _pool_entry(worker, task):
     return worker(_POOL_DS, task)
 
+
+# --------------------------------------------------------------- correlate
 
 def _train_cell(ds, runs, tconfig, teacher_error, measure):
     """Train the runs of one cell in one lockstep stack (they share tconfig).

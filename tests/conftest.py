@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from learnpath import GaussianSpec, sample_dataset, split_dataset
+from learnpath.experiments import cap_blas_threads
+
+# run BLAS the way the CLI does, also where a test calls a runner directly
+cap_blas_threads()
 
 
 @pytest.fixture(scope="session")
