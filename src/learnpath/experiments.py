@@ -425,14 +425,12 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
                                                     epoch_callback=snap)
     # the Filter-KD table after each epoch, at the flipped rows
     cols = np.searchsorted(teacher.paths.indices, flip)
-    filtered = ema_filter(teacher.paths.preds[:, cols], alpha,
-                          predict_proba(teacher.init_model, ds.x)[flip])[1:]
+    q0 = predict_proba(teacher.init_model, ds.x)
+    filtered = ema_filter(teacher.paths.preds[:, cols], alpha, q0[flip])[1:]
     filt_hist = [accuracy(rows, ds.original_y[flip]) for rows in filtered]
-    init_rec = accuracy(predict_proba(teacher.init_model, ds.x[flip]),
-                        ds.original_y[flip])
-    vacc0 = accuracy(predict_proba(teacher.init_model, ds.x[ds.valid_indices]),
-                     ds.y[ds.valid_indices])
-    tacc0 = accuracy(predict_proba(teacher.init_model, ds.x[ti]), ds.y[ti])
+    init_rec = accuracy(q0[flip], ds.original_y[flip])
+    vacc0 = accuracy(q0[ds.valid_indices], ds.y[ds.valid_indices])
+    tacc0 = accuracy(q0[ti], ds.y[ti])
     rows = [[0, init_rec, init_rec, vacc0, tacc0]]
     for e, (raw, filt) in enumerate(zip(raw_hist, filt_hist)):
         rows.append([e + 1, raw, filt, teacher.valid_acc_history[e],

@@ -8,22 +8,23 @@ the learning rate eta the move factorizes as
         ~= eta * A^t(x_o) * K^t(x_o, x_u) * (p_tar(x_u) - q^t(x_u)),
 
 where A(x) = diag(q(x)) - q(x) q(x)^T is the softmax Jacobian at x_o
-and K(x_o, x_u) = J(x_o) J(x_u)^T is the empirical tangent kernel built
-from logit Jacobians J = d z / d w. The residual is O(eta^2), so
-halving eta should shrink it roughly 4x; residual_scaling_test measures
-exactly that ratio. Only the step size varies along the eta grid, so
-decompose_pair computes q, A, both Jacobians, K and the loss gradient
-once per pair, then takes one real SGD step per eta on a stack of
-copies of the model and reads every stepped q(x_o) from one forward pass.
+and K(x_o, x_u) = J(x_o) J(x_u)^T is the empirical tangent kernel of the
+logit Jacobians J = d z / d w. The residual is O(eta^2), so halving eta
+should shrink it roughly 4x; residual_scaling_test measures exactly that
+ratio. Only the step size varies along the eta grid, so decompose_pair
+computes q, A, K and the loss gradient once per pair, then takes one
+real SGD step per eta on a stack of copies of the model and reads every
+stepped q(x_o) from one forward pass.
 
-The kernel trace needs no Jacobian at all. Per layer l the Jacobian of
-logit k is the outer product of the backward delta delta^{l,k} with the
-layer input a^{l-1} (plus delta^{l,k} itself for the bias), so
+K needs no Jacobian. Per layer l the Jacobian of logit k is the outer
+product of the backward delta delta^{l,k} with the layer input a^{l-1}
+(plus delta^{l,k} itself for the bias), so
 
-    tr K(x_o, x_u) = sum_l (a_o^{l-1} . a_u^{l-1} + 1)
-                           * sum_k delta_o^{l,k} . delta_u^{l,k},
+    K[k, k'](x_o, x_u) = sum_l (a_o^{l-1} . a_u^{l-1} + 1)
+                               * delta_o^{l,k} . delta_u^{l,k'},
 
-which similarity_trace_study evaluates from batched per-layer factors.
+which empirical_ntk evaluates from the per-layer factors of the pair
+and similarity_trace_study, for the trace alone, from batched factors.
 
 A(x) is symmetric PSD with A 1 = 0 and tr A = 1 - sum_i q_i^2, which
 bounds the trace by 1 - 1/K and makes 1 - sum q_i^2 a handy per-sample
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from learnpath.numerics import (MlpModel, jacobian_factors, logits_jacobian,
-                                mlp_backward, mlp_forward, softmax)
+from learnpath.numerics import (MlpModel, jacobian_factors, mlp_backward,
+                                mlp_forward, softmax)
 from learnpath.supervision import DivergenceError
 
 __all__ = [
@@ -65,9 +66,11 @@ def empirical_ntk(model: MlpModel, x_o: np.ndarray, x_u: np.ndarray) -> np.ndarr
     """K(x_o, x_u) = J(x_o) J(x_u)^T, shape (K, K).
 
     Symmetric PSD when x_o is x_u; otherwise just the cross-Gram of the
-    two logit Jacobians.
+    two logit Jacobians. Summed over layers from the factors of one
+    jacobian_factors call on the pair (see the module docstring).
     """
-    return logits_jacobian(model, x_o) @ logits_jacobian(model, x_u).T
+    return sum((a[0] @ a[1] + 1.0) * (d[0] @ d[1].T)
+               for a, d in jacobian_factors(model, np.stack([x_o, x_u])))
 
 
 def predicted_delta_q(eta: float, a_matrix: np.ndarray, kernel: np.ndarray,
@@ -96,14 +99,13 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
                    pair_id: int = 0) -> list:
     """Evaluate both sides of the decomposition for one pair, every eta.
 
-    Everything but the step itself is independent of eta, so q, A, both
-    Jacobians, K and the loss gradient at x_u are computed once. The
-    actual move at each eta still comes from a real SGD step: row e of a
-    stack of copies of the model takes the step at eta_grid[e], and one
-    forward pass of the stack gives q(x_o) after every step. The stack is
-    built from the finite model and stepped in place, so a step that
-    overflows shows as non-finite logits. Returns one record per eta, in
-    grid order.
+    Everything but the step itself is independent of eta, so q, A, K and
+    the loss gradient at x_u are computed once. The actual move at each
+    eta still comes from a real SGD step: row e of a stack of copies of
+    the model takes the step at eta_grid[e], and one forward pass of the
+    stack gives q(x_o) after every step. The stack is built from the
+    finite model and stepped in place, so a step that overflows shows as
+    non-finite logits. Returns one record per eta, in grid order.
     """
     p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
     cache_u = mlp_forward(model, x_u)

@@ -16,6 +16,9 @@ A stack of R models of one shape is one MlpModel on (R, P) params.
 mlp_forward and mlp_backward, the one per-sample kernel, take a model or
 a stack and give each row of a stack the bits of its model alone: the
 stacked mat-vecs reach the same BLAS gemv as `W @ a` and `W.T @ d`.
+jacobian_factors gives the logit Jacobians of a batch only as per-layer
+factors, layer inputs and unit-seeded backward deltas, from which
+ntkcheck reads the tangent kernel without forming a (K, P) block.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from learnpath.rngstreams import stream
 
 __all__ = [
     "MlpModel", "ForwardCache", "param_views", "init_mlp", "softmax", "mlp_forward",
-    "mlp_backward", "logits_jacobian", "jacobian_factors", "sgd_step",
+    "mlp_backward", "jacobian_factors", "sgd_step",
     "finite_diff_grad", "predict_proba",
 ]
 
@@ -114,10 +117,6 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.layer_sizes, self.params.copy())
 
-    def flat(self) -> np.ndarray:
-        """A copy of all parameters: per layer, W row-major then b."""
-        return self.params.copy()
-
 
 def init_mlp(layer_sizes, seed: int) -> MlpModel:
     """He fan-in init: W ~ N(0, 2/fan_in), b = 0. Deterministic in seed."""
@@ -193,24 +192,6 @@ def mlp_backward(model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray,
             back = np.matmul(delta[..., None, :], model.weights[l])[..., 0, :]
             np.multiply(back, cache.pre_activations[l - 1] > 0.0, out=db[l - 1])
     return out.params
-
-
-def logits_jacobian(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the logit vector w.r.t. all parameters, shape (K, d).
-
-    Row k is the backward pass seeded with the unit vector e_k, flattened
-    in the order of MlpModel.params; it is assembled from the
-    jacobian_factors of the one-row batch x.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_inputs,):
-        raise ValueError(f"input shape {x.shape}, model expects ({model.num_inputs},)")
-    k = model.num_classes
-    parts = []
-    for inputs, deltas in jacobian_factors(model, x[None]):
-        parts.append((deltas[0][:, :, None] * inputs[0]).reshape(k, -1))
-        parts.append(deltas[0])
-    return np.concatenate(parts, axis=1)
 
 
 def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:

@@ -251,15 +251,11 @@ class TrainResult:
     paths: PathStore | None = None
 
 
-def _valid_accuracy(model, ds) -> float:
-    idx = ds.valid_indices
+def _accuracy(model, ds, idx) -> float:
+    """Accuracy on the rows idx of ds; NaN for an empty split."""
     if idx.size == 0:
         return float("nan")
     return accuracy(predict_proba(model, ds.x[idx]), ds.y[idx])
-
-
-def _train_accuracy(model, ds, train_idx) -> float:
-    return accuracy(predict_proba(model, ds.x[train_idx]), ds.y[train_idx])
 
 
 @dataclass
@@ -273,7 +269,6 @@ class _Run:
     paths: PathStore | None
     best_acc: float = -np.inf
     best_epoch: int = 0
-    since_improve: int = 0
     valid_hist: list = field(default_factory=list)
     train_hist: list = field(default_factory=list)
 
@@ -438,8 +433,8 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
         leaving = np.zeros(len(stack.runs), dtype=bool)
         for j, run in enumerate(stack.runs):
             try:
-                vacc = _valid_accuracy(run.model, ds)
-                tacc = _train_accuracy(run.model, ds, train_idx)
+                vacc = _accuracy(run.model, ds, ds.valid_indices)
+                tacc = _accuracy(run.model, ds, train_idx)
             except ValueError as err:  # non-finite logits on a split
                 diverge(run, epoch, step, err)
                 leaving[j] = True
@@ -452,13 +447,10 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
                 run.best_acc = vacc
                 run.best_model = run.model.copy()
                 run.best_epoch = epoch
-                run.since_improve = 0
-            else:
-                run.since_improve += 1
             if ((config.stop_at_train_acc is not None
                  and tacc >= config.stop_at_train_acc)
                     or (config.patience > 0 and np.isfinite(vacc)
-                        and run.since_improve >= config.patience)):
+                        and epoch - run.best_epoch >= config.patience)):
                 finish(run, stopped_early=True)
                 leaving[j] = True
         if leaving.any():

@@ -109,6 +109,15 @@ class TestEmpiricalNtk:
         assert np.allclose(empirical_ntk(model, x_o, x_u),
                            empirical_ntk(model, x_u, x_o).T, atol=1e-13)
 
+    @pytest.mark.parametrize("sizes", [(6, 3), (4, 7, 2), (30, 32, 32, 32, 3),
+                                       (8, 16, 9, 5)])
+    def test_matches_full_jacobian_product(self, sizes):
+        model = init_mlp(sizes, seed=len(sizes))
+        rng = np.random.default_rng(sum(sizes))
+        for x_o, x_u in rng.normal(size=(4, 2, sizes[0])):
+            want = per_seed_jacobian(model, x_o) @ per_seed_jacobian(model, x_u).T
+            assert np.allclose(empirical_ntk(model, x_o, x_u), want, rtol=1e-12, atol=0)
+
 
 class TestDeltas:
     def test_predicted_move_sums_to_zero(self, rng):
@@ -136,10 +145,10 @@ class TestDeltas:
 
     def test_actual_leaves_model_untouched(self, rng):
         model = init_mlp((5, 16, 3), seed=8)
-        before = model.flat()
+        before = model.params.copy()
         x_o, x_u = rng.normal(size=(2, 5))
         actual_delta_q(model, x_o, x_u, np.array([0.0, 1.0, 0.0]), 0.1)
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
 
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
@@ -203,10 +212,10 @@ class TestDecomposition:
 
     def test_model_untouched(self):
         model = init_mlp((30, 16, 3), seed=4)
-        before = model.flat()
+        before = model.params.copy()
         x_o, x_u, p_tar = decomposition_pairs(1)[0]
         decompose_pair(model, x_o, x_u, p_tar, (0.5, 0.1))
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
 
     def test_bad_inputs(self):
         model = init_mlp((30, 16, 3), seed=0)

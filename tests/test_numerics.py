@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from learnpath.numerics import (MlpModel, finite_diff_grad, init_mlp,
-                                logits_jacobian, mlp_backward, mlp_forward,
+                                jacobian_factors, mlp_backward, mlp_forward,
                                 param_views, predict_proba, sgd_step, softmax)
 
 # softmax(1, 2, 3) evaluated with mpmath at 50 digits, rounded to float64
@@ -178,9 +178,19 @@ class TestBackward:
 
     def test_model_restored_by_finite_diff(self):
         model = init_mlp((3, 4, 2), seed=9)
-        before = model.flat().copy()
+        before = model.params.copy()
         finite_diff_grad(ce_loss_fn(np.ones(3), np.array([0.5, 0.5])), model)
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
+
+
+def logits_jacobian(model, x):
+    """The (K, P) logit Jacobian at x, assembled from jacobian_factors: per
+    layer, the outer products of the deltas with the input, then the deltas."""
+    k = model.num_classes
+    parts = []
+    for inputs, deltas in jacobian_factors(model, np.asarray(x, dtype=np.float64)[None]):
+        parts += [(deltas[0][:, :, None] * inputs[0]).reshape(k, -1), deltas[0]]
+    return np.concatenate(parts, axis=1)
 
 
 class TestJacobian:
@@ -215,7 +225,7 @@ class TestJacobian:
 
 
 class TestBatchedJacobian:
-    """logits_jacobian's single (K, width) backward vs K seeded passes."""
+    """jacobian_factors' single (K, width) backward vs K seeded passes."""
 
     @staticmethod
     def per_seed_reference(model, x):
@@ -238,17 +248,17 @@ class TestBatchedJacobian:
 class TestSgdStep:
     def test_zero_grads_identity(self):
         model = init_mlp((3, 2), seed=0)
-        before = model.flat()
+        before = model.params.copy()
         sgd_step(model, np.zeros(model.num_params), 0.5)
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
 
     def test_zero_eta_identity(self):
         model = init_mlp((3, 2), seed=0)
         cache = mlp_forward(model, np.ones(3))
         grad = mlp_backward(model, cache, np.array([1.0, -1.0]))
-        before = model.flat()
+        before = model.params.copy()
         sgd_step(model, grad, 0.0)
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
 
     def test_scalar_update(self):
         model = MlpModel(layer_sizes=(1, 1), params=np.array([1.0, 0.0]))
@@ -264,10 +274,10 @@ class TestSgdStep:
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_eta_rejected(self, eta):
         model = init_mlp((2, 2), seed=0)
-        before = model.flat()
+        before = model.params.copy()
         with pytest.raises(ValueError, match="learning rate"):
             sgd_step(model, np.zeros(model.num_params), eta)
-        assert np.array_equal(model.flat(), before)
+        assert np.array_equal(model.params, before)
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), ()])
     def test_wrong_gradient_shape_rejected(self, shape):
@@ -307,7 +317,7 @@ class TestFiniteDiff:
     def test_perturbs_the_model_in_place(self):
         # each probe moves one entry of the model's own params, bit-exactly back
         model = init_mlp((2, 3, 2), seed=1)
-        params, before = model.params, model.flat()
+        params, before = model.params, model.params.copy()
         seen = []
 
         def loss(m):
@@ -324,9 +334,9 @@ class TestInit:
     def test_deterministic(self):
         a = init_mlp((5, 4, 3), seed=10)
         b = init_mlp((5, 4, 3), seed=10)
-        assert np.array_equal(a.flat(), b.flat())
+        assert np.array_equal(a.params, b.params)
         c = init_mlp((5, 4, 3), seed=11)
-        assert not np.array_equal(a.flat(), c.flat())
+        assert not np.array_equal(a.params, c.params)
 
     def test_zero_biases_and_fan_in_scale(self):
         model = init_mlp((200, 300, 3), seed=0)
@@ -344,11 +354,11 @@ class TestInit:
 class TestModelPlumbing:
     def test_flat_round_trip(self):
         model = init_mlp((4, 3, 2), seed=1)
-        flat = model.flat()
+        flat = model.params.copy()
         other = init_mlp((4, 3, 2), seed=2)
         other.params[...] = flat
-        assert np.array_equal(other.flat(), flat)
-        flat[0] += 1.0  # flat() is a copy
+        assert np.array_equal(other.params, flat)
+        flat[0] += 1.0  # a copy, not a view
         assert model.params[0] != flat[0]
 
     def test_copy_is_deep(self):
@@ -363,7 +373,7 @@ class TestModelPlumbing:
     def test_num_params(self):
         model = init_mlp((4, 5, 3), seed=0)
         assert model.num_params == 4 * 5 + 5 + 5 * 3 + 3
-        assert model.flat().shape == (model.num_params,)
+        assert model.params.shape == (model.num_params,)
 
     def test_layout_is_w_row_major_then_b(self):
         sizes = (4, 5, 3)
@@ -415,7 +425,7 @@ class TestModelPlumbing:
         with pytest.raises(ValueError, match="one model"):
             predict_proba(stack, np.ones((4, 3)))
         with pytest.raises(ValueError, match="one model"):
-            logits_jacobian(stack, np.ones(3))
+            jacobian_factors(stack, np.ones((4, 3)))
 
     def test_predict_proba_matches_single(self):
         model = init_mlp((4, 3), seed=5)

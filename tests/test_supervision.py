@@ -185,7 +185,7 @@ class TestTrainModel:
         ds = tiny_ds()
         a = train_model(ds, make_onehot_targets(ds), TINY)
         b = train_model(ds, make_onehot_targets(ds), TINY)
-        assert np.array_equal(a.final_model.flat(), b.final_model.flat())
+        assert np.array_equal(a.final_model.params, b.final_model.params)
         assert a.valid_acc_history == b.valid_acc_history
 
     def test_memorizes_small_training_set(self):
@@ -281,7 +281,7 @@ class TestFilterKd:
                 grad = q.copy()
                 grad[ds.y[i]] -= 1.0
                 reference_step(model, inputs, pre, grad, cfg.learning_rate)
-        assert np.array_equal(result.final_model.flat(), model.flat())
+        assert np.array_equal(result.final_model.params, model.params)
         for a in alphas:
             assert np.array_equal(tables[a].rows, want[a]), a
 
@@ -357,9 +357,9 @@ def reference_student(ds, rows, cfg):
 
 
 def assert_same_run(a: TrainResult, b: TrainResult):
-    assert np.array_equal(a.final_model.flat(), b.final_model.flat())
-    assert np.array_equal(a.best_model.flat(), b.best_model.flat())
-    assert np.array_equal(a.init_model.flat(), b.init_model.flat())
+    assert np.array_equal(a.final_model.params, b.final_model.params)
+    assert np.array_equal(a.best_model.params, b.best_model.params)
+    assert np.array_equal(a.init_model.params, b.init_model.params)
     assert a.valid_acc_history == b.valid_acc_history
     assert a.train_acc_history == b.train_acc_history
     assert (a.best_epoch, a.epochs_run, a.stopped_early) == \
@@ -398,8 +398,8 @@ class TestLockstep:
             got = train_model(ds, table, cfg)
             final, best, best_epoch, valid, train, stopped = \
                 reference_student(ds, table.rows, cfg)
-            assert np.array_equal(got.final_model.flat(), final.flat())
-            assert np.array_equal(got.best_model.flat(), best.flat())
+            assert np.array_equal(got.final_model.params, final.params)
+            assert np.array_equal(got.best_model.params, best.params)
             assert (got.valid_acc_history, got.train_acc_history) == (valid, train)
             assert (got.best_epoch, got.stopped_early) == (best_epoch, stopped)
 
