@@ -133,7 +133,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 def _openblas_functions(name: str) -> list:
     """openblas_<name> of each OpenBLAS library loaded in this process
     (numpy's bundled one exports scipy_openblas_<name>64_); empty under
-    another BLAS or without /proc/self/maps."""
+    another BLAS or without /proc/self/maps. A mapped file that will not
+    load (a program under an openblas directory, a deleted library) is skipped."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[-1].strip() for line in maps
@@ -143,7 +144,10 @@ def _openblas_functions(name: str) -> list:
     symbols = [f"{p}openblas_{name}{s}" for p in ("scipy_", "") for s in ("64_", "_64", "")]
     found = []
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         found += [getattr(lib, s) for s in symbols if hasattr(lib, s)][:1]
     return found
 
@@ -420,9 +424,8 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     def snap(epoch, model):
         raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
 
-    tconfig = cfg.train_config(patience=0)
-    teacher, _tables = train_teacher_filterkd_multi(ds, tconfig, (alpha,),
-                                                    epoch_callback=snap)
+    tconfig = cfg.train_config(patience=0, record_paths=True)
+    teacher = train_model(ds, make_onehot_targets(ds), tconfig, epoch_callback=snap)
     # the Filter-KD table after each epoch, at the flipped rows
     cols = np.searchsorted(teacher.paths.indices, flip)
     q0 = predict_proba(teacher.init_model, ds.x)

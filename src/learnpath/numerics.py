@@ -275,7 +275,4 @@ def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:
             np.maximum(a, 0.0, out=a)
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite logits in batch forward pass")
-    a -= a.max(axis=1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=1, keepdims=True)
-    return a
+    return softmax(a)

@@ -11,8 +11,8 @@ consumes the rows of the train split. Builders cover the usual schemes:
   - the filtered teacher: the exponential moving average of the
     teacher's learning path ("filter_kd").
 
-The filtered teacher is one run of plain one-hot SGD training with its
-learning path recorded, the pre-update prediction at every visit. Each
+The filtered teacher is the one-hot table run at tau = 1, beta = 1, with
+its learning path recorded: the pre-update prediction at every visit. Each
 table row is the EMA of that row's path (pathtrace.ema_filter), started
 from the untrained model's prediction. Averaging across visits smooths
 out the oscillation that noisy-labeled neighbours induce, so the table
@@ -126,19 +126,16 @@ def _power_renorm(p: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _kd_grad(z, pt, y: int, tau: float, beta: float):
-    """Logit gradient of the distillation loss, with log q and log q_t.
+    """Logit gradient of the distillation loss, and q = softmax(z).
 
-    z holds logits and pt tempered targets, either one row (K,) or a
-    stack of rows (R, K) against the same label y; each row's numbers
-    are the same whether it is computed alone or in a stack.
+    z holds finite logits and pt tempered targets, either one row (K,)
+    or a stack of rows (R, K) against the same label y; each row's
+    numbers are the same whether it is computed alone or in a stack.
+    The tempered q_t is exp(log_softmax(tau z)), so a tau z that
+    overflows gives a non-finite gradient instead of raising.
     """
-    log_q = _log_softmax(z)
-    q = np.exp(log_q)
-    if tau == 1.0:
-        log_qt, qt = log_q, q
-    else:
-        log_qt = _log_softmax(tau * z)
-        qt = np.exp(log_qt)
+    q = softmax(z)
+    qt = q if tau == 1.0 else np.exp(_log_softmax(tau * z))
     grad = np.zeros(z.shape)
     if beta > 0:
         grad += (beta / tau) * (qt - pt)
@@ -146,7 +143,7 @@ def _kd_grad(z, pt, y: int, tau: float, beta: float):
         g = q.copy()
         g[..., y] -= 1.0
         grad += (1.0 - beta) * g
-    return grad, log_q, log_qt
+    return grad, q
 
 
 def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
@@ -178,12 +175,12 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
         raise ValueError(f"label {y} out of range for {k} classes")
     tau = temperature
     pt = p if tau == 1.0 else _power_renorm(p, tau)
-    grad, log_q, log_qt = _kd_grad(z, pt, y, tau, beta)
+    grad = _kd_grad(z, pt, y, tau, beta)[0]
     loss = 0.0
     if beta > 0:
-        loss += beta / (tau * tau) * float(-(pt * log_qt).sum())
+        loss += beta / (tau * tau) * float(-(pt * _log_softmax(tau * z)).sum())
     if beta < 1:
-        loss += (1.0 - beta) * float(-log_q[y])
+        loss += (1.0 - beta) * float(-_log_softmax(z)[y])
     # at tau = 1 every term is finite once z and p are; at tau != 1 the
     # tempered target p^tau can still be NaN (a negative entry)
     if tau != 1.0 and not np.isfinite(grad).all():
@@ -311,13 +308,11 @@ class _Stack:
     def keep(self, mask) -> None:
         idx = np.flatnonzero(mask)
         self.runs = [self.runs[j] for j in idx]
-        if self.targets is not None:
-            self.targets = self.targets[:, idx]
+        self.targets = self.targets[:, idx]
         self._point(self.model.layer_sizes, self.model.params[idx])
 
 
-def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
-             epoch_callback=None):
+def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
     """The SGD loop: R runs that share one config, stepped in lockstep.
 
     Sharing the config means sharing the initialization and the shuffle
@@ -328,10 +323,10 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
     bitwise that of the run trained alone: the kernel computes every row
     as its model alone (see numerics), and so does the loss gradient.
 
-    With targets, a list of R (n, K) row arrays, each run descends the
-    tempered loss against its own rows. With targets None, one run
-    descends cross entropy against the labels, with the logit gradient
-    softmax(z) - e_y: the filtered teacher's loop.
+    targets is a list of R (n, K) row arrays; each run descends the
+    tempered loss against its own rows. The visit's q = softmax(z) is
+    computed once, inside the loss gradient, and is what a run that
+    records its path logs.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
@@ -347,28 +342,24 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
     k = ds.num_classes
     tau, beta = config.temperature, config.beta
     model = init_mlp(config.layer_sizes(ds.spec.input_dim, k), config.seed)
-    onehot = targets is None
-    tables, n_runs = None, 1
-    if not onehot:
-        rows = [np.asarray(t, dtype=np.float64) for t in targets]
-        for t in rows:
-            if t.shape != (ds.n, k):
-                raise ValueError(f"targets shape {t.shape}, want {(ds.n, k)}")
-            if not np.isfinite(t).all():
-                raise ValueError("non-finite targets")
-        n_runs = len(rows)
-        if n_runs == 0:
-            return []
-        tables = np.stack(rows, axis=1)
-        if tau != 1.0:  # the tempered targets; a NaN row fails at its visit
-            tables = _power_renorm(tables, tau)
+    rows = [np.asarray(t, dtype=np.float64) for t in targets]
+    for t in rows:
+        if t.shape != (ds.n, k):
+            raise ValueError(f"targets shape {t.shape}, want {(ds.n, k)}")
+        if not np.isfinite(t).all():
+            raise ValueError("non-finite targets")
+    if not rows:
+        return []
+    tables = np.stack(rows, axis=1)
+    if tau != 1.0:  # the tempered targets; a NaN row fails at its visit
+        tables = _power_renorm(tables, tau)
 
     runs = [_Run(slot=r, model=model.copy(), init_model=model.copy(),
                  best_model=model.copy(),
                  paths=PathStore(train_idx, k) if config.record_paths else None)
-            for r in range(n_runs)]
+            for r in range(len(rows))]
     stack = _Stack(runs, model, tables)
-    out = [None] * n_runs
+    out = [None] * len(rows)
 
     def finish(run, stopped_early):
         out[run.slot] = TrainResult(
@@ -405,18 +396,12 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets=None,
                     drop(~np.isfinite(logits).all(axis=1), epoch, step,
                          "softmax got non-finite logits: ", logits)
                     continue
-                if onehot or config.record_paths:
-                    q = softmax(logits)
-                if onehot:
-                    delta = q.copy()
-                    delta[:, label] -= 1.0
-                else:
-                    delta = _kd_grad(logits, stack.targets[i], label, tau, beta)[0]
-                    # at tau != 1 a tempered target row can be NaN
-                    if tau != 1.0 and not np.isfinite(delta).all():
-                        drop(~np.isfinite(delta).all(axis=1), epoch, step,
-                             "non-finite distillation gradient ", delta)
-                        continue
+                delta, q = _kd_grad(logits, stack.targets[i], label, tau, beta)
+                # at tau != 1 a tempered target row can be NaN
+                if tau != 1.0 and not np.isfinite(delta).all():
+                    drop(~np.isfinite(delta).all(axis=1), epoch, step,
+                         "non-finite distillation gradient ", delta)
+                    continue
                 break
             if not stack.runs:
                 break
@@ -484,10 +469,11 @@ def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
     return result
 
 
-def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
-                                 epoch_callback=None):
+def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas):
     """One one-hot teacher run, one Filter-KD table per alpha.
 
+    The teacher is the one-hot table run at temperature 1 and beta 1
+    (plain cross entropy, whatever config says), with its path recorded.
     Returns (TrainResult, {alpha: TargetTable}); result.paths holds the
     teacher's path. Each table is the untrained model's predictions with
     the train rows set to their path's EMA from there. alpha = 1 keeps no
@@ -496,10 +482,8 @@ def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas,
     alphas = tuple(float(a) for a in alphas)
     if not alphas or any(not 0 < a <= 1 for a in alphas):
         raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
-    [result] = _run_sgd(ds, replace(config, record_paths=True),
-                        epoch_callback=epoch_callback)
-    if isinstance(result, DivergenceError):
-        raise result
+    result = train_model(ds, make_onehot_targets(ds), replace(
+        config, temperature=1.0, beta=1.0, record_paths=True))
     init_pred = predict_proba(result.init_model, ds.x)
     ti, tables = result.paths.indices, {}
     for a in alphas:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from learnpath.numerics import softmax
 from learnpath.rngstreams import stream
 
 TRAIN, VALID, TEST = 0, 1, 2
@@ -134,16 +135,10 @@ def compute_p_star(x: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != means.shape[1]:
-        raise ValueError(f"input dim {xb.shape[1]} vs means dim {means.shape[1]}")
-    d2 = ((xb[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    s = -d2 / (2.0 * sigma * sigma)
-    s -= s.max(axis=1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=1, keepdims=True)
-    return p[0] if single else p
+    if x.shape[-1] != means.shape[1]:
+        raise ValueError(f"input dim {x.shape[-1]} vs means dim {means.shape[1]}")
+    d2 = ((x[..., None, :] - means) ** 2).sum(axis=-1)
+    return softmax(-d2 / (2.0 * sigma * sigma))
 
 
 def sample_dataset(spec: GaussianSpec, n_samples: int) -> ToyDataset:

@@ -1,6 +1,7 @@
 """Write the standing set: the CLI outputs a refactor must leave byte-identical.
 
     python tests/standing_set.py OUT_DIR
+    python tests/standing_set.py --compare PARENT_DIR CHANGE_DIR
 
 runs, with the learnpath under this checkout's src/:
 
@@ -12,11 +13,18 @@ runs, with the learnpath under this checkout's src/:
 
 Run it in two checkouts, say this one and one of the parent commit, and
 compare with `diff -r`: an empty diff means every artifact is
-byte-identical. pytest does not collect this file (it is not test_*.py).
+byte-identical. A change that moves floats in their last digits compares
+with --compare instead, which takes any two output trees: for each file
+that differs it prints the largest relative difference between its
+numbers, read field by field as tests/test_snapshot.py does, and it
+exits 1 if any file differs in text, in an integer, in its line count,
+or is missing from one side. pytest does not collect this file (it is
+not test_*.py).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -27,6 +35,7 @@ from learnpath.cli import main  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from test_acceptance import TINY_CONFIGS  # noqa: E402
 from test_cli import TestTeacherDivergence  # noqa: E402
+from test_snapshot import _INT, _NUMBER  # noqa: E402
 
 
 def _run(out_root, name, command, text, *args):
@@ -54,7 +63,64 @@ def write_standing_set(out_root):
              "--seed", str(seed), "--jobs", str(wl.jobs))
 
 
+def _files(root):
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def _drift(want: str, got: str):
+    """Largest relative difference between the numbers of two texts, or
+    None if they differ in text, in an integer or in their line count."""
+    a, b = want.splitlines(), got.splitlines()
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for line_a, line_b in zip(a, b):
+        fa, fb = _NUMBER.split(line_a), _NUMBER.split(line_b)
+        if len(fa) != len(fb):
+            return None
+        # re.split with one group alternates text, number, text, ...
+        for j, (x, y) in enumerate(zip(fa, fb)):
+            if x == y:
+                continue
+            if j % 2 == 0 or (_INT.fullmatch(x) and _INT.fullmatch(y)):
+                return None
+            u, v = float(x), float(y)
+            if not (math.isfinite(u) and math.isfinite(v)):
+                return None
+            if u != v:
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    return worst
+
+
+def compare(parent_root, change_root) -> int:
+    """Print how each file of change_root differs from parent_root's;
+    1 if any differs in more than the digits of its floats."""
+    parent, change = _files(parent_root), _files(change_root)
+    status, same = 0, 0
+    for name in sorted(parent ^ change):
+        print(f"{name}: only in {parent_root if name in parent else change_root}")
+        status = 1
+    for name in sorted(parent & change):
+        with open(os.path.join(parent_root, name)) as fa, \
+                open(os.path.join(change_root, name)) as fb:
+            want, got = fa.read(), fb.read()
+        if want == got:
+            same += 1
+            continue
+        worst = _drift(want, got)
+        if worst is None:
+            print(f"{name}: differs in text, an integer or its line count")
+            status = 1
+        else:
+            print(f"{name}: largest relative difference {worst:.3g}")
+    print(f"{same} of {len(parent & change)} shared files are byte-identical")
+    return status
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        raise SystemExit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     write_standing_set(sys.argv[1])

@@ -9,6 +9,7 @@ variables act on the whole process. Criterion 11 and the snapshot run
 two threads when two are allowed.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import sys
 
 import pytest
 
+from learnpath import experiments
 from learnpath.experiments import _BLAS_THREAD_VARS, _openblas_functions
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -104,6 +106,26 @@ class TestThreadCount:
         assert got["main"] and set(got["main"]) == {2}
         got = _probe(tmp_path, ["spawn"], threads=2)
         assert [set(w) for w in got["workers"]] == [{2}, {2}]
+
+
+def test_a_mapped_file_that_cannot_be_loaded_is_skipped(tmp_path, monkeypatch):
+    """A file named like OpenBLAS that dlopen refuses (here not an ELF file;
+    in the field a python binary under a directory named openblas) is
+    passed over, and the real library is still found."""
+    fake = tmp_path / "libopenblas_fake.so"
+    fake.write_bytes(b"not a shared object")
+    with open("/proc/self/maps") as fh:
+        maps = fh.read() + f"00400000-00401000 r-xp 00000000 00:00 0    {fake}\n"
+    real_open = open
+
+    def fake_open(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            return io.StringIO(maps)
+        return real_open(path, *args, **kwargs)
+
+    want = [get() for get in _openblas_functions("get_num_threads")]
+    monkeypatch.setattr(experiments, "open", fake_open, raising=False)
+    assert [get() for get in _openblas_functions("get_num_threads")] == want
 
 
 @two_cpus

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,7 @@ class TestKdLossGrad:
         z = rng.normal(size=3)
         p_tar = rng.dirichlet(np.ones(3))
         _, grad = kd_loss_and_grad(z, p_tar, y=0, temperature=1.0, beta=1.0)
-        assert np.allclose(grad, softmax(z) - p_tar, atol=1e-14)
+        assert np.array_equal(grad, softmax(z) - p_tar)
 
     def test_beta0_plain_ce(self, rng):
         z = rng.normal(size=3)
@@ -130,7 +132,7 @@ class TestKdLossGrad:
         q = softmax(z)
         want = q.copy()
         want[2] -= 1.0
-        assert np.allclose(grad, want, atol=1e-14)
+        assert np.array_equal(grad, want)
         assert loss == pytest.approx(-np.log(q[2]), abs=1e-12)
 
     def test_grid_matches_finite_differences(self, rng):
@@ -284,6 +286,20 @@ class TestFilterKd:
         assert np.array_equal(result.final_model.params, model.params)
         for a in alphas:
             assert np.array_equal(tables[a].rows, want[a]), a
+
+    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
+    def test_teacher_is_the_one_hot_table_run(self, tau, beta):
+        # the teacher ignores temperature and beta: it is the one-hot
+        # table run at tau = 1, beta = 1, so a distill cell's oht student
+        ds = tiny_ds(seed=13, n=80)
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=8,
+                          patience=3, seed=4, temperature=tau, beta=beta)
+        teacher, _ = train_teacher_filterkd_multi(ds, cfg, (0.5,))
+        student = train_model(ds, make_onehot_targets(ds), replace(
+            cfg, temperature=1.0, beta=1.0, record_paths=True))
+        assert_same_run(teacher, student)
+        assert np.array_equal(teacher.paths.indices, student.paths.indices)
+        assert np.array_equal(teacher.paths.preds, student.paths.preds)
 
     def test_alpha_one_is_last_prediction(self):
         ds = tiny_ds(seed=6, n=50)
