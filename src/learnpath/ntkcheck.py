@@ -108,17 +108,17 @@ def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
     non-finite logits. Returns one record per eta, in grid order.
     """
     p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
-    cache_u = mlp_forward(model, x_u)
-    q_u = softmax(cache_u.logits)
-    q_o = softmax(mlp_forward(model, x_o).logits)
+    acts_u = mlp_forward(model, x_u)
+    q_u = softmax(acts_u[-1])
+    q_o = softmax(mlp_forward(model, x_o)[-1])
     a_matrix = softmax_jacobian(q_o)
     kernel = empirical_ntk(model, x_o, x_u)
-    grad = mlp_backward(model, cache_u, q_u - p_tar_u)
+    grad = mlp_backward(model, acts_u, q_u - p_tar_u)
     trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
     etas = np.array(eta_grid, dtype=np.float64)
     stepped = MlpModel(model.layer_sizes, np.tile(model.params, (etas.size, 1)))
     stepped.params -= etas[:, None] * grad
-    stepped_logits = mlp_forward(stepped, x_o).logits
+    stepped_logits = mlp_forward(stepped, x_o)[-1]
     records = []
     for eta, logits in zip(eta_grid, stepped_logits):
         pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
@@ -198,5 +198,5 @@ def trace_evolution(models, x: np.ndarray) -> np.ndarray:
     checkpoints are stacked into one model and read in one forward pass.
     """
     stack = MlpModel(models[0].layer_sizes, np.stack([m.params for m in models]))
-    q = softmax(mlp_forward(stack, x).logits)
+    q = softmax(mlp_forward(stack, x)[-1])
     return 1.0 - (q * q).sum(axis=1)

@@ -16,6 +16,9 @@ A stack of R models of one shape is one MlpModel on (R, P) params.
 mlp_forward and mlp_backward, the one per-sample kernel, take a model or
 a stack and give each row of a stack the bits of its model alone: the
 stacked mat-vecs reach the same BLAS gemv as `W @ a` and `W.T @ d`.
+mlp_forward returns each layer's input, logits last, as a plain list,
+from which mlp_backward reads its outer products and ReLU masks. softmax
+is the package's one softmax and its one finiteness check of logits.
 jacobian_factors gives the logit Jacobians of a batch only as per-layer
 factors, layer inputs and unit-seeded backward deltas, from which
 ntkcheck reads the tangent kernel without forming a (K, P) block.
@@ -30,7 +33,7 @@ import numpy as np
 from learnpath.rngstreams import stream
 
 __all__ = [
-    "MlpModel", "ForwardCache", "param_views", "init_mlp", "softmax", "mlp_forward",
+    "MlpModel", "param_views", "init_mlp", "softmax", "mlp_forward",
     "mlp_backward", "jacobian_factors", "sgd_step",
     "finite_diff_grad", "predict_proba",
 ]
@@ -131,50 +134,33 @@ def init_mlp(layer_sizes, seed: int) -> MlpModel:
     return MlpModel(sizes, np.concatenate(parts))
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate state of one forward pass, consumed by mlp_backward.
+def mlp_forward(model: MlpModel, x: np.ndarray) -> list:
+    """Forward pass of one input (num_inputs,).
 
-    pre_activations[l] is z_l = W_l a_{l-1} + b_l; activations[l] is the
-    post-ReLU a_l for hidden layers and z_L itself for the output layer.
-    logits are the final pre-activation.
+    Returns [x, a_1, ..., a_{L-1}, z_L]: each layer's input, then the
+    logits. For a stack every entry after x has a leading run axis.
     """
-
-    x: np.ndarray
-    pre_activations: list
-    activations: list
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre_activations[-1]
-
-
-def mlp_forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
-    """Forward pass of one input (num_inputs,); the arrays of a stack's
-    cache have a leading run axis."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.num_inputs,):
         raise ValueError(f"input shape {x.shape}, model expects ({model.num_inputs},)")
-    pre, act = [], []
-    a = x
+    acts = [x]
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(w, a[..., None])[..., 0] + b
-        pre.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
-        act.append(a)
-    return ForwardCache(x=x, pre_activations=pre, activations=act)
+        z = np.matmul(w, acts[-1][..., None])[..., 0] + b
+        acts.append(z if l == last else np.maximum(z, 0.0, out=z))
+    return acts
 
 
-def mlp_backward(model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray,
+def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
                  out: MlpModel | None = None) -> np.ndarray:
     """Backpropagate a loss gradient w.r.t. logits to all parameters.
 
-    grad_logits is (K,), or (R, K) for a stack. The gradient is written
-    into out, a model of model's shape used as a buffer whose weights and
-    biases views are the per-layer blocks (so a caller that keeps it
-    builds them once), or into a new one; returns out.params. Linear in
-    grad_logits; ReLU uses derivative 0 at exactly 0.
+    acts is mlp_forward's list. grad_logits is (K,), or (R, K) for a
+    stack. The gradient is written into out, a model of model's shape
+    used as a buffer whose weights and biases views are the per-layer
+    blocks (so a caller that keeps it builds them once), or into a new
+    one; returns out.params. Linear in grad_logits; ReLU uses derivative
+    0 at exactly 0: the mask a_l > 0 is z_l > 0 bit for bit.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     want = (*model.params.shape[:-1], model.num_classes)
@@ -186,11 +172,10 @@ def mlp_backward(model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray,
     db[-1][...] = g  # the bias gradient of layer l is its delta
     for l in range(model.num_layers - 1, -1, -1):
         delta = db[l]
-        a_prev = cache.x if l == 0 else cache.activations[l - 1]
-        np.einsum("...i,...j->...ij", delta, a_prev, out=dw[l])
+        np.einsum("...i,...j->...ij", delta, acts[l], out=dw[l])
         if l > 0:
             back = np.matmul(delta[..., None, :], model.weights[l])[..., 0, :]
-            np.multiply(back, cache.pre_activations[l - 1] > 0.0, out=db[l - 1])
+            np.multiply(back, acts[l] > 0.0, out=db[l - 1])
     return out.params
 
 
@@ -207,13 +192,12 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     a = np.asarray(xs, dtype=np.float64)
     if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
         raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
-    inputs, pre = [], []
+    inputs = []
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
         z = a @ w.T + b
-        pre.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
+        a = z if l == last else np.maximum(z, 0.0, out=z)
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite logits in batch forward pass")
     n, k = a.shape
@@ -223,7 +207,7 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
         deltas[l] = delta
         if l > 0:
             back = delta.reshape(n * k, -1) @ model.weights[l]
-            delta = back.reshape(n, k, -1) * (pre[l - 1] > 0.0)[:, None, :]
+            delta = back.reshape(n, k, -1) * (inputs[l] > 0.0)[:, None, :]
     return list(zip(inputs, deltas))
 
 

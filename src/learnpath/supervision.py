@@ -27,12 +27,14 @@ share one TrainConfig, so they share the initialization and the shuffle
 order and differ only in their target tables: train_models stacks the
 students given to it, and train_model and the filtered teacher are its
 R = 1 case. A stack is one MlpModel with (R, P) parameters, a flat
-vector per run; each visit does one numerics.mlp_forward, one stacked
-loss gradient and one numerics.mlp_backward, then one sgd_step per run,
-a vector update of its row. The contract is bitwise: every run ends with
-exactly the parameters, histories and stopping epoch it would have had
-trained alone. Early stopping stays per run, and a run that stops or
-diverges leaves the stack without touching the others.
+vector per run; each visit does one numerics.mlp_forward, one softmax
+(the visit's one finiteness check), one stacked loss gradient built from
+that q and one mlp_backward on the forward's list of layer inputs, then
+one sgd_step per run, a vector update of its row. The contract is
+bitwise: every run ends with exactly the parameters, histories and
+stopping epoch it would have had trained alone. Early stopping stays per
+run, and a run that stops or diverges leaves the stack without touching
+the others.
 """
 
 from __future__ import annotations
@@ -125,25 +127,27 @@ def _power_renorm(p: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _kd_grad(z, pt, y: int, tau: float, beta: float):
-    """Logit gradient of the distillation loss, and q = softmax(z).
+def _kd_grad(z, q, pt, y: int, tau: float, beta: float):
+    """Logit gradient of the distillation loss.
 
-    z holds finite logits and pt tempered targets, either one row (K,)
-    or a stack of rows (R, K) against the same label y; each row's
-    numbers are the same whether it is computed alone or in a stack.
-    The tempered q_t is exp(log_softmax(tau z)), so a tau z that
+    z holds finite logits, q = softmax(z) and pt tempered targets, either
+    one row (K,) or a stack of rows (R, K) against the same label y; each
+    row's numbers are the same whether it is computed alone or in a
+    stack. The tempered q_t is exp(log_softmax(tau z)), so a tau z that
     overflows gives a non-finite gradient instead of raising.
     """
-    q = softmax(z)
-    qt = q if tau == 1.0 else np.exp(_log_softmax(tau * z))
-    grad = np.zeros(z.shape)
     if beta > 0:
-        grad += (beta / tau) * (qt - pt)
+        grad = (q if tau == 1.0 else np.exp(_log_softmax(tau * z))) - pt
+        scale = beta / tau
+        if scale != 1.0:
+            grad *= scale
+    else:
+        grad = np.zeros(z.shape)
     if beta < 1:
         g = q.copy()
         g[..., y] -= 1.0
         grad += (1.0 - beta) * g
-    return grad, q
+    return grad
 
 
 def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
@@ -175,7 +179,7 @@ def kd_loss_and_grad(logits, p_tar, y: int, temperature: float = 1.0,
         raise ValueError(f"label {y} out of range for {k} classes")
     tau = temperature
     pt = p if tau == 1.0 else _power_renorm(p, tau)
-    grad = _kd_grad(z, pt, y, tau, beta)[0]
+    grad = _kd_grad(z, softmax(z), pt, y, tau, beta)
     loss = 0.0
     if beta > 0:
         loss += beta / (tau * tau) * float(-(pt * _log_softmax(tau * z)).sum())
@@ -325,8 +329,8 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
 
     targets is a list of R (n, K) row arrays; each run descends the
     tempered loss against its own rows. The visit's q = softmax(z) is
-    computed once, inside the loss gradient, and is what a run that
-    records its path logs.
+    computed once: the loss gradient is built from it, a run that records
+    its path logs it, and its ValueError is the visit's finiteness check.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
@@ -390,13 +394,17 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
             # a visit at which runs diverge is redone without them; rows
             # are independent, so the others' numbers do not change
             while stack.runs:
-                cache = mlp_forward(stack.model, x)
-                logits = cache.logits
-                if not np.isfinite(logits).all():
-                    drop(~np.isfinite(logits).all(axis=1), epoch, step,
-                         "softmax got non-finite logits: ", logits)
+                acts = mlp_forward(stack.model, x)
+                logits = acts[-1]
+                try:
+                    q = softmax(logits)
+                except ValueError:
+                    bad = ~np.isfinite(logits).all(axis=1)
+                    if not bad.any():
+                        raise
+                    drop(bad, epoch, step, "softmax got non-finite logits: ", logits)
                     continue
-                delta, q = _kd_grad(logits, stack.targets[i], label, tau, beta)
+                delta = _kd_grad(logits, q, stack.targets[i], label, tau, beta)
                 # at tau != 1 a tempered target row can be NaN
                 if tau != 1.0 and not np.isfinite(delta).all():
                     drop(~np.isfinite(delta).all(axis=1), epoch, step,
@@ -408,7 +416,7 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
             if config.record_paths:
                 for run, q_r in zip(stack.runs, q):
                     run.paths.log(epoch, column, step, q_r)
-            mlp_backward(stack.model, cache, delta, out=stack.grad)
+            mlp_backward(stack.model, acts, delta, out=stack.grad)
             for run, grad in zip(stack.runs, stack.grad.params):
                 sgd_step(run.model, grad, eta)
             step += 1

@@ -48,15 +48,16 @@ def test_criterion_01_gradient_oracle(capsys):
         sizes = shapes[checked % len(shapes)]
         model = init_mlp(sizes, seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=sizes[0])
-        cache = mlp_forward(model, x)
-        hidden = np.concatenate([z.ravel() for z in cache.pre_activations[:-1]])
+        acts = mlp_forward(model, x)
+        hidden = np.concatenate([w @ a + b for w, b, a in
+                                 zip(model.weights[:-1], model.biases[:-1], acts)])
         if np.abs(hidden).min() < 1e-6:
             continue  # too close to a ReLU kink for central differences
         p_tar = rng.dirichlet(np.ones(sizes[-1]))
-        analytic = mlp_backward(model, cache, softmax(cache.logits) - p_tar)
+        analytic = mlp_backward(model, acts, softmax(acts[-1]) - p_tar)
 
         def loss(m, x=x, p_tar=p_tar):
-            q = softmax(mlp_forward(m, x).logits)
+            q = softmax(mlp_forward(m, x)[-1])
             return float(-(p_tar * np.log(q)).sum())
 
         numeric = finite_diff_grad(loss, model)

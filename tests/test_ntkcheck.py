@@ -24,8 +24,8 @@ def linear_model(dim, k=3, seed=0):
 
 def per_seed_jacobian(model, x):
     """Reference logit Jacobian: one backward pass per unit seed e_k."""
-    cache = mlp_forward(model, x)
-    return np.vstack([mlp_backward(model, cache, e) for e in np.eye(model.num_classes)])
+    acts = mlp_forward(model, x)
+    return np.vstack([mlp_backward(model, acts, e) for e in np.eye(model.num_classes)])
 
 
 def actual_delta_q(model, x_o, x_u, p_tar_u, eta):
@@ -34,11 +34,11 @@ def actual_delta_q(model, x_o, x_u, p_tar_u, eta):
     The step descends cross entropy against p_tar_u, whose logit
     gradient is q(x_u) - p_tar_u.
     """
-    q_before = softmax(mlp_forward(model, x_o).logits)
+    q_before = softmax(mlp_forward(model, x_o)[-1])
     stepped = model.copy()
-    cache = mlp_forward(stepped, x_u)
-    sgd_step(stepped, mlp_backward(stepped, cache, softmax(cache.logits) - p_tar_u), eta)
-    return softmax(mlp_forward(stepped, x_o).logits) - q_before
+    acts = mlp_forward(stepped, x_u)
+    sgd_step(stepped, mlp_backward(stepped, acts, softmax(acts[-1]) - p_tar_u), eta)
+    return softmax(mlp_forward(stepped, x_o)[-1]) - q_before
 
 
 class TestSoftmaxJacobian:
@@ -124,8 +124,8 @@ class TestDeltas:
         # A's rows sum to zero, so any A v keeps the simplex sum fixed
         model = init_mlp((5, 16, 3), seed=5)
         x_o, x_u = rng.normal(size=(2, 5))
-        q_o = softmax(mlp_forward(model, x_o).logits)
-        q_u = softmax(mlp_forward(model, x_u).logits)
+        q_o = softmax(mlp_forward(model, x_o)[-1])
+        q_u = softmax(mlp_forward(model, x_u)[-1])
         pred = predicted_delta_q(0.05, softmax_jacobian(q_o),
                                  empirical_ntk(model, x_o, x_u),
                                  rng.dirichlet(np.ones(3)), q_u)
@@ -174,7 +174,7 @@ class TestDecomposition:
         assert rec.pair_id == 3 and rec.eta == 0.01
         assert rec.residual_norm == pytest.approx(
             np.linalg.norm(rec.actual - rec.predicted), abs=0)
-        q_o = softmax(mlp_forward(model, x_o).logits)
+        q_o = softmax(mlp_forward(model, x_o)[-1])
         assert rec.trace_a == pytest.approx(1.0 - (q_o * q_o).sum(), abs=1e-14)
 
     def test_residual_shrinks_quadratically(self):
@@ -200,8 +200,8 @@ class TestDecomposition:
             [(pid, eta) for eta in grid for pid in range(len(pairs))]
         for rec in records:
             x_o, x_u, p_tar = pairs[rec.pair_id]
-            q_o = softmax(mlp_forward(model, x_o).logits)
-            q_u = softmax(mlp_forward(model, x_u).logits)
+            q_o = softmax(mlp_forward(model, x_o)[-1])
+            q_u = softmax(mlp_forward(model, x_u)[-1])
             kernel = empirical_ntk(model, x_o, x_u)
             pred = predicted_delta_q(rec.eta, softmax_jacobian(q_o), kernel,
                                      p_tar, q_u)
@@ -282,7 +282,7 @@ class TestTraceEvolution:
         x = rng.normal(size=6)
         want = []
         for m in models:
-            q = softmax(mlp_forward(m, x).logits)
+            q = softmax(mlp_forward(m, x)[-1])
             want.append(1.0 - float((q * q).sum()))
         assert np.array_equal(trace_evolution(models, x), want)
 

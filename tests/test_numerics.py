@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from learnpath.numerics import (MlpModel, finite_diff_grad, init_mlp,
                                 jacobian_factors, mlp_backward, mlp_forward,
                                 param_views, predict_proba, sgd_step, softmax)
+from test_supervision import reference_forward, reference_step
 
 # softmax(1, 2, 3) evaluated with mpmath at 50 digits, rounded to float64
 SOFTMAX_123 = (0.090030573170380457998,
@@ -67,26 +68,26 @@ class TestForward:
         model = init_mlp((4, 3), seed=0)
         model.weights[0][:] = 0.0
         model.biases[0][:] = (0.5, -1.0, 2.0)
-        out = mlp_forward(model, np.ones(4)).logits
+        out = mlp_forward(model, np.ones(4))[-1]
         assert np.allclose(out, [0.5, -1.0, 2.0], atol=0)
 
     def test_single_layer_is_affine(self):
         model = init_mlp((4, 2), seed=1)
         x = np.arange(4.0)
         want = model.weights[0] @ x + model.biases[0]
-        assert np.allclose(mlp_forward(model, x).logits, want, atol=0)
+        assert np.allclose(mlp_forward(model, x)[-1], want, atol=0)
 
     def test_matches_naive_reimplementation(self):
         model = init_mlp((6, 5, 4, 3), seed=3)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.normal(size=6)
-            got = mlp_forward(model, x).logits
+            got = mlp_forward(model, x)[-1]
             assert np.allclose(got, naive_forward(model, x), rtol=1e-12, atol=1e-12)
 
     def test_last_layer_not_rectified(self):
         model = init_mlp((3, 4, 2), seed=2)
-        logits = [mlp_forward(model, x).logits
+        logits = [mlp_forward(model, x)[-1]
                   for x in np.random.default_rng(4).normal(size=(40, 3))]
         assert any(l.min() < 0 for l in logits)
 
@@ -95,15 +96,32 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(model, np.zeros(5))
 
-    def test_cache_logits_alias(self):
-        model = init_mlp((3, 4, 2), seed=0)
-        cache = mlp_forward(model, np.ones(3))
-        assert cache.logits is cache.pre_activations[-1]
+    def test_returns_layer_inputs_then_logits(self):
+        # [x, a_1, a_2, z_3]; a stack's entries after x have a run axis
+        model = init_mlp((3, 4, 5, 2), seed=0)
+        x = np.linspace(-1, 1, 3)
+        acts = mlp_forward(model, x)
+        assert [a.shape for a in acts] == [(3,), (4,), (5,), (2,)]
+        assert np.array_equal(acts[0], x)
+        for l in (1, 2):
+            z = model.weights[l - 1] @ acts[l - 1] + model.biases[l - 1]
+            assert np.array_equal(acts[l], np.maximum(z, 0.0))
+        assert np.array_equal(acts[-1], naive_forward(model, x))
+        stack = MlpModel(model.layer_sizes, np.stack([model.params] * 2))
+        stacked = mlp_forward(stack, x)
+        assert [a.shape for a in stacked] == [(3,), (2, 4), (2, 5), (2, 2)]
+        assert all(np.array_equal(a, b[1]) for a, b in zip(acts[1:], stacked[1:]))
+
+
+def hidden_pre_activations(model, acts):
+    """Every hidden layer's z = w @ a + b, from mlp_forward's layer inputs."""
+    return np.concatenate([w @ a + b for w, b, a in
+                           zip(model.weights[:-1], model.biases[:-1], acts)])
 
 
 def ce_loss_fn(x, target):
     def loss(m):
-        q = softmax(mlp_forward(m, x).logits)
+        q = softmax(mlp_forward(m, x)[-1])
         return float(-(target * np.log(q)).sum())
     return loss
 
@@ -111,17 +129,17 @@ def ce_loss_fn(x, target):
 class TestBackward:
     def test_zero_grad_logits(self):
         model = init_mlp((4, 3, 2), seed=0)
-        cache = mlp_forward(model, np.ones(4))
-        grad = mlp_backward(model, cache, np.zeros(2))
+        acts = mlp_forward(model, np.ones(4))
+        grad = mlp_backward(model, acts, np.zeros(2))
         assert grad.shape == (model.num_params,)
         assert np.all(grad == 0)
 
     def test_linearity_in_grad_logits(self):
         model = init_mlp((4, 3, 2), seed=5)
-        cache = mlp_forward(model, np.linspace(-1, 1, 4))
+        acts = mlp_forward(model, np.linspace(-1, 1, 4))
         g = np.array([0.3, -0.7])
-        one = mlp_backward(model, cache, g)
-        two = mlp_backward(model, cache, 2 * g)
+        one = mlp_backward(model, acts, g)
+        two = mlp_backward(model, acts, 2 * g)
         assert np.allclose(2 * one, two, rtol=1e-12, atol=1e-15)
 
     def test_matches_finite_differences(self):
@@ -133,12 +151,11 @@ class TestBackward:
             model = init_mlp((5, 6, 4, 3), seed=int(rng.integers(1 << 20)))
             x = rng.normal(size=5)
             target = rng.dirichlet(np.ones(3))
-            cache = mlp_forward(model, x)
-            hidden = np.concatenate([z.ravel() for z in cache.pre_activations[:-1]])
-            if np.abs(hidden).min() < 1e-6:
+            acts = mlp_forward(model, x)
+            if np.abs(hidden_pre_activations(model, acts)).min() < 1e-6:
                 continue
-            q = softmax(cache.logits)
-            analytic = mlp_backward(model, cache, q - target)
+            q = softmax(acts[-1])
+            analytic = mlp_backward(model, acts, q - target)
             numeric = finite_diff_grad(ce_loss_fn(x, target), model)
             err = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert err < 1e-6
@@ -153,18 +170,18 @@ class TestBackward:
         stack = MlpModel(sizes, np.stack([m.params for m in models]))
         x = rng.normal(size=5)
         targets = rng.dirichlet(np.ones(3), size=3)
-        cache = mlp_forward(stack, x)
-        assert cache.logits.shape == (3, 3)
+        acts = mlp_forward(stack, x)
+        assert acts[-1].shape == (3, 3)
         buf = MlpModel(sizes, np.zeros((3, stack.num_params)))
-        grads = mlp_backward(stack, cache, softmax(cache.logits) - targets, out=buf)
+        grads = mlp_backward(stack, acts, softmax(acts[-1]) - targets, out=buf)
         assert grads is buf.params
         for r, (model, target) in enumerate(zip(models, targets)):
             alone = mlp_forward(model, x)
-            hidden = np.concatenate(alone.pre_activations[:-1])
-            assert np.abs(hidden).min() > 1e-6  # clear of the ReLU kinks
-            for got, want in zip(cache.pre_activations, alone.pre_activations):
+            # clear of the ReLU kinks
+            assert np.abs(hidden_pre_activations(model, alone)).min() > 1e-6
+            for got, want in zip(acts[1:], alone[1:]):
                 assert np.array_equal(got[r], want)
-            grad = mlp_backward(model, alone, softmax(alone.logits) - target)
+            grad = mlp_backward(model, alone, softmax(alone[-1]) - target)
             assert np.array_equal(grads[r], grad)
             numeric = finite_diff_grad(ce_loss_fn(x, target), model)
             assert np.linalg.norm(grad - numeric) / np.linalg.norm(numeric) < 1e-6
@@ -172,15 +189,78 @@ class TestBackward:
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 3)])
     def test_wrong_grad_logits_shape_rejected(self, shape):
         stack = MlpModel((3, 2), np.zeros((3, 8)))
-        cache = mlp_forward(stack, np.ones(3))
+        acts = mlp_forward(stack, np.ones(3))
         with pytest.raises(ValueError, match="grad_logits shape"):
-            mlp_backward(stack, cache, np.zeros(shape))
+            mlp_backward(stack, acts, np.zeros(shape))
 
     def test_model_restored_by_finite_diff(self):
         model = init_mlp((3, 4, 2), seed=9)
         before = model.params.copy()
         finite_diff_grad(ce_loss_fn(np.ones(3), np.array([0.5, 0.5])), model)
         assert np.array_equal(model.params, before)
+
+
+class TestReluKink:
+    """ReLU's derivative is 0 at a pre-activation of exactly 0.0 or -0.0,
+    where the mask a > 0 on the layer input must agree with z > 0."""
+
+    # (layer, unit) of the two kinked hidden units
+    KINKS = ((0, 1), (1, 2))
+
+    @classmethod
+    def kinked(cls):
+        # zero weights in, zero bias: z = +0.0 + bias is exactly 0.0 for
+        # bias 0.0 and for bias -0.0 alike, since a gemv sum starts at +0.0
+        model = init_mlp((4, 5, 4, 3), seed=3)
+        for (l, u), bias in zip(cls.KINKS, (0.0, -0.0)):
+            model.weights[l][u] = 0.0
+            model.biases[l][u] = bias
+        x = np.array([0.5, -1.0, 2.0, 0.25])
+        g = np.array([0.3, -0.5, 0.2])
+        return model, x, g
+
+    def assert_unit_cut(self, model, grad):
+        dw, db = param_views(model.layer_sizes, grad)
+        for l, u in self.KINKS:
+            # what a mask of z >= 0 would let through is not zero
+            upstream = db[l + 1] @ model.weights[l + 1]
+            assert upstream[u] != 0.0
+            assert db[l][u] == 0.0 and not dw[l][u].any()
+
+    def test_backward_at_zero(self):
+        model, x, g = self.kinked()
+        acts = mlp_forward(model, x)
+        assert all(acts[l + 1][u] == 0.0 for l, u in self.KINKS)
+        grad = mlp_backward(model, acts, g)
+        self.assert_unit_cut(model, grad)
+        stepped = sgd_step(model.copy(), grad, 0.1)
+        want = model.copy()
+        reference_step(want, *reference_forward(want, x), g, 0.1)
+        assert np.array_equal(stepped.params, want.params)
+
+    def test_backward_at_negative_zero(self):
+        # no bias makes the kernel's z -0.0, so hand mlp_backward the list
+        # a z of -0.0 gives: np.maximum(-0.0, 0.0) is -0.0
+        model, x, g = self.kinked()
+        acts = mlp_forward(model, x)
+        want = model.copy()
+        inputs, pre = reference_forward(want, x)
+        for l, u in self.KINKS:
+            acts[l + 1][u] = inputs[l + 1][u] = pre[l][u] = -0.0
+        grad = mlp_backward(model, acts, g)
+        self.assert_unit_cut(model, grad)
+        stepped = sgd_step(model.copy(), grad, 0.1)
+        reference_step(want, inputs, pre, g, 0.1)
+        assert np.array_equal(stepped.params, want.params)
+
+    def test_jacobian_factors_at_zero(self):
+        model, x, _ = self.kinked()
+        factors = jacobian_factors(model, x[None])
+        for l, u in self.KINKS:
+            inputs, deltas = factors[l + 1]
+            assert inputs[0, u] == 0.0
+            assert (deltas[0] @ model.weights[l + 1])[:, u].any()
+            assert not factors[l][1][0, :, u].any()
 
 
 def logits_jacobian(model, x):
@@ -211,17 +291,17 @@ class TestJacobian:
         eps = 1e-6
         bumped = MlpModel(model.layer_sizes, model.params + eps * direction)
         dipped = MlpModel(model.layer_sizes, model.params - eps * direction)
-        numeric = (mlp_forward(bumped, x).logits
-                   - mlp_forward(dipped, x).logits) / (2 * eps)
+        numeric = (mlp_forward(bumped, x)[-1]
+                   - mlp_forward(dipped, x)[-1]) / (2 * eps)
         assert np.allclose(jac @ direction, numeric, rtol=1e-5, atol=1e-8)
 
     def test_row_matches_backward(self):
         model = init_mlp((3, 4, 2), seed=8)
         x = np.ones(3)
-        cache = mlp_forward(model, x)
+        acts = mlp_forward(model, x)
         jac = logits_jacobian(model, x)
         seed_vec = np.array([1.0, 0.0])
-        assert np.array_equal(jac[0], mlp_backward(model, cache, seed_vec))
+        assert np.array_equal(jac[0], mlp_backward(model, acts, seed_vec))
 
 
 class TestBatchedJacobian:
@@ -229,8 +309,8 @@ class TestBatchedJacobian:
 
     @staticmethod
     def per_seed_reference(model, x):
-        cache = mlp_forward(model, x)
-        return np.vstack([mlp_backward(model, cache, e)
+        acts = mlp_forward(model, x)
+        return np.vstack([mlp_backward(model, acts, e)
                           for e in np.eye(model.num_classes)])
 
     @pytest.mark.parametrize("sizes", [(6, 3), (5, 1), (4, 7, 2),
@@ -254,8 +334,8 @@ class TestSgdStep:
 
     def test_zero_eta_identity(self):
         model = init_mlp((3, 2), seed=0)
-        cache = mlp_forward(model, np.ones(3))
-        grad = mlp_backward(model, cache, np.array([1.0, -1.0]))
+        acts = mlp_forward(model, np.ones(3))
+        grad = mlp_backward(model, acts, np.array([1.0, -1.0]))
         before = model.params.copy()
         sgd_step(model, grad, 0.0)
         assert np.array_equal(model.params, before)
@@ -433,6 +513,6 @@ class TestModelPlumbing:
         batch = predict_proba(model, xs)
         assert batch.shape == (7, 3)
         for i, x in enumerate(xs):
-            single = softmax(mlp_forward(model, x).logits)
+            single = softmax(mlp_forward(model, x)[-1])
             assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-15)
         assert np.allclose(batch.sum(axis=1), 1.0, atol=1e-12)

@@ -154,6 +154,26 @@ class TestKdLossGrad:
                        / max(np.linalg.norm(numeric), 1e-12))
                 assert err < 1e-5, (tau, beta)
 
+    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (1.0, 0.0), (1.0, 0.3),
+                                          (2.0, 0.5), (0.5, 0.5), (3.0, 1.0)])
+    def test_gradient_has_the_bits_of_the_formula(self, rng, tau, beta):
+        # beta / tau (q_t - p_t) + (1 - beta) (q - e_y), summed on zeros
+        # as written, whatever terms the kernel skips
+        for z, p in zip(rng.normal(scale=3.0, size=(40, 3)),
+                        rng.dirichlet(np.ones(3), size=40)):
+            qt, pt = softmax(z), p
+            if tau != 1.0:  # q_t = exp(log_softmax(tau z)), p_t = p^tau renormalized
+                tz = tau * z
+                qt = np.exp(tz - (tz.max() + np.log(np.exp(tz - tz.max()).sum())))
+                pt = p ** tau / (p ** tau).sum()
+            want = np.zeros(3)
+            if beta > 0:
+                want += (beta / tau) * (qt - pt)
+            if beta < 1:
+                want += (1.0 - beta) * (softmax(z) - np.eye(3)[1])
+            _, grad = kd_loss_and_grad(z, p, y=1, temperature=tau, beta=beta)
+            assert np.array_equal(grad, want)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_rejected(self):
         # a negative target entry raised to a fractional power is NaN
@@ -347,15 +367,22 @@ class TestFilterKd:
             train_teacher_filterkd_multi(ds, TINY, ())
 
 
-def reference_student(ds, rows, cfg):
-    """The per-sample loop on the reference passes, one run at a time."""
+def reference_student(ds, rows, cfg, path=None):
+    """The per-sample loop on the reference passes, one run at a time.
+
+    A given path array, (max_epochs, train rows, K), receives each visit's
+    pre-update softmax at [epoch, the row's place in the train split].
+    """
     model = init_mlp(cfg.layer_sizes(ds.spec.input_dim, ds.num_classes), cfg.seed)
     ti, vi = ds.train_indices, ds.valid_indices
     best, best_acc, best_epoch, since = model.copy(), -np.inf, 0, 0
     valid, train, stopped = [], [], False
     for epoch in range(cfg.max_epochs):
-        for i in ti[stream(cfg.seed, "shuffle", epoch).permutation(ti.size)]:
+        for column in stream(cfg.seed, "shuffle", epoch).permutation(ti.size):
+            i = ti[column]
             inputs, pre = reference_forward(model, ds.x[i])
+            if path is not None:
+                path[epoch, column] = softmax(pre[-1])
             _, grad = kd_loss_and_grad(pre[-1], rows[i], int(ds.y[i]),
                                        cfg.temperature, cfg.beta)
             reference_step(model, inputs, pre, grad, cfg.learning_rate)
@@ -370,6 +397,14 @@ def reference_student(ds, rows, cfg):
             stopped = True
             break
     return model, best, best_epoch, valid, train, stopped
+
+
+def assert_reference_run(got: TrainResult, reference):
+    final, best, best_epoch, valid, train, stopped = reference
+    assert np.array_equal(got.final_model.params, final.params)
+    assert np.array_equal(got.best_model.params, best.params)
+    assert (got.valid_acc_history, got.train_acc_history) == (valid, train)
+    assert (got.best_epoch, got.stopped_early) == (best_epoch, stopped)
 
 
 def assert_same_run(a: TrainResult, b: TrainResult):
@@ -403,21 +438,42 @@ class TestLockstep:
         for table, result in zip(tables, stacked):
             assert_same_run(result, train_model(ds, table, cfg))
 
-    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
-    def test_single_run_equals_reference_kernels(self, tau, beta):
+    # (1, 0) builds the gradient on zeros; at (0.5, 0.5) beta / tau is 1
+    @pytest.mark.parametrize("tau,beta,record", [
+        (1.0, 1.0, False), (2.0, 0.5, False), (1.0, 0.0, False), (0.5, 0.5, False),
+        (2.0, 0.5, True)], ids=["1.0-1.0", "2.0-0.5", "1.0-0.0", "0.5-0.5", "2.0-0.5-paths"])
+    def test_single_run_equals_reference_kernels(self, tau, beta, record):
         # the loop against reference_forward / reference_step, which share
-        # no code with numerics' kernel
+        # no code with numerics' kernel; a recorded path holds the
+        # reference's pre-update softmax at every visit
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
-                          patience=3, seed=1, temperature=tau, beta=beta)
+                          patience=3, seed=1, temperature=tau, beta=beta,
+                          record_paths=record)
         for table in tables[:2]:
+            path = np.full((cfg.max_epochs, ds.train_indices.size, ds.num_classes), np.nan)
             got = train_model(ds, table, cfg)
-            final, best, best_epoch, valid, train, stopped = \
-                reference_student(ds, table.rows, cfg)
-            assert np.array_equal(got.final_model.params, final.params)
-            assert np.array_equal(got.best_model.params, best.params)
-            assert (got.valid_acc_history, got.train_acc_history) == (valid, train)
-            assert (got.best_epoch, got.stopped_early) == (best_epoch, stopped)
+            assert_reference_run(got, reference_student(ds, table.rows, cfg, path))
+            if record:
+                assert np.array_equal(got.paths.preds, path[:got.epochs_run])
+
+    def test_survivors_of_a_divergence_equal_the_reference(self):
+        # the middle run's scaled-up target row blows its weights up at
+        # its sample's visit, halfway through epoch 0
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
+                          patience=3, seed=1)
+        ti = ds.train_indices
+        bad = tables[0].rows.copy()
+        column = int(stream(cfg.seed, "shuffle", 0).permutation(ti.size)[ti.size // 2])
+        bad[ti[column]] *= 1e300
+        runs = [tables[1].rows, bad, tables[3].rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train_models(ds, runs, cfg)
+        assert str(stacked[1]).startswith(
+            f"non-finite state at epoch 0, step {ti.size // 2 + 1}: softmax got")
+        for r in (0, 2):
+            assert_reference_run(stacked[r], reference_student(ds, runs[r], cfg))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("tau,why", [(1.0, "softmax got non-finite logits"),
@@ -442,9 +498,9 @@ class TestLockstep:
             assert_same_run(stacked[i], train_model(ds, runs[i], cfg))
 
     def test_loop_runs_on_the_numerics_kernel(self, monkeypatch):
-        # one mlp_forward and one mlp_backward per visit, so the loop
-        # cannot grow a forward or backward pass of its own again
-        calls = {"mlp_forward": 0, "mlp_backward": 0}
+        # one mlp_forward, softmax and mlp_backward per visit, so the loop
+        # cannot grow a forward or backward pass, or a second softmax, again
+        calls = {"mlp_forward": 0, "softmax": 0, "mlp_backward": 0}
         for name in calls:
             def counted(*args, _kernel=getattr(supervision, name), _name=name, **kw):
                 calls[_name] += 1
@@ -455,8 +511,18 @@ class TestLockstep:
                           patience=0, seed=1)
         results = train_models(ds, tables, cfg)
         visits = cfg.max_epochs * ds.train_indices.size
-        assert calls == {"mlp_forward": visits, "mlp_backward": visits}
+        assert calls == {"mlp_forward": visits, "softmax": visits,
+                         "mlp_backward": visits}
         assert [r.epochs_run for r in results] == [cfg.max_epochs] * len(tables)
+
+    def test_softmax_error_on_finite_logits_is_raised(self, monkeypatch):
+        # no run to drop, so the visit is not redone forever
+        def broken(z):
+            raise ValueError("broken softmax")
+        monkeypatch.setattr(supervision, "softmax", broken)
+        ds, tables = self.data()
+        with pytest.raises(ValueError, match="broken softmax"):
+            train_models(ds, tables, TINY)
 
     def test_targets_checked_when_the_stack_is_built(self):
         ds, tables = self.data()
