@@ -137,10 +137,7 @@ def _kd_grad(z, q, pt, y: int, tau: float, beta: float):
     overflows gives a non-finite gradient instead of raising.
     """
     if beta > 0:
-        grad = (q if tau == 1.0 else np.exp(_log_softmax(tau * z))) - pt
-        scale = beta / tau
-        if scale != 1.0:
-            grad *= scale
+        grad = (beta / tau) * ((q if tau == 1.0 else np.exp(_log_softmax(tau * z))) - pt)
     else:
         grad = np.zeros(z.shape)
     if beta < 1:

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from learnpath.numerics import (MlpModel, finite_diff_grad, init_mlp,
                                 jacobian_factors, mlp_backward, mlp_forward,
                                 param_views, predict_proba, sgd_step, softmax)
-from test_supervision import reference_forward, reference_step
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from test_supervision import reference_forward, reference_step  # noqa: E402
 
 # softmax(1, 2, 3) evaluated with mpmath at 50 digits, rounded to float64
 SOFTMAX_123 = (0.090030573170380457998,

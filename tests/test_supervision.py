@@ -438,7 +438,7 @@ class TestLockstep:
         for table, result in zip(tables, stacked):
             assert_same_run(result, train_model(ds, table, cfg))
 
-    # (1, 0) builds the gradient on zeros; at (0.5, 0.5) beta / tau is 1
+    # (1, 0) builds the gradient on zeros; (0.5, 0.5) tempers with tau < 1
     @pytest.mark.parametrize("tau,beta,record", [
         (1.0, 1.0, False), (2.0, 0.5, False), (1.0, 0.0, False), (0.5, 0.5, False),
         (2.0, 0.5, True)], ids=["1.0-1.0", "2.0-0.5", "1.0-0.0", "0.5-0.5", "2.0-0.5-paths"])
