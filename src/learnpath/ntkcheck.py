@@ -11,10 +11,10 @@ where A(x) = diag(q(x)) - q(x) q(x)^T is the softmax Jacobian at x_o
 and K(x_o, x_u) = J(x_o) J(x_u)^T is the empirical tangent kernel of the
 logit Jacobians J = d z / d w. The residual is O(eta^2), so halving eta
 should shrink it roughly 4x; residual_scaling_test measures exactly that
-ratio. Only the step size varies along the eta grid, so decompose_pair
-computes q, A, K and the loss gradient once per pair, then takes one
-real SGD step per eta on a stack of copies of the model and reads every
-stepped q(x_o) from one forward pass.
+ratio, for all pairs in one batched pass: q, A, K and the loss gradient
+once per pair, then one real SGD step per (pair, eta), each a row of a
+stack of stepped models that reads its own x_o. Every batched call gives
+a row the bits of that row alone.
 
 K needs no Jacobian. Per layer l the Jacobian of logit k is the outer
 product of the backward delta delta^{l,k} with the layer input a^{l-1}
@@ -23,7 +23,7 @@ product of the backward delta delta^{l,k} with the layer input a^{l-1}
     K[k, k'](x_o, x_u) = sum_l (a_o^{l-1} . a_u^{l-1} + 1)
                                * delta_o^{l,k} . delta_u^{l,k'},
 
-which empirical_ntk evaluates from the per-layer factors of the pair
+which empirical_ntk evaluates from the per-layer factors of each pair
 and similarity_trace_study, for the trace alone, from batched factors.
 
 A(x) is symmetric PSD with A 1 = 0 and tr A = 1 - sum_i q_i^2, which
@@ -50,36 +50,47 @@ __all__ = [
 
 # rows per batched forward/backward in similarity_trace_study
 _BLOCK_ROWS = 256
+# pairs per block in residual_scaling_test; bounds the stepped models' memory
+_BLOCK_PAIRS = 8
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b, each one BLAS dot with the bits of the 1-D a @ b."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def softmax_jacobian(q: np.ndarray) -> np.ndarray:
-    """A = diag(q) - q q^T for a simplex point q."""
+    """A = diag(q) - q q^T for a simplex point q, or for each row of (..., K)."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1:
+    if q.ndim < 1:
         raise ValueError(f"q must be a vector, got shape {q.shape}")
-    if np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-9:
+    if np.any(q < -1e-12) or np.any(np.abs(q.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("q must lie on the probability simplex")
-    return np.diag(q) - np.outer(q, q)
+    diag = np.where(np.eye(q.shape[-1], dtype=bool), q[..., None, :], 0.0)
+    return diag - q[..., :, None] * q[..., None, :]
 
 
 def empirical_ntk(model: MlpModel, x_o: np.ndarray, x_u: np.ndarray) -> np.ndarray:
-    """K(x_o, x_u) = J(x_o) J(x_u)^T, shape (K, K).
+    """K(x_o, x_u) = J(x_o) J(x_u)^T, shape (K, K), or (..., K, K) for rows.
 
     Symmetric PSD when x_o is x_u; otherwise just the cross-Gram of the
     two logit Jacobians. Summed over layers from the factors of one
-    jacobian_factors call on the pair (see the module docstring).
+    jacobian_factors call, each pair its own group (see the module docstring).
     """
-    return sum((a[0] @ a[1] + 1.0) * (d[0] @ d[1].T)
-               for a, d in jacobian_factors(model, np.stack([x_o, x_u])))
+    return sum((_dot_rows(a[..., 0, :], a[..., 1, :])[..., None, None] + 1.0)
+               * np.matmul(d[..., 0, :, :], d[..., 1, :, :].swapaxes(-1, -2))
+               for a, d in jacobian_factors(model, np.stack([x_o, x_u], axis=-2)))
 
 
-def predicted_delta_q(eta: float, a_matrix: np.ndarray, kernel: np.ndarray,
+def predicted_delta_q(eta, a_matrix: np.ndarray, kernel: np.ndarray,
                       p_tar_u: np.ndarray, q_u: np.ndarray) -> np.ndarray:
-    """First-order prediction move: eta * A * K * (p_tar(x_u) - q(x_u))."""
-    if eta < 0:
+    """First-order prediction move: eta * A * K * (p_tar(x_u) - q(x_u)).
+
+    Over any leading axes; eta may be an array broadcast against the move."""
+    if np.any(np.asarray(eta) < 0):
         raise ValueError(f"eta must be >= 0, got {eta}")
-    return eta * (a_matrix @ (kernel @ (np.asarray(p_tar_u, dtype=np.float64)
-                                        - np.asarray(q_u, dtype=np.float64))))
+    v = np.asarray(p_tar_u, dtype=np.float64) - np.asarray(q_u, dtype=np.float64)
+    return eta * np.matmul(a_matrix, np.matmul(kernel, v[..., None]))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -95,44 +106,6 @@ class DecompositionRecord:
     trace_kernel: float
 
 
-def decompose_pair(model: MlpModel, x_o, x_u, p_tar_u, eta_grid,
-                   pair_id: int = 0) -> list:
-    """Evaluate both sides of the decomposition for one pair, every eta.
-
-    Everything but the step itself is independent of eta, so q, A, K and
-    the loss gradient at x_u are computed once. The actual move at each
-    eta still comes from a real SGD step: row e of a stack of copies of
-    the model takes the step at eta_grid[e], and one forward pass of the
-    stack gives q(x_o) after every step. The stack is built from the
-    finite model and stepped in place, so a step that overflows shows as
-    non-finite logits. Returns one record per eta, in grid order.
-    """
-    p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
-    acts_u = mlp_forward(model, x_u)
-    q_u = softmax(acts_u[-1])
-    q_o = softmax(mlp_forward(model, x_o)[-1])
-    a_matrix = softmax_jacobian(q_o)
-    kernel = empirical_ntk(model, x_o, x_u)
-    grad = mlp_backward(model, acts_u, q_u - p_tar_u)
-    trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
-    etas = np.array(eta_grid, dtype=np.float64)
-    stepped = MlpModel(model.layer_sizes, np.tile(model.params, (etas.size, 1)))
-    stepped.params -= etas[:, None] * grad
-    stepped_logits = mlp_forward(stepped, x_o)[-1]
-    records = []
-    for eta, logits in zip(eta_grid, stepped_logits):
-        pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
-        if not np.isfinite(logits).all():
-            raise DivergenceError("non-finite logits after the decomposition step "
-                                  f"of pair {pair_id} at eta = {eta:g}: {logits!r}")
-        act = softmax(logits) - q_o
-        records.append(DecompositionRecord(
-            pair_id=pair_id, eta=float(eta), predicted=pred, actual=act,
-            residual_norm=float(np.linalg.norm(act - pred)),
-            trace_a=trace_a, trace_kernel=trace_kernel))
-    return records
-
-
 def residual_scaling_test(model: MlpModel, pairs, eta_grid):
     """Median decomposition residual at each step size.
 
@@ -140,7 +113,10 @@ def residual_scaling_test(model: MlpModel, pairs, eta_grid):
     given. Returns (records, medians): records are eta-major (every pair
     at the first eta, then every pair at the next) and medians is a list
     of (eta, median residual norm) in grid order. Medians rather than
-    means keep the occasional near-kink pair from dominating.
+    means keep the occasional near-kink pair from dominating. Each actual
+    move is a real SGD step on a copy of the model, stepped in place from
+    the finite model, so an overflowing step raises DivergenceError for
+    its (pair, eta), the first in pair-major order.
     """
     eta_grid = [float(e) for e in eta_grid]
     if not pairs or not eta_grid:
@@ -148,14 +124,35 @@ def residual_scaling_test(model: MlpModel, pairs, eta_grid):
     for eta in eta_grid:
         if not eta > 0:
             raise ValueError(f"step sizes must be positive, got {eta}")
-    per_pair = [decompose_pair(model, x_o, x_u, p_tar_u, eta_grid, pair_id=pid)
-                for pid, (x_o, x_u, p_tar_u) in enumerate(pairs)]
-    records, medians = [], []
-    for e, eta in enumerate(eta_grid):
-        column = [recs[e] for recs in per_pair]
-        records.extend(column)
-        medians.append((eta, float(np.median([r.residual_norm for r in column]))))
-    return records, medians
+    x_o, x_u, p_tar = (np.array(c, dtype=np.float64) for c in zip(*pairs))
+    (n, k), m, etas = p_tar.shape, len(eta_grid), np.array(eta_grid)
+    acts = mlp_forward(model, np.concatenate([x_o, x_u]))
+    q = softmax(acts[-1])
+    q_o, q_u = q[:n], q[n:]
+    kernel, actual = np.empty((n, k, k)), np.empty((m, n, k))
+    for start in range(0, n, _BLOCK_PAIRS):
+        b = slice(start, start + _BLOCK_PAIRS)
+        kernel[b] = empirical_ntk(model, x_o[b], x_u[b])
+        grads = mlp_backward(model, [a[n:][b] for a in acts], q_u[b] - p_tar[b])
+        stepped = MlpModel(model.layer_sizes, np.tile(model.params, (len(grads) * m, 1)))
+        stepped.params -= (etas[:, None] * grads[:, None]).reshape(stepped.params.shape)
+        logits = mlp_forward(stepped, np.repeat(x_o[b], m, axis=0))[-1]
+        bad = ~np.isfinite(logits).all(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise DivergenceError(
+                "non-finite logits after the decomposition step of pair "
+                f"{start + r // m} at eta = {eta_grid[r % m]:g}: {logits[r]!r}")
+        actual[:, b] = (softmax(logits).reshape(-1, m, k) - q_o[b, None]).swapaxes(0, 1)
+    a_matrix = softmax_jacobian(q_o)
+    predicted = predicted_delta_q(etas[:, None, None], a_matrix, kernel, p_tar, q_u)
+    norms = np.sqrt(_dot_rows(actual - predicted, actual - predicted))
+    trace_a, trace_k = (np.trace(t, axis1=1, axis2=2).tolist() for t in (a_matrix, kernel))
+    records = [DecompositionRecord(pid, eta, predicted[e, pid], actual[e, pid], norm,
+                                   trace_a[pid], trace_k[pid])
+               for e, (eta, row) in enumerate(zip(eta_grid, norms.tolist()))
+               for pid, norm in enumerate(row)]
+    return records, [(eta, float(np.median(r))) for eta, r in zip(eta_grid, norms)]
 
 
 def similarity_trace_study(model: MlpModel, x_o: np.ndarray, xs: np.ndarray):
@@ -166,14 +163,13 @@ def similarity_trace_study(model: MlpModel, x_o: np.ndarray, xs: np.ndarray):
     which sign the two columns rank-correlate is an empirical question;
     callers get the raw records. The traces come from the per-layer
     factors of the module docstring, over xs in blocks of _BLOCK_ROWS rows
-    so that memory stays flat in len(xs).
+    so that memory stays flat in len(xs). A zero vector has cosine 0.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ValueError(f"xs must be (n, dim), got {xs.shape}")
     x_o = np.asarray(x_o, dtype=np.float64)
     probe = [(a[0], d[0].ravel()) for a, d in jacobian_factors(model, x_o[None])]
-    norm_o = float(np.linalg.norm(x_o))
     out = np.zeros(xs.shape[0], dtype=[("index", np.int64),
                                        ("cosine", np.float64),
                                        ("trace", np.float64)])
@@ -184,9 +180,8 @@ def similarity_trace_study(model: MlpModel, x_o: np.ndarray, xs: np.ndarray):
             trace += (a_u @ a_o + 1.0) * (d_u.reshape(rows.shape[0], -1) @ d_o)
         out["trace"][start:start + rows.shape[0]] = trace
     out["index"] = np.arange(xs.shape[0])
-    for i, x_u in enumerate(xs):
-        denom = norm_o * float(np.linalg.norm(x_u))
-        out["cosine"][i] = float(x_o @ x_u) / denom if denom > 0 else 0.0
+    denom = float(np.linalg.norm(x_o)) * np.sqrt(_dot_rows(xs, xs))
+    np.divide(_dot_rows(x_o, xs), denom, out=out["cosine"], where=denom > 0)
     return out
 
 

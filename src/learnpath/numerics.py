@@ -14,14 +14,15 @@ output layer.
 
 A stack of R models of one shape is one MlpModel on (R, P) params.
 mlp_forward and mlp_backward, the one per-sample kernel, take a model or
-a stack and give each row of a stack the bits of its model alone: the
-stacked mat-vecs reach the same BLAS gemv as `W @ a` and `W.T @ d`.
+a stack, and one input or one per row ((n, in) rows, or (R, in) for a
+stack), and give each row the bits of its model and input alone: the
+row-wise mat-vecs reach the same BLAS gemv as `W @ a` and `W.T @ d`.
 mlp_forward returns each layer's input, logits last, as a plain list,
 from which mlp_backward reads its outer products and ReLU masks. softmax
 is the package's one softmax and its one finiteness check of logits.
-jacobian_factors gives the logit Jacobians of a batch only as per-layer
-factors, layer inputs and unit-seeded backward deltas, from which
-ntkcheck reads the tangent kernel without forming a (K, P) block.
+jacobian_factors gives the logit Jacobians of a batch, or of groups of
+batches, only as per-layer factors, layer inputs and unit-seeded
+backward deltas, from which ntkcheck reads the tangent kernel.
 """
 
 from __future__ import annotations
@@ -135,14 +136,18 @@ def init_mlp(layer_sizes, seed: int) -> MlpModel:
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> list:
-    """Forward pass of one input (num_inputs,).
+    """Forward pass of one input (num_inputs,), or of (n, num_inputs) rows.
 
     Returns [x, a_1, ..., a_{L-1}, z_L]: each layer's input, then the
-    logits. For a stack every entry after x has a leading run axis.
+    logits. A stack takes one input or one row per run; every entry after
+    x has the row or run axis, and each row is one gemv, as if alone.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_inputs,):
-        raise ValueError(f"input shape {x.shape}, model expects ({model.num_inputs},)")
+    if x.shape != model.layer_sizes[:1] and (  # one input costs one comparison
+            x.ndim != 2 or x.shape[1] != model.num_inputs
+            or model.params.ndim == 2 and len(x) != len(model.params)):
+        raise ValueError(f"input shape {x.shape}, params {model.params.shape}: want "
+                         f"({model.num_inputs},) or rows of it, one per run of a stack")
     acts = [x]
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -155,19 +160,18 @@ def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
                  out: MlpModel | None = None) -> np.ndarray:
     """Backpropagate a loss gradient w.r.t. logits to all parameters.
 
-    acts is mlp_forward's list. grad_logits is (K,), or (R, K) for a
-    stack. The gradient is written into out, a model of model's shape
+    acts is mlp_forward's list and grad_logits has its logits' shape. The
+    gradient, a flat row per row of logits, is written into out, a model
     used as a buffer whose weights and biases views are the per-layer
     blocks (so a caller that keeps it builds them once), or into a new
     one; returns out.params. Linear in grad_logits; ReLU uses derivative
     0 at exactly 0: the mask a_l > 0 is z_l > 0 bit for bit.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
-    want = (*model.params.shape[:-1], model.num_classes)
-    if g.shape != want:
-        raise ValueError(f"grad_logits shape {g.shape}, want {want}")
+    if g.shape != acts[-1].shape:
+        raise ValueError(f"grad_logits shape {g.shape}, want {acts[-1].shape}")
     if out is None:
-        out = MlpModel(model.layer_sizes, np.zeros(model.params.shape))
+        out = MlpModel(model.layer_sizes, np.zeros((*g.shape[:-1], model.num_params)))
     dw, db = out.weights, out.biases
     db[-1][...] = g  # the bias gradient of layer l is its delta
     for l in range(model.num_layers - 1, -1, -1):
@@ -187,10 +191,11 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     unit-seeded backward deltas, d z_L[k] / d z_l at input i, from one
     backward pass with all K seeds stacked. Logit k's Jacobian at input i
     is, for W_l, the outer product of deltas[i, k] and inputs[i], and for
-    b_l, deltas[i, k]; no (K, d) block is ever formed.
+    b_l, deltas[i, k]; no (K, d) block is ever formed. Each group of an
+    (..., n, num_inputs) xs has the bits of a call on it alone.
     """
     a = np.asarray(xs, dtype=np.float64)
-    if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
+    if model.params.ndim != 1 or a.ndim < 2 or a.shape[-1] != model.num_inputs:
         raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
     inputs = []
     last = model.num_layers - 1
@@ -200,14 +205,14 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
         a = z if l == last else np.maximum(z, 0.0, out=z)
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite logits in batch forward pass")
-    n, k = a.shape
-    delta = np.broadcast_to(np.eye(k), (n, k, k))
+    *groups, n, k = a.shape
+    delta = np.broadcast_to(np.eye(k), (*groups, n, k, k))
     deltas = [None] * model.num_layers
     for l in range(last, -1, -1):
         deltas[l] = delta
         if l > 0:
-            back = delta.reshape(n * k, -1) @ model.weights[l]
-            delta = back.reshape(n, k, -1) * (inputs[l] > 0.0)[:, None, :]
+            back = delta.reshape(*groups, n * k, -1) @ model.weights[l]
+            delta = back.reshape(*groups, n, k, -1) * (inputs[l] > 0.0)[..., None, :]
     return list(zip(inputs, deltas))
 
 

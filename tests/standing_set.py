@@ -10,6 +10,10 @@ runs, with the learnpath under this checkout's src/:
   divergence/<command>                   both TestTeacherDivergence configs
   workload/<name>                        the benchmark's three workloads at
                                          benchmark seed 0
+  default/ntk-verify-seed3               ntk-verify at its defaults, --seed 3,
+                                         where a check fails and the CLI
+                                         exits 2, so the failing verdict is
+                                         compared too
 
 Run it in two checkouts, say this one and one of the parent commit, and
 compare with `diff -r`: an empty diff means every artifact is
@@ -44,9 +48,14 @@ def _run(out_root, name, command, text, *args):
     cfg = out + ".cfg"
     with open(cfg, "w") as fh:
         fh.write(text)
-    if main([command, "--config", cfg, "--out", out, *args]) != 0:
-        raise SystemExit(f"{name}: learnpath {command} failed")
+    status = main([command, "--config", cfg, "--out", out, *args])
     os.remove(cfg)
+    if status == 2:  # a failed check, which is output like any other
+        with open(os.path.join(out, "summary.txt")) as fh:
+            if any(line.startswith("check ") and ": FAIL (" in line for line in fh):
+                return
+    if status != 0:
+        raise SystemExit(f"{name}: learnpath {command} failed")
 
 
 def write_standing_set(out_root):
@@ -61,6 +70,7 @@ def write_standing_set(out_root):
         seed, config = wl.inputs(0)
         _run(out_root, f"workload/{name}", wl.command, wl.config_text(config),
              "--seed", str(seed), "--jobs", str(wl.jobs))
+    _run(out_root, "default/ntk-verify-seed3", "ntk-verify", "", "--seed", "3")
 
 
 def _files(root):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from learnpath.metrics import spearman
-from learnpath.ntkcheck import (decompose_pair, empirical_ntk,
-                                predicted_delta_q, residual_scaling_test,
-                                similarity_trace_study, softmax_jacobian,
-                                trace_evolution)
-from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
-                                sgd_step, softmax)
+from learnpath.ntkcheck import (_BLOCK_PAIRS, DecompositionRecord,
+                                empirical_ntk, predicted_delta_q,
+                                residual_scaling_test, similarity_trace_study,
+                                softmax_jacobian, trace_evolution)
+from learnpath.numerics import (MlpModel, init_mlp, jacobian_factors,
+                                mlp_backward, mlp_forward, sgd_step, softmax)
+from learnpath.supervision import DivergenceError
 from learnpath.toygauss import GaussianSpec, sample_dataset
 
 
@@ -41,6 +42,47 @@ def actual_delta_q(model, x_o, x_u, p_tar_u, eta):
     return softmax(mlp_forward(stepped, x_o)[-1]) - q_before
 
 
+def reference_decompose_pair(model, x_o, x_u, p_tar_u, eta_grid, pair_id=0):
+    """Both sides of the decomposition for one pair, every eta: the
+    per-pair pass that residual_scaling_test batches over all pairs.
+
+    q, A, K and the loss gradient at x_u are computed once; row e of a
+    stack of copies of the model takes the real SGD step at eta_grid[e],
+    and one forward pass of the stack gives q(x_o) after every step.
+    """
+    p_tar_u = np.asarray(p_tar_u, dtype=np.float64)
+    acts_u = mlp_forward(model, x_u)
+    q_u = softmax(acts_u[-1])
+    q_o = softmax(mlp_forward(model, x_o)[-1])
+    a_matrix = softmax_jacobian(q_o)
+    kernel = empirical_ntk(model, x_o, x_u)
+    grad = mlp_backward(model, acts_u, q_u - p_tar_u)
+    trace_a, trace_kernel = float(np.trace(a_matrix)), float(np.trace(kernel))
+    etas = np.array(eta_grid, dtype=np.float64)
+    stepped = MlpModel(model.layer_sizes, np.tile(model.params, (etas.size, 1)))
+    stepped.params -= etas[:, None] * grad
+    stepped_logits = mlp_forward(stepped, x_o)[-1]
+    records = []
+    for eta, logits in zip(eta_grid, stepped_logits):
+        pred = predicted_delta_q(eta, a_matrix, kernel, p_tar_u, q_u)
+        if not np.isfinite(logits).all():
+            raise DivergenceError("non-finite logits after the decomposition step "
+                                  f"of pair {pair_id} at eta = {eta:g}: {logits!r}")
+        act = softmax(logits) - q_o
+        records.append(DecompositionRecord(
+            pair_id=pair_id, eta=float(eta), predicted=pred, actual=act,
+            residual_norm=float(np.linalg.norm(act - pred)),
+            trace_a=trace_a, trace_kernel=trace_kernel))
+    return records
+
+
+def reference_residual_scaling(model, pairs, eta_grid):
+    """residual_scaling_test's records, eta-major, from the per-pair pass."""
+    per_pair = [reference_decompose_pair(model, *pair, eta_grid, pair_id=pid)
+                for pid, pair in enumerate(pairs)]
+    return [recs[e] for e in range(len(eta_grid)) for recs in per_pair]
+
+
 class TestSoftmaxJacobian:
     def test_entrywise_formula(self, rng):
         for q in random_simplex(rng, 50):
@@ -69,6 +111,14 @@ class TestSoftmaxJacobian:
     def test_uniform_trace_is_two_thirds(self):
         tr = np.trace(softmax_jacobian(np.full(3, 1 / 3)))
         assert tr == pytest.approx(2 / 3, abs=1e-15)
+
+    def test_has_the_bits_of_diag_minus_outer(self, rng):
+        qs = random_simplex(rng, 20)
+        batch = softmax_jacobian(qs)
+        for q, a in zip(qs, batch):
+            want = np.diag(q) - np.outer(q, q)
+            assert np.array_equal(softmax_jacobian(q), want)
+            assert np.array_equal(a, want)
 
     def test_non_simplex_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +158,20 @@ class TestEmpiricalNtk:
         x_o, x_u = rng.normal(size=(2, 5))
         assert np.allclose(empirical_ntk(model, x_o, x_u),
                            empirical_ntk(model, x_u, x_o).T, atol=1e-13)
+
+    @pytest.mark.parametrize("sizes", [(6, 3), (30, 16, 3), (30, 32, 32, 32, 3)])
+    def test_rows_have_the_bits_of_the_pair_alone(self, sizes):
+        # one (2, in) group per pair: each K equals the layer sum of the
+        # pair's own jacobian_factors call, bit for bit
+        model = init_mlp(sizes, seed=1)
+        xs = np.random.default_rng(5).normal(size=(40, 2, sizes[0]))
+        batch = empirical_ntk(model, xs[:, 0], xs[:, 1])
+        assert batch.shape == (40, sizes[-1], sizes[-1])
+        for (x_o, x_u), got in zip(xs, batch):
+            want = sum((a[0] @ a[1] + 1.0) * (d[0] @ d[1].T)
+                       for a, d in jacobian_factors(model, np.stack([x_o, x_u])))
+            assert np.array_equal(empirical_ntk(model, x_o, x_u), want)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sizes", [(6, 3), (4, 7, 2), (30, 32, 32, 32, 3),
                                        (8, 16, 9, 5)])
@@ -154,6 +218,22 @@ class TestDeltas:
         with pytest.raises(ValueError):
             predicted_delta_q(-0.1, np.eye(3), np.eye(3),
                               np.full(3, 1 / 3), np.full(3, 1 / 3))
+        with pytest.raises(ValueError):
+            predicted_delta_q(np.array([0.1, -0.1])[:, None, None], np.eye(3),
+                              np.eye(3), np.full(3, 1 / 3), np.full(3, 1 / 3))
+
+    def test_batched_move_has_the_bits_of_each_row(self, rng):
+        etas = np.array([0.3, 0.01])
+        a = rng.normal(size=(5, 3, 3))
+        k = rng.normal(size=(5, 3, 3))
+        p, q = random_simplex(rng, 5), random_simplex(rng, 5)
+        got = predicted_delta_q(etas[:, None, None], a, k, p, q)
+        assert got.shape == (2, 5, 3)
+        for e, eta in enumerate(etas):
+            for i in range(5):
+                want = eta * (a[i] @ (k[i] @ (p[i] - q[i])))
+                assert np.array_equal(predicted_delta_q(eta, a[i], k[i], p[i], q[i]), want)
+                assert np.array_equal(got[e, i], want)
 
 
 def decomposition_pairs(n_pairs, seed=0):
@@ -170,7 +250,7 @@ class TestDecomposition:
     def test_record_fields_consistent(self, rng):
         model = init_mlp((30, 16, 3), seed=9)
         (x_o, x_u, p_tar) = decomposition_pairs(1)[0]
-        [rec] = decompose_pair(model, x_o, x_u, p_tar, (0.01,), pair_id=3)
+        rec = residual_scaling_test(model, [(x_o, x_u, p_tar)] * 4, (0.01,))[0][3]
         assert rec.pair_id == 3 and rec.eta == 0.01
         assert rec.residual_norm == pytest.approx(
             np.linalg.norm(rec.actual - rec.predicted), abs=0)
@@ -214,8 +294,55 @@ class TestDecomposition:
         model = init_mlp((30, 16, 3), seed=4)
         before = model.params.copy()
         x_o, x_u, p_tar = decomposition_pairs(1)[0]
-        decompose_pair(model, x_o, x_u, p_tar, (0.5, 0.1))
+        residual_scaling_test(model, [(x_o, x_u, p_tar)], (0.5, 0.1))
         assert np.array_equal(model.params, before)
+
+    @pytest.mark.parametrize("grid", [(1e-2,), (1e-2, 5e-3, 2.5e-3)])
+    @pytest.mark.parametrize("n_pairs", [1, _BLOCK_PAIRS, _BLOCK_PAIRS + 1])
+    @pytest.mark.parametrize("sizes", [(30, 3), (30, 16, 3), (30, 32, 32, 3)])
+    def test_records_equal_the_per_pair_reference(self, sizes, n_pairs, grid):
+        # the batched pass computes every row as its pair alone: each
+        # record has the reference's bits, field by field
+        model = init_mlp(sizes, seed=len(sizes))
+        pairs = decomposition_pairs(n_pairs, seed=3)
+        records, medians = residual_scaling_test(model, pairs, grid)
+        want = reference_residual_scaling(model, pairs, grid)
+        assert len(records) == len(want) == n_pairs * len(grid)
+        for got, ref in zip(records, want):
+            assert (got.pair_id, got.eta) == (ref.pair_id, ref.eta)
+            assert type(got.residual_norm) is float and type(got.trace_a) is float
+            for field in ("predicted", "actual", "residual_norm", "trace_a",
+                          "trace_kernel"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        for e, (eta, median) in enumerate(medians):
+            column = want[e * n_pairs:(e + 1) * n_pairs]
+            assert (eta, median) == (grid[e], float(np.median(
+                [r.residual_norm for r in column])))
+
+    @pytest.mark.parametrize("first", [1, _BLOCK_PAIRS + 1])
+    def test_divergence_names_the_first_pair_and_eta(self, first):
+        # the pairs before `first` have their own q as target, so a zero
+        # gradient that no step moves; every later pair overflows at
+        # eta = 1e300 and the first of them is named as the reference does
+        model = init_mlp((30, 16, 3), seed=4)
+        pairs = decomposition_pairs(_BLOCK_PAIRS + 3, seed=5)
+        for i in range(first):
+            x_o, x_u, _ = pairs[i]
+            pairs[i] = (x_o, x_u, softmax(mlp_forward(model, x_u)[-1]))
+        grid = (1e-3, 1e300, 1e301)
+        with pytest.raises(DivergenceError) as want:
+            reference_residual_scaling(model, pairs, grid)
+        with pytest.raises(DivergenceError) as got:
+            residual_scaling_test(model, pairs, grid)
+        assert str(got.value) == str(want.value)
+        assert f"of pair {first} at eta = 1e+300: array([" in str(got.value)
+
+    def test_non_finite_unstepped_logits_raise_softmax_error(self):
+        model = init_mlp((30, 16, 3), seed=4)
+        model.weights[0][:] = 1e200
+        model.weights[1][:] = 1e200
+        with pytest.raises(ValueError, match="softmax got non-finite logits"):
+            residual_scaling_test(model, decomposition_pairs(2), (1e-2,))
 
     def test_bad_inputs(self):
         model = init_mlp((30, 16, 3), seed=0)
@@ -261,6 +388,20 @@ class TestSimilarity:
         j_o = per_seed_jacobian(model, x_o)
         want = [(j_o * per_seed_jacobian(model, x_u)).sum() for x_u in xs]
         assert np.allclose(out["trace"], want, rtol=1e-12, atol=0)
+
+    def test_cosine_has_the_bits_of_the_per_row_formula(self):
+        # 300 rows, one of them zero, against a per-row dot and 2-norm
+        model = init_mlp((8, 12, 3), seed=6)
+        rng = np.random.default_rng(4)
+        x_o, xs = rng.normal(size=8), rng.normal(size=(300, 8))
+        xs[7] = 0.0
+        want = []
+        for x_u in xs:
+            denom = float(np.linalg.norm(x_o)) * float(np.linalg.norm(x_u))
+            want.append(float(x_o @ x_u) / denom if denom > 0 else 0.0)
+        got = similarity_trace_study(model, x_o, xs)["cosine"]
+        assert np.array_equal(got, want)
+        assert got[7] == 0.0
 
     def test_bad_xs_shape(self):
         model = init_mlp((4, 8, 3), seed=0)

@@ -100,6 +100,42 @@ class TestForward:
         with pytest.raises(ValueError):
             mlp_forward(model, np.zeros(5))
 
+    @pytest.mark.parametrize("sizes", [(30, 3), (5, 6, 4, 3), (30, 32, 32, 32, 3)])
+    def test_rows_have_the_bits_of_each_input_alone(self, sizes):
+        # one model over (n, in): every entry gains the row axis, and row i
+        # is the pass of input i alone
+        model = init_mlp(sizes, seed=2)
+        xs = np.random.default_rng(6).normal(size=(9, sizes[0]))
+        acts = mlp_forward(model, xs)
+        assert [a.shape for a in acts] == [(9, s) for s in sizes]
+        for i, x in enumerate(xs):
+            for got, want in zip(acts, mlp_forward(model, x)):
+                assert np.array_equal(got[i], want)
+
+    def test_stack_rows_read_their_own_inputs(self):
+        # a stack of R over (R, in): run r reads row r, as its model alone
+        sizes = (30, 16, 16, 3)
+        models = [init_mlp(sizes, seed=s) for s in range(4)]
+        stack = MlpModel(sizes, np.stack([m.params for m in models]))
+        xs = np.random.default_rng(7).normal(size=(4, 30))
+        acts = mlp_forward(stack, xs)
+        assert [a.shape for a in acts] == [(4, s) for s in sizes]
+        for r, (model, x) in enumerate(zip(models, xs)):
+            for got, want in zip(acts, mlp_forward(model, x)):
+                assert np.array_equal(got[r], want)
+
+    @pytest.mark.parametrize("runs, shape", [
+        (None, ()), (None, (4,)), (None, (2, 4)), (None, (2, 2, 3)),
+        (3, (4,)), (3, (3, 4)), (3, (2, 3)), (3, (4, 3)), (3, (1, 3)),
+        (3, (3, 3, 3))])
+    def test_wrong_input_shape_rejected(self, runs, shape):
+        # a wrong width, or a stack's input rows not one per run
+        model = init_mlp((3, 2), seed=0)
+        if runs is not None:
+            model = MlpModel((3, 2), np.tile(model.params, (runs, 1)))
+        with pytest.raises(ValueError, match="input shape"):
+            mlp_forward(model, np.ones(shape))
+
     def test_returns_layer_inputs_then_logits(self):
         # [x, a_1, a_2, z_3]; a stack's entries after x have a run axis
         model = init_mlp((3, 4, 5, 2), seed=0)
@@ -190,12 +226,29 @@ class TestBackward:
             numeric = finite_diff_grad(ce_loss_fn(x, target), model)
             assert np.linalg.norm(grad - numeric) / np.linalg.norm(numeric) < 1e-6
 
+    @pytest.mark.parametrize("sizes", [(30, 3), (5, 6, 4, 3), (30, 32, 32, 3)])
+    def test_many_inputs_have_the_bits_of_each_alone(self, sizes):
+        # one model over (n, in) rows: gradient row i is input i's alone
+        model = init_mlp(sizes, seed=1)
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(6, sizes[0]))
+        targets = rng.dirichlet(np.ones(sizes[-1]), size=6)
+        acts = mlp_forward(model, xs)
+        grads = mlp_backward(model, acts, softmax(acts[-1]) - targets)
+        assert grads.shape == (6, model.num_params)
+        for x, target, got in zip(xs, targets, grads):
+            alone = mlp_forward(model, x)
+            assert np.array_equal(got, mlp_backward(model, alone, softmax(alone[-1]) - target))
+
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 3)])
     def test_wrong_grad_logits_shape_rejected(self, shape):
         stack = MlpModel((3, 2), np.zeros((3, 8)))
         acts = mlp_forward(stack, np.ones(3))
         with pytest.raises(ValueError, match="grad_logits shape"):
             mlp_backward(stack, acts, np.zeros(shape))
+        rows = mlp_forward(MlpModel((3, 2), np.zeros(8)), np.ones((4, 3)))
+        with pytest.raises(ValueError, match="grad_logits shape"):
+            mlp_backward(MlpModel((3, 2), np.zeros(8)), rows, np.zeros(shape))
 
     def test_model_restored_by_finite_diff(self):
         model = init_mlp((3, 4, 2), seed=9)
@@ -327,6 +380,25 @@ class TestBatchedJacobian:
             got = logits_jacobian(model, x)
             assert got.shape == (model.num_classes, model.num_params)
             assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("sizes", [(6, 3), (30, 16, 3), (30, 32, 32, 32, 3)])
+    def test_groups_have_the_bits_of_separate_calls(self, sizes):
+        # (G, 2, in): each group's factors are those of its own 2-row call;
+        # at G = 40 one (80, in) gemm over the flattened groups would not
+        # have those bits for the deep net
+        model = init_mlp(sizes, seed=3)
+        xs = np.random.default_rng(9).normal(size=(40, 2, sizes[0]))
+        batch = jacobian_factors(model, xs)
+        for g, x in enumerate(xs):
+            for (a, d), (a_g, d_g) in zip(batch, jacobian_factors(model, x)):
+                assert a[g].shape == a_g.shape and d[g].shape == d_g.shape
+                assert np.array_equal(a[g], a_g) and np.array_equal(d[g], d_g)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (3, 2, 7)])
+    def test_wrong_batch_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="one model expects"):
+            jacobian_factors(init_mlp((6, 4, 3), seed=0), np.ones(shape))
 
 
 class TestSgdStep:
