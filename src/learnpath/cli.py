@@ -8,8 +8,11 @@ or when a single-run command's model diverged (its summary.txt then
 holds an `error = ...` line; sweeps record a diverged run as a failed
 row instead), 2 when the command ran but a verification check failed.
 
-Each command, and each --jobs worker, runs BLAS on one thread: its hot
-calls are too small to split. Setting OPENBLAS_NUM_THREADS,
+--jobs spreads a sweep's tasks over worker processes: distill runs one
+task per flip ratio, correlate one per seed, and a command with one task
+starts no pool. The tasks, and so every artifact, do not depend on
+--jobs. Each command, and each --jobs worker, runs BLAS on one thread:
+its hot calls are too small to split. Setting OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS or OMP_NUM_THREADS leaves OpenBLAS at that count.
 """
 
@@ -50,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed override")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep commands")
+                       help="worker processes for sweep commands: distill "
+                            "spreads its flip ratios, correlate its seeds")
     return parser
 
 

@@ -5,6 +5,12 @@ directory, writes CSV artifacts and a summary.txt, and returns a list
 of (name, passed, detail) checks. Checks are informational for most
 commands; ntk-verify turns failed checks into a non-zero exit.
 
+The sweeps spread their tasks over --jobs worker processes: distill one
+task per flip ratio, whose every seed's teachers train as one lockstep
+stack and then all their students as another, and correlate one task
+per seed (its baselines) or per noise repeat. The tasks come from the
+config alone, never from --jobs.
+
 Determinism contract: given the same config (including master seed),
 every artifact is byte-identical across re-runs and across --jobs
 settings. That means fixed float formatting (%.17g), run collation in
@@ -17,7 +23,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,8 +38,8 @@ from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
                                    make_gt_targets, make_ls_targets,
-                                   make_onehot_targets, train_model,
-                                   train_models, train_teacher_filterkd_multi)
+                                   make_onehot_targets, train_filterkd_teachers,
+                                   train_model, train_stack)
 from learnpath.toygauss import (ToyDataset, flip_labels, perturb_target,
                                 sample_dataset, save_dataset, split_dataset)
 
@@ -178,6 +183,8 @@ def _dispatch(worker, ds, tasks, jobs: int):
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [worker(ds, t) for t in tasks]
+    # imported only when a pool starts: its modules add about 3.5 MB of RSS
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(ds,)) as pool:
         futures = [pool.submit(_pool_entry, worker, t) for t in tasks]
@@ -190,23 +197,34 @@ def _pool_entry(worker, task):
 
 # --------------------------------------------------------------- correlate
 
-def _train_cell(ds, runs, tconfig, teacher_error, measure):
-    """Train the runs of one cell in one lockstep stack (they share tconfig).
+def _stack_rows(runs, tconfig):
+    """Train runs in one lockstep stack; returns one row per run.
 
-    runs are (name, table, fields) triples. Returns one row per run: its
-    fields plus measure(table, result) when it finished, else its name
-    under "run" and why it has no result under "error": its own
-    divergence, or teacher_error where its table is None because the
-    teacher it comes from diverged.
+    runs are (name, fields, ds, seed, table) tuples that share tconfig but
+    their seed, their labelled copy ds of one dataset and their table; a
+    table that is a string says why the run has none (the teacher it
+    comes from diverged). runs is read once, as train_stack reads its
+    runs, so a generator lets each table go once the stack holds its
+    train rows. A finished run's row is its fields plus _student_row's
+    measures; a failed one has its name under "run" and why it has no
+    result under "error": its own divergence or its table's string.
     """
-    trained = iter(train_models(ds, [t for _, t, _ in runs if t is not None], tconfig))
+    described = []
+
+    def trainable():
+        for name, fields, ds, seed, table in runs:
+            error = table if isinstance(table, str) else None
+            described.append((name, fields, ds, error))
+            if error is None:
+                yield ds, table, seed
+    trained = iter(train_stack(trainable(), tconfig))
     rows = []
-    for name, table, fields in runs:
-        result = teacher_error if table is None else next(trained)
+    for name, fields, ds, error in described:
+        result = error or next(trained)
         if isinstance(result, (str, DivergenceError)):
             rows.append({"run": name, "error": str(result)})
         else:
-            rows.append({**fields, **measure(table, result)})
+            rows.append({**fields, **_student_row(ds, result)})
     return rows
 
 
@@ -229,12 +247,10 @@ def _write_sweep(path, cfg, columns, runs):
     return rows, failed
 
 
-def _student_row(ds, targets, result, loss_bound):
-    """Measure one trained student against its targets."""
-    ti = ds.train_indices
+def _student_row(ds, result):
+    """Measure one trained student on the test split."""
     acc, cal = _test_metrics(result.best_model, ds)
-    return {**xi_bounds(targets.rows[ti], ds.p_star[ti], loss_bound),
-            "test_acc": acc, "test_ece": cal, "epochs_run": result.epochs_run}
+    return {"test_acc": acc, "test_ece": cal, "epochs_run": result.epochs_run}
 
 
 def _teacher_free_tables(ds, ls_epsilon):
@@ -255,11 +271,16 @@ def _correlate_group(ds, task):
     The students of a unit share one TrainConfig and train as one stack.
     """
     cfg = task["cfg"]
-    teacher_error = None
+    ti = ds.train_indices
+
+    def run(name, table, **fields):
+        if not isinstance(table, str):  # the gap terms read only the table
+            fields.update(xi_bounds(table.rows[ti], ds.p_star[ti], cfg.loss_bound))
+        return name, fields, ds, seed, table
+
     if task["what"] == "baselines":
         s = task["seed_index"]
         seed = derive_seed(cfg.seed, 1, s)
-        tconfig = cfg.train_config(seed=seed)
         teacher_cfg = cfg.train_config(seed=seed, patience=0,
                                        stop_at_train_acc=1.0)
         tables = _teacher_free_tables(ds, cfg.ls_epsilon)
@@ -268,22 +289,20 @@ def _correlate_group(ds, task):
             tables["kd"] = extract_kd_targets(teacher, ds)
             tables["eskd"] = extract_eskd_targets(teacher, ds)
         except DivergenceError as err:
-            teacher_error = f"teacher: {err}"
-        runs = [(f"baseline/seed={s} {kind}", tables.get(kind),
-                 {"supervision": kind, "noise_scale": math.nan, "seed": s})
+            tables["kd"] = tables["eskd"] = f"teacher: {err}"
+        runs = [run(f"baseline/seed={s} {kind}", tables[kind], supervision=kind,
+                    noise_scale=math.nan, seed=s)
                 for kind in _BASELINE_ORDER]
     else:
         r = task["repeat"]
-        tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
+        seed = derive_seed(cfg.seed, 2, r)
         runs = []
         for j, noise in enumerate(cfg.noise_grid):
             rows_t = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
-            runs.append((f"noise_scale={noise:g}/seed={r} noisy_gt",
-                         TargetTable(rows_t),
-                         {"supervision": "noisy_gt", "noise_scale": noise, "seed": r}))
-    return _train_cell(ds, runs, tconfig, teacher_error,
-                       lambda table, result: _student_row(ds, table, result,
-                                                          cfg.loss_bound))
+            runs.append(run(f"noise_scale={noise:g}/seed={r} noisy_gt",
+                            TargetTable(rows_t), supervision="noisy_gt",
+                            noise_scale=noise, seed=r))
+    return _stack_rows(runs, cfg.train_config(seed=seed))
 
 
 def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
@@ -473,45 +492,56 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 _DISTILL_ORDER = ("oht", "eskd", "filter_kd", "gt")
 
 
-def _distill_group(ds, task):
-    """Teacher plus all students for one (flip_ratio, seed) cell.
-
-    The students share the cell's TrainConfig and train as one stack.
-    """
-    cfg = task["cfg"]
-    fi, s = task["flip_index"], task["seed"]
-    fr = cfg.flip_grid[fi]
-    flipped = flip_labels(ds, fr, seed=derive_seed(cfg.seed, 3, fi, s))
-    seed = derive_seed(cfg.seed, 4, s)
-    tconfig = cfg.train_config(seed=seed)
-    alphas = tuple(sorted(set(cfg.alpha_grid) | {cfg.filter_alpha}))
-    teacher_error = None
-    try:
-        teacher, tables = train_teacher_filterkd_multi(flipped, tconfig, alphas)
-        eskd = extract_eskd_targets(teacher, flipped)
-    except DivergenceError as err:
-        teacher_error = f"teacher: {err}"
-        eskd, tables = None, {}
+def _distill_runs(fr, s, flipped, seed, teacher, alphas):
+    """The students of one (flip_ratio, seed) cell, as _stack_rows runs,
+    in _DISTILL_ORDER with one filter_kd per alpha."""
+    if isinstance(teacher, DivergenceError):
+        eskd = f"teacher: {teacher}"
+        tables = dict.fromkeys(alphas, eskd)
+    else:
+        result, tables = teacher
+        eskd = extract_eskd_targets(result, flipped)
 
     def run(kind, table, alpha=math.nan):
         name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind
-        return (f"flip_ratio={fr:g}/seed={s} {name}", table,
-                {"flip_ratio": fr, "seed": s, "supervision": kind, "alpha": alpha})
+        return (f"flip_ratio={fr:g}/seed={s} {name}",
+                {"flip_ratio": fr, "seed": s, "supervision": kind, "alpha": alpha},
+                flipped, seed, table)
 
-    def measure(table, result):
-        acc, cal = _test_metrics(result.best_model, flipped)
-        return {"test_acc": acc, "test_ece": cal, "epochs_run": result.epochs_run}
-
-    runs = [run("oht", make_onehot_targets(flipped)), run("eskd", eskd),
-            *(run("filter_kd", tables.get(a), a) for a in alphas),
+    return [run("oht", make_onehot_targets(flipped)), run("eskd", eskd),
+            *(run("filter_kd", tables[a], a) for a in alphas),
             run("gt", make_gt_targets(flipped))]
-    return _train_cell(flipped, runs, tconfig, teacher_error, measure)
+
+
+def _distill_group(ds, task):
+    """Every seed's teacher and students at one flip ratio.
+
+    The seeds' Filter-KD teachers train as one stack, each on its own
+    flipped labels and seed, then all their students as one more; rows
+    come in (seed, student) order. The students' tables are built one
+    cell at a time as the stack reads them, and each teacher is let go
+    once its cell's tables are built.
+    """
+    cfg = task["cfg"]
+    fi = task["flip_index"]
+    fr = cfg.flip_grid[fi]
+    tconfig = cfg.train_config()
+    alphas = tuple(sorted(set(cfg.alpha_grid) | {cfg.filter_alpha}))
+    cells = [(s, flip_labels(ds, fr, seed=derive_seed(cfg.seed, 3, fi, s)),
+              derive_seed(cfg.seed, 4, s)) for s in cfg.seeds]
+    teachers = train_filterkd_teachers(
+        [(flipped, seed) for _, flipped, seed in cells], tconfig, alphas)
+    teachers.reverse()
+
+    def runs():
+        for s, flipped, seed in cells:
+            yield from _distill_runs(fr, s, flipped, seed, teachers.pop(), alphas)
+    return _stack_rows(runs(), tconfig)
 
 
 def run_distill(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    tasks = [{"cfg": cfg, "flip_index": fi, "seed": s}
-             for fi in range(len(cfg.flip_grid)) for s in cfg.seeds]
+    tasks = [{"cfg": cfg, "flip_index": fi} for fi in range(len(cfg.flip_grid))]
     groups = _dispatch(_distill_group, ds, tasks, jobs)
     rows, diverged = _write_sweep(
         os.path.join(out_dir, "distill.csv"), cfg,

@@ -48,10 +48,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     the same numbers alone or in a stack.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"softmax got non-finite logits: {z!r}")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # the ufunc reductions behind z.max and e.sum, without their wrappers
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def param_views(layer_sizes, params: np.ndarray):
@@ -151,7 +152,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> list:
     acts = [x]
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(w, acts[-1][..., None])[..., 0] + b
+        z = np.matmul(w, acts[-1][..., None])[..., 0]
+        z += b
         acts.append(z if l == last else np.maximum(z, 0.0, out=z))
     return acts
 
@@ -165,7 +167,9 @@ def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
     used as a buffer whose weights and biases views are the per-layer
     blocks (so a caller that keeps it builds them once), or into a new
     one; returns out.params. Linear in grad_logits; ReLU uses derivative
-    0 at exactly 0: the mask a_l > 0 is z_l > 0 bit for bit.
+    0 at exactly 0. The mask is sign(a_l), a float 0/1 (a_l >= 0, and
+    sign(-0.0) is +0.0), which multiplies with the bits of the bool
+    a_l > 0, itself z_l > 0, on every input but NaN, and costs half.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != acts[-1].shape:
@@ -179,7 +183,7 @@ def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
         np.einsum("...i,...j->...ij", delta, acts[l], out=dw[l])
         if l > 0:
             back = np.matmul(delta[..., None, :], model.weights[l])[..., 0, :]
-            np.multiply(back, acts[l] > 0.0, out=db[l - 1])
+            np.multiply(back, np.sign(acts[l]), out=db[l - 1])
     return out.params
 
 

@@ -17,24 +17,28 @@ table row is the EMA of that row's path (pathtrace.ema_filter), started
 from the untrained model's prediction. Averaging across visits smooths
 out the oscillation that noisy-labeled neighbours induce, so the table
 can be better supervision than any single checkpoint.
-train_teacher_filterkd_multi fills one such table per smoothing rate
-alpha from the same path; a single rate is a grid of one, (alpha,).
+train_filterkd_teachers fills one such table per smoothing rate alpha
+from the same path, for every teacher of a stack; a single rate is a grid
+of one, (alpha,).
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
-loop, and it steps a stack of R runs in lockstep. The runs of a stack
-share one TrainConfig, so they share the initialization and the shuffle
-order and differ only in their target tables: train_models stacks the
-students given to it, and train_model and the filtered teacher are its
-R = 1 case. A stack is one MlpModel with (R, P) parameters, a flat
-vector per run; each visit does one numerics.mlp_forward, one softmax
-(the visit's one finiteness check), one stacked loss gradient built from
-that q and one mlp_backward on the forward's list of layer inputs, then
-one sgd_step per run, a vector update of its row. The contract is
-bitwise: every run ends with exactly the parameters, histories and
-stopping epoch it would have had trained alone. Early stopping stays per
-run, and a run that stops or diverges leaves the stack without touching
-the others.
+loop, train_stack, and it steps a stack of R runs in lockstep. The runs
+of a stack share one TrainConfig but its seed, and may differ in three
+things: their seed (so their initialization and shuffle order), their
+labels (each reads its own labelled copy of one dataset, such as a
+flipped one) and their target tables. train_models stacks students of
+one seed and dataset, train_model is its R = 1 case, and
+train_filterkd_teachers stacks path-recording teachers, one per
+(dataset, seed) cell. A stack is one MlpModel with (R, P) parameters, a
+flat vector per run; each visit gathers one input row, target row and
+label per run and does one numerics.mlp_forward, one softmax (the
+visit's one finiteness check), one stacked loss gradient built from that
+q and one mlp_backward on the forward's list of layer inputs, then one
+sgd_step per run, a vector update of its row. The contract is bitwise:
+every run ends with exactly the parameters, histories and stopping epoch
+it would have had trained alone. Early stopping stays per run, and a run
+that stops or diverges leaves the stack without touching the others.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from learnpath.toygauss import ToyDataset
 __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
-    "kd_loss_and_grad", "train_model", "train_models",
-    "train_teacher_filterkd_multi", "extract_eskd_targets",
-    "extract_kd_targets",
+    "kd_loss_and_grad", "train_stack", "train_model", "train_models",
+    "train_filterkd_teachers", "train_teacher_filterkd_multi",
+    "extract_eskd_targets", "extract_kd_targets",
 ]
 
 
@@ -127,23 +131,22 @@ def _power_renorm(p: np.ndarray, tau: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _kd_grad(z, q, pt, y: int, tau: float, beta: float):
+def _kd_grad(z, q, pt, y, tau: float, beta: float):
     """Logit gradient of the distillation loss.
 
     z holds finite logits, q = softmax(z) and pt tempered targets, either
-    one row (K,) or a stack of rows (R, K) against the same label y; each
-    row's numbers are the same whether it is computed alone or in a
-    stack. The tempered q_t is exp(log_softmax(tau z)), so a tau z that
-    overflows gives a non-finite gradient instead of raising.
+    one row (K,) with its label y or a stack of rows (R, K) with one label
+    per row (y is read only when beta < 1); each row's numbers are the
+    same whether it is computed alone or in a stack. The tempered q_t is
+    exp(log_softmax(tau z)), so a tau z that overflows gives a non-finite
+    gradient instead of raising.
     """
     if beta > 0:
         grad = (beta / tau) * ((q if tau == 1.0 else np.exp(_log_softmax(tau * z))) - pt)
     else:
         grad = np.zeros(z.shape)
     if beta < 1:
-        g = q.copy()
-        g[..., y] -= 1.0
-        grad += (1.0 - beta) * g
+        grad += (1.0 - beta) * (q - np.eye(z.shape[-1])[y])
     return grad
 
 
@@ -249,11 +252,11 @@ class TrainResult:
     paths: PathStore | None = None
 
 
-def _accuracy(model, ds, idx) -> float:
-    """Accuracy on the rows idx of ds; NaN for an empty split."""
-    if idx.size == 0:
+def _accuracy(model, xs, labels) -> float:
+    """Accuracy on the rows xs with their labels; NaN for an empty split."""
+    if labels.size == 0:
         return float("nan")
-    return accuracy(predict_proba(model, ds.x[idx]), ds.y[idx])
+    return accuracy(predict_proba(model, xs), labels)
 
 
 @dataclass
@@ -261,10 +264,13 @@ class _Run:
     """What one run of a stack keeps besides its slice of the parameters."""
 
     slot: int             # position in the caller's list of runs
-    model: MlpModel       # its params are a row of the stack's parameters
-    init_model: MlpModel
+    seed: int
+    init_model: MlpModel  # read-only, shared by the runs of its seed
     best_model: MlpModel
     paths: PathStore | None
+    valid_y: np.ndarray   # its labels on the valid split
+    train_y: np.ndarray   # its labels on the train split, in split order
+    model: MlpModel | None = None  # on its row of the stack's parameters
     best_acc: float = -np.inf
     best_epoch: int = 0
     valid_hist: list = field(default_factory=list)
@@ -285,83 +291,125 @@ class _Stack:
     """The active runs, as one stacked MlpModel.
 
     model and grad are stacks of R on (R, P) arrays, one flat vector per
-    run; grad is mlp_backward's buffer. targets are (n, R, K), so one
-    sample's rows for all runs form one block. Each run's model is an
-    MlpModel on its row of model.params, so numerics.sgd_step with its
-    row of grad.params updates the stack in place. Dropping runs copies
-    the kept rows into a new stack.
+    run; grad is mlp_backward's buffer. Each run's model is an MlpModel on
+    its row of model.params, so numerics.sgd_step with its row of
+    grad.params updates the stack in place. targets (R * n_train, K) and
+    labels (R * n_train,) hold each run's train rows as one block, in
+    split order. columns (n_train, R) is the epoch's visit order, the
+    train column each run visits at each step, and flat the same visits
+    as rows of targets and labels. Dropping runs moves the kept runs'
+    rows up within the buffers the stack started with.
     """
 
-    def __init__(self, runs, model: MlpModel, targets):
-        self.runs = runs
-        self.targets = targets
-        self._point(model.layer_sizes,
-                    np.broadcast_to(model.params, (len(runs), model.num_params)))
+    def __init__(self, runs, targets, labels):
+        self.runs, self.n_train = runs, labels.shape[1]
+        like = runs[0].init_model
+        params = _aligned_rows(len(runs), like.num_params)
+        for row, run in zip(params, runs):
+            row[...] = run.init_model.params
+        self._rows = (params, targets, labels)  # (R, ...) each, row r run r's
+        self._grad = _aligned_rows(*params.shape)
+        self._point(like.layer_sizes)
 
-    def _point(self, layer_sizes, rows):
-        params = _aligned_rows(*rows.shape)
-        params[...] = rows
+    def _point(self, layer_sizes) -> None:
+        r = len(self.runs)
+        params, targets, labels = (a[:r] for a in self._rows)
         self.model = MlpModel(layer_sizes, params)
-        self.grad = MlpModel(layer_sizes, _aligned_rows(*rows.shape))
+        self.grad = MlpModel(layer_sizes, self._grad[:r])
+        self.targets = targets.reshape(-1, targets.shape[-1])
+        self.labels = labels.reshape(-1)
         for run, row in zip(self.runs, params):
             run.model = MlpModel(layer_sizes, row)
+
+    def _index(self, columns) -> None:
+        self.columns = columns
+        self.flat = columns + self.n_train * np.arange(len(self.runs))
+
+    def shuffle(self, epoch: int) -> None:
+        """Set epoch's visit order: each run's seed draws the permutation
+        of the train columns it draws alone."""
+        orders = {}
+        for run in self.runs:
+            if run.seed not in orders:
+                orders[run.seed] = stream(run.seed, "shuffle", epoch).permutation(
+                    self.n_train)
+        self._index(np.stack([orders[run.seed] for run in self.runs], axis=1))
 
     def keep(self, mask) -> None:
         idx = np.flatnonzero(mask)
         self.runs = [self.runs[j] for j in idx]
-        self.targets = self.targets[:, idx]
-        self._point(self.model.layer_sizes, self.model.params[idx])
+        # idx ascends, so each row moves up before anything overwrites it
+        for i, j in enumerate(idx):
+            if i != j:
+                for a in self._rows:
+                    a[i] = a[j]
+        self._index(self.columns[:, idx])
+        self._point(self.model.layer_sizes)
 
 
-def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
-    """The SGD loop: R runs that share one config, stepped in lockstep.
+def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
+    """The SGD loop: R runs, one (ds, targets, seed) each, in lockstep.
 
-    Sharing the config means sharing the initialization and the shuffle
-    order, so at every visit all runs see the same sample and only their
-    target rows differ. Each visit does one mlp_forward of the stack, one
-    stacked loss gradient and one mlp_backward into the stack's gradient
-    buffer, then one numerics.sgd_step per run. Every run's arithmetic is
-    bitwise that of the run trained alone: the kernel computes every row
-    as its model alone (see numerics), and so does the loss gradient.
+    The runs share every field of config but seed: each brings its own,
+    which draws its initialization and its per-epoch shuffle order. Each
+    ds is a labelled copy of one dataset: its x, p_star and splits are the
+    first run's, checked here, and its labels y may differ (a flipped
+    copy). targets, a TargetTable or (n, K) rows, is what the run descends
+    the tempered loss against. runs may be any iterable; it is read once,
+    and each table is free to go once its train rows are copied.
 
-    targets is a list of R (n, K) row arrays; each run descends the
-    tempered loss against its own rows. The visit's q = softmax(z) is
-    computed once: the loss gradient is built from it, a run that records
-    its path logs it, and its ValueError is the visit's finiteness check.
+    A visit is the one described above, on one x row, target row and
+    label per run. Every run's arithmetic is bitwise that of the run
+    trained alone: the kernel computes every row as its model and input
+    alone (see numerics), and so does the loss gradient. The visit's
+    softmax raises on non-finite logits; its q builds the loss gradient
+    and is what a run that records its path logs.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
     Returns one TrainResult or DivergenceError per run, in the order
-    given.
+    given; the runs of a seed share one read-only init_model.
 
     epoch_callback(epoch, model) fires for every run after each epoch's
     bookkeeping, before any stop decision.
     """
-    train_idx = ds.train_indices
-    if train_idx.size == 0:
-        raise ValueError("dataset has an empty train split")
-    k = ds.num_classes
-    tau, beta = config.temperature, config.beta
-    model = init_mlp(config.layer_sizes(ds.spec.input_dim, k), config.seed)
-    rows = [np.asarray(t, dtype=np.float64) for t in targets]
-    for t in rows:
-        if t.shape != (ds.n, k):
-            raise ValueError(f"targets shape {t.shape}, want {(ds.n, k)}")
-        if not np.isfinite(t).all():
+    members, targets, labels, inits = [], [], [], {}
+    for slot, (d, table, seed) in enumerate(runs):
+        if not members:
+            ds, k = d, d.num_classes
+            train_idx, valid_idx = ds.train_indices, ds.valid_indices
+            if train_idx.size == 0:
+                raise ValueError("dataset has an empty train split")
+            sizes = config.layer_sizes(ds.spec.input_dim, k)
+        elif not all(np.array_equal(getattr(d, f), getattr(ds, f))
+                     for f in ("x", "p_star", "split")):
+            raise ValueError("the runs of a stack need copies of one dataset "
+                             "that differ only in their labels")
+        rows = as_rows(table)
+        if rows.shape != (ds.n, k):
+            raise ValueError(f"targets shape {rows.shape}, want {(ds.n, k)}")
+        if not np.isfinite(rows).all():
             raise ValueError("non-finite targets")
-    if not rows:
+        targets.append(rows[train_idx])
+        labels.append(d.y[train_idx])
+        if seed not in inits:
+            inits[seed] = init_mlp(sizes, seed)
+            inits[seed].params.setflags(write=False)
+        members.append(_Run(
+            slot=slot, seed=seed, init_model=inits[seed], best_model=inits[seed],
+            paths=PathStore(train_idx, k) if config.record_paths else None,
+            valid_y=d.y[valid_idx], train_y=labels[-1]))
+    if not members:
         return []
-    tables = np.stack(rows, axis=1)
+    tau, beta = config.temperature, config.beta
+    tables = np.stack(targets)
     if tau != 1.0:  # the tempered targets; a NaN row fails at its visit
         tables = _power_renorm(tables, tau)
+    stack = _Stack(members, tables, np.stack(labels))
+    del members, targets, labels, table, rows  # the stack holds what remains
+    out = [None] * len(stack.runs)
 
-    runs = [_Run(slot=r, model=model.copy(), init_model=model.copy(),
-                 best_model=model.copy(),
-                 paths=PathStore(train_idx, k) if config.record_paths else None)
-            for r in range(len(rows))]
-    stack = _Stack(runs, model, tables)
-    out = [None] * len(rows)
-
+    # a run that leaves lets go of its row, which the stack then reuses
     def finish(run, stopped_early):
         out[run.slot] = TrainResult(
             final_model=run.model.copy(), best_model=run.best_model,
@@ -369,10 +417,12 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
             valid_acc_history=run.valid_hist, train_acc_history=run.train_hist,
             init_model=run.init_model, stopped_early=stopped_early,
             paths=run.paths)
+        run.model = None
 
     def diverge(run, epoch, step, reason):
         out[run.slot] = DivergenceError(
             f"non-finite state at epoch {epoch}, step {step}: {reason}")
+        run.model = None
 
     def drop(bad, epoch, step, why, values):
         """Drop the runs flagged in bad as diverged at this visit."""
@@ -381,17 +431,16 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
         stack.keep(~bad)
 
     eta = config.learning_rate
-    xs, ys = ds.x, ds.y
+    x_train, x_valid = ds.x[train_idx], ds.x[valid_idx]
     step = 0
     for epoch in range(config.max_epochs):
-        # train_idx ascends, so a sample's path column is its place in it
-        columns = stream(config.seed, "shuffle", epoch).permutation(train_idx.size)
-        for i, column in zip(train_idx[columns].tolist(), columns.tolist()):
-            x, label = xs[i], int(ys[i])
+        stack.shuffle(epoch)
+        for t in range(train_idx.size):
             # a visit at which runs diverge is redone without them; rows
             # are independent, so the others' numbers do not change
             while stack.runs:
-                acts = mlp_forward(stack.model, x)
+                columns, flat = stack.columns[t], stack.flat[t]
+                acts = mlp_forward(stack.model, x_train.take(columns, axis=0))
                 logits = acts[-1]
                 try:
                     q = softmax(logits)
@@ -401,7 +450,9 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
                         raise
                     drop(bad, epoch, step, "softmax got non-finite logits: ", logits)
                     continue
-                delta = _kd_grad(logits, q, stack.targets[i], label, tau, beta)
+                delta = _kd_grad(logits, q, stack.targets.take(flat, axis=0),
+                                 stack.labels.take(flat) if beta < 1 else None,
+                                 tau, beta)
                 # at tau != 1 a tempered target row can be NaN
                 if tau != 1.0 and not np.isfinite(delta).all():
                     drop(~np.isfinite(delta).all(axis=1), epoch, step,
@@ -411,7 +462,8 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
             if not stack.runs:
                 break
             if config.record_paths:
-                for run, q_r in zip(stack.runs, q):
+                # a run's path column is its visit's train column
+                for run, column, q_r in zip(stack.runs, columns.tolist(), q):
                     run.paths.log(epoch, column, step, q_r)
             mlp_backward(stack.model, acts, delta, out=stack.grad)
             for run, grad in zip(stack.runs, stack.grad.params):
@@ -423,8 +475,8 @@ def _run_sgd(ds: ToyDataset, config: TrainConfig, targets, epoch_callback=None):
         leaving = np.zeros(len(stack.runs), dtype=bool)
         for j, run in enumerate(stack.runs):
             try:
-                vacc = _accuracy(run.model, ds, ds.valid_indices)
-                tacc = _accuracy(run.model, ds, train_idx)
+                vacc = _accuracy(run.model, x_valid, run.valid_y)
+                tacc = _accuracy(run.model, x_train, run.train_y)
             except ValueError as err:  # non-finite logits on a split
                 diverge(run, epoch, step, err)
                 leaving[j] = True
@@ -461,41 +513,62 @@ def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
     its DivergenceError in its slot instead, and the others are
     unaffected.
     """
-    return _run_sgd(ds, config, [as_rows(t) for t in tables])
+    return train_stack([(ds, t, config.seed) for t in tables], config)
 
 
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
                 epoch_callback=None) -> TrainResult:
     """Train a student against a fixed supervision table."""
-    [result] = _run_sgd(ds, config, [as_rows(targets)],
-                        epoch_callback=epoch_callback)
+    [result] = train_stack([(ds, targets, config.seed)], config,
+                           epoch_callback=epoch_callback)
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
-def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas):
-    """One one-hot teacher run, one Filter-KD table per alpha.
+def train_filterkd_teachers(cells, config: TrainConfig, alphas) -> list:
+    """One one-hot teacher per (ds, seed) cell, all in one stack, and its
+    Filter-KD tables, one per alpha.
 
-    The teacher is the one-hot table run at temperature 1 and beta 1
-    (plain cross entropy, whatever config says), with its path recorded.
-    Returns (TrainResult, {alpha: TargetTable}); result.paths holds the
-    teacher's path. Each table is the untrained model's predictions with
-    the train rows set to their path's EMA from there. alpha = 1 keeps no
-    history: each row is simply the last pre-update prediction seen.
+    Each teacher is its cell's one-hot table run at temperature 1 and
+    beta 1 (plain cross entropy, whatever config says), with its path
+    recorded; the cells' datasets differ only in their labels, as in
+    train_stack. Returns, per cell in order, (TrainResult, {alpha:
+    TargetTable}), or the teacher's DivergenceError; result.paths holds
+    the teacher's path. Each table is the untrained model's predictions
+    with the train rows set to their path's EMA from there. alpha = 1
+    keeps no history: each row is simply the last pre-update prediction
+    seen.
     """
     alphas = tuple(float(a) for a in alphas)
     if not alphas or any(not 0 < a <= 1 for a in alphas):
         raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
-    result = train_model(ds, make_onehot_targets(ds), replace(
-        config, temperature=1.0, beta=1.0, record_paths=True))
-    init_pred = predict_proba(result.init_model, ds.x)
-    ti, tables = result.paths.indices, {}
-    for a in alphas:
-        rows = init_pred.copy()
-        rows[ti] = ema_filter(result.paths.preds, a, init_pred[ti])[-1]
-        tables[a] = TargetTable(rows)
-    return result, tables
+    results = train_stack(
+        [(ds, make_onehot_targets(ds), seed) for ds, seed in cells],
+        replace(config, temperature=1.0, beta=1.0, record_paths=True))
+    teachers = []
+    for (ds, _), result in zip(cells, results):
+        if isinstance(result, DivergenceError):
+            teachers.append(result)
+            continue
+        init_pred = predict_proba(result.init_model, ds.x)
+        ti, tables = result.paths.indices, {}
+        for a in alphas:
+            rows = init_pred.copy()
+            rows[ti] = ema_filter(result.paths.preds, a, init_pred[ti])[-1]
+            tables[a] = TargetTable(rows)
+        teachers.append((result, tables))
+    return teachers
+
+
+def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas):
+    """The one teacher of ds at config.seed, as train_filterkd_teachers
+    trains it: returns (TrainResult, {alpha: TargetTable}), and raises its
+    DivergenceError."""
+    [teacher] = train_filterkd_teachers([(ds, config.seed)], config, alphas)
+    if isinstance(teacher, DivergenceError):
+        raise teacher
+    return teacher
 
 
 def extract_eskd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:

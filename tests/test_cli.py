@@ -1,3 +1,5 @@
+import concurrent.futures
+import math
 import os
 import sys
 from concurrent.futures import Future
@@ -7,6 +9,13 @@ import pytest
 from learnpath import experiments
 from learnpath.cli import build_parser, main
 from learnpath.config import load_config
+from learnpath.metrics import accuracy, ece
+from learnpath.numerics import predict_proba
+from learnpath.rngstreams import derive_seed
+from learnpath.supervision import (extract_eskd_targets, make_gt_targets,
+                                   make_onehot_targets, train_models,
+                                   train_teacher_filterkd_multi)
+from learnpath.toygauss import flip_labels
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_acceptance import TINY_CONFIGS  # noqa: E402
@@ -193,12 +202,11 @@ class TestTeacherDivergence:
     def test_teacher_error_carried_by_dependent_students(self, tmp_path):
         cfg = load_config("distill", cfg_file(tmp_path, self.DISTILL))
         ds = experiments._build_dataset(cfg)
-        rows = experiments._distill_group(ds, {"cfg": cfg, "flip_index": 0,
-                                               "seed": 0})
-        # oht, eskd, filter_kd at alpha 0.2, gt
-        assert len(rows) == 4 and all("error" in r for r in rows)
+        rows = experiments._distill_group(ds, {"cfg": cfg, "flip_index": 0})
+        # oht, eskd, filter_kd at alpha 0.2, gt, for each of the two seeds
+        assert len(rows) == 8 and all("error" in r for r in rows)
         assert [r["error"].startswith("teacher: ") for r in rows] == \
-            [False, True, True, False]
+            [False, True, True, False] * 2
         cfg = load_config("correlate", cfg_file(tmp_path, self.CORRELATE))
         rows = experiments._correlate_group(
             experiments._build_dataset(cfg),
@@ -220,6 +228,44 @@ class TestTeacherDivergence:
         assert names == sorted(os.listdir(outs[1]))
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def reference_distill_cell(ds, cfg, fi, s):
+    """One (flip_ratio, seed) cell of distill trained on its own: its
+    Filter-KD teacher alone, then its students as one stack of one seed."""
+    fr = cfg.flip_grid[fi]
+    flipped = flip_labels(ds, fr, seed=derive_seed(cfg.seed, 3, fi, s))
+    tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 4, s))
+    alphas = tuple(sorted(set(cfg.alpha_grid) | {cfg.filter_alpha}))
+    teacher, tables = train_teacher_filterkd_multi(flipped, tconfig, alphas)
+    kinds = [("oht", make_onehot_targets(flipped), math.nan),
+             ("eskd", extract_eskd_targets(teacher, flipped), math.nan),
+             *(("filter_kd", tables[a], a) for a in alphas),
+             ("gt", make_gt_targets(flipped), math.nan)]
+    rows = []
+    for (kind, _, alpha), result in zip(
+            kinds, train_models(flipped, [t for _, t, _ in kinds], tconfig)):
+        probs = predict_proba(result.best_model, flipped.x[flipped.test_indices])
+        labels = flipped.y[flipped.test_indices]
+        rows.append({"flip_ratio": fr, "seed": s, "supervision": kind,
+                     "alpha": alpha, "test_acc": accuracy(probs, labels),
+                     "test_ece": ece(probs, labels), "epochs_run": result.epochs_run})
+    return rows
+
+
+def test_distill_group_rows_equal_the_per_cell_reference(tmp_path):
+    # one stack of every seed's teachers, then one of all their students,
+    # gives each cell the rows it has trained alone
+    text = (TINY_CONFIGS["distill"].replace("flip_grid = 0.2", "flip_grid = 0.1,0.3")
+            .replace("seeds = 0,1", "seeds = 0,1,2"))
+    cfg = load_config("distill", cfg_file(tmp_path, text))
+    assert (len(cfg.flip_grid), len(cfg.seeds)) == (2, 3)
+    ds = experiments._build_dataset(cfg)
+    for fi in range(len(cfg.flip_grid)):
+        got = experiments._distill_group(ds, {"cfg": cfg, "flip_index": fi})
+        want = [row for s in cfg.seeds for row in reference_distill_cell(ds, cfg, fi, s)]
+        assert [sorted((k, repr(v)) for k, v in row.items()) for row in got] == \
+            [sorted((k, repr(v)) for k, v in row.items()) for row in want]
 
 
 class _InlineExecutor:
@@ -251,7 +297,7 @@ class TestDispatch:
         (64, 5, [5]), (2, 5, [2]), (64, 1, []), (1, 5, [])])
     def test_workers_capped_at_the_task_count(self, monkeypatch, jobs, n_tasks,
                                               opened):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
         monkeypatch.setattr(_InlineExecutor, "opened", [])
         monkeypatch.setattr(experiments, "_POOL_DS", None)
         got = experiments._dispatch(lambda ds, t: (ds, t * t), "ds",

@@ -60,6 +60,17 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_stack_rows_have_the_bits_of_the_formula(self, rng, k):
+        # exp(z - max) / sum as written, per row, with rows at +-700
+        z = rng.normal(scale=20.0, size=(40, k))
+        z[3, :2], z[8, -2:], z[11] = (700.0, -700.0), (-700.0, 699.5), -700.0
+        q = softmax(z)
+        for row, q_r in zip(z, q):
+            e = np.exp(row - row.max())
+            assert q_r.tobytes() == (e / e.sum()).tobytes()
+            assert softmax(row).tobytes() == q_r.tobytes()
+
     @given(arrays(np.float64, 5, elements=st.floats(-50, 50)))
     def test_simplex_output(self, z):
         q = softmax(z)
@@ -309,6 +320,24 @@ class TestReluKink:
         stepped = sgd_step(model.copy(), grad, 0.1)
         reference_step(want, inputs, pre, g, 0.1)
         assert np.array_equal(stepped.params, want.params)
+
+    def test_float_mask_has_the_bytes_of_the_bool_mask(self):
+        # layer inputs of +0.0, -0.0, the smallest subnormal and +inf: the
+        # mask sign(a) gives the gradient the bytes of the bool mask a > 0,
+        # -0.0 included where a negative upstream entry is masked out; the
+        # reference is the kernel's own products with the bool mask
+        model = init_mlp((4, 4, 3), seed=5)
+        x = np.array([0.5, -1.0, 2.0, 0.25])
+        g = np.array([0.3, -0.5, 0.2])
+        acts = mlp_forward(model, x)
+        acts[1][:] = [0.0, -0.0, 5e-324, np.inf]
+        grad = mlp_backward(model, acts, g)
+        back = np.matmul(g[None, :], model.weights[1])[0, :]
+        assert (back[:2] < 0).any()
+        delta = back * (acts[1] > 0.0)
+        want = np.concatenate([np.einsum("i,j->ij", delta, x).ravel(), delta,
+                               np.einsum("i,j->ij", g, acts[1]).ravel(), g])
+        assert grad.tobytes() == want.tobytes()
 
     def test_jacobian_factors_at_zero(self):
         model, x, _ = self.kinked()

@@ -14,7 +14,8 @@ from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
                                    extract_kd_targets, kd_loss_and_grad,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, train_model,
-                                   train_models, train_teacher_filterkd_multi)
+                                   train_models, train_stack,
+                                   train_teacher_filterkd_multi)
 from learnpath.supervision import _aligned_rows
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
@@ -497,6 +498,50 @@ class TestLockstep:
         for i in (0, 2):
             assert_same_run(stacked[i], train_model(ds, runs[i], cfg))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
+    @pytest.mark.parametrize("diverge", [False, True], ids=["", "diverge"])
+    def test_mixed_stack_equals_separate_runs(self, tau, beta, diverge):
+        # runs of their own seed, labels and targets, with paths recorded;
+        # with diverge, run 2's target row at its seed's visit halfway
+        # through epoch 0 is scaled up, so it leaves the stack mid-epoch
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=6,
+                          patience=2, seed=0, temperature=tau, beta=beta,
+                          record_paths=True)
+        # (dataset, table, seed) over three seeds and two label sets: ds
+        # and a copy with 30 % of its train labels flipped
+        flipped = flip_labels(ds, 0.3, seed=5)
+        runs = [(ds, tables[0], 1), (flipped, make_onehot_targets(flipped), 2),
+                (flipped, tables[2], 1), (ds, tables[1], 3),
+                (flipped, make_ls_targets(flipped, 0.3), 3)]
+        if diverge:
+            d, table, seed = runs[2]
+            ti = d.train_indices
+            column = stream(seed, "shuffle", 0).permutation(ti.size)[ti.size // 2]
+            bad = table.rows.copy()
+            bad[ti[column]] *= 1e300
+            runs[2] = (d, bad, seed)
+        stacked = train_stack(runs, cfg)
+        assert len({r.epochs_run for r in stacked if isinstance(r, TrainResult)}) > 1
+        for (d, table, seed), got in zip(runs, stacked):
+            try:
+                alone = train_model(d, table, replace(cfg, seed=seed))
+            except DivergenceError as err:
+                assert str(got) == str(err) and " epoch 0, " in str(err)
+                continue
+            assert_same_run(got, alone)
+            assert np.array_equal(got.paths.preds, alone.paths.preds)
+            assert np.array_equal(got.paths.steps, alone.paths.steps)
+        assert isinstance(stacked[2], DivergenceError) == diverge
+
+    def test_runs_of_a_stack_share_one_dataset(self):
+        ds, tables = self.data()
+        other = tiny_ds(seed=22, n=80)
+        with pytest.raises(ValueError, match="copies of one dataset"):
+            train_stack([(ds, tables[0], 0), (other, make_onehot_targets(other), 0)],
+                        TINY)
+
     def test_loop_runs_on_the_numerics_kernel(self, monkeypatch):
         # one mlp_forward, softmax and mlp_backward per visit, so the loop
         # cannot grow a forward or backward pass, or a second softmax, again
@@ -539,6 +584,37 @@ class TestLockstep:
         rows = _aligned_rows(n_rows, width)
         assert rows.shape == (n_rows, width) and rows.dtype == np.float64
         assert all(row.ctypes.data % 64 == 0 for row in rows)
+
+
+def _stack_property_data():
+    ds = tiny_ds(seed=23, n=60)
+    flipped = flip_labels(ds, 0.4, seed=3)
+    bad = make_onehot_targets(ds).rows * 1e300  # diverges at its first visit
+    return ((ds, flipped),
+            (make_onehot_targets, lambda d: make_ls_targets(d, 0.5), make_gt_targets,
+             lambda d: bad))
+
+
+@settings(max_examples=20, deadline=None)
+@given(picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                st.integers(0, 3)), min_size=1, max_size=6),
+       patience=st.integers(1, 3), lr=st.sampled_from([0.05, 0.5]))
+def test_any_stack_equals_its_runs_alone(picks, patience, lr):
+    # 1-6 runs over 3 seeds and 2 label sets, of which some stop early
+    # and some diverge, so runs leave the stack in many orders
+    sets, builders = _stack_property_data()
+    cfg = TrainConfig(hidden_sizes=(8,), learning_rate=lr, max_epochs=5,
+                      patience=patience, seed=0)
+    runs = [(sets[l], builders[b](sets[l]), seed) for seed, l, b in picks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_stack(runs, cfg)
+        for (d, table, seed), got in zip(runs, stacked):
+            try:
+                alone = train_model(d, table, replace(cfg, seed=seed))
+            except DivergenceError as err:
+                assert str(got) == str(err)
+                continue
+            assert_same_run(got, alone)
 
 
 def simplex_ok(table: TargetTable):
