@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -613,24 +614,24 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
                            3.0 <= ratio <= 5.0, f"ratio = {ratio:.3f}"))
     lines.append(f"median_residual eta = {medians[-1][0]:g}: {medians[-1][1]:.17g}")
 
-    sim_rows = []
+    studies = []
     n_probe = min(3, ti.size)
     n_sim = min(cfg.n_similarity, ti.size)
     sim_targets = ds.x[ti[:n_sim]]
     for pidx in range(n_probe):
         probe = ds.x[ti[pidx]]
         recs = similarity_trace_study(model, probe, sim_targets)
+        studies.append(recs)
         mask = np.arange(n_sim) != pidx  # drop the self pair
         rho = spearman(recs["cosine"][mask], recs["trace"][mask])
         # measured sign is reported, not asserted: which way the rank
         # correlation points is an open empirical question
         sign = "+" if rho >= 0 else "-" if rho < 0 else "none"
         lines.append(f"similarity probe {pidx}: spearman = {rho:.17g} sign = {sign}")
-        for rec in recs:
-            sim_rows.append([pidx, int(rec["index"]), float(rec["cosine"]),
-                             float(rec["trace"])])
     write_csv(os.path.join(out_dir, "similarity.csv"), cfg.echo_lines(),
-              ["probe_id", "index", "cosine", "trace"], sim_rows)
+              ["probe_id", "index", "cosine", "trace"],
+              (row for pidx, recs in enumerate(studies)
+               for row in zip(repeat(pidx), recs["index"], recs["cosine"], recs["trace"])))
 
     checkpoints = [model.copy()]
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)

@@ -123,16 +123,20 @@ def xi_bounds(targets, p_stars, loss_bound: float = 10.0) -> dict:
 
 
 def _fractional_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average of their positions."""
+    """1-based ranks with ties sharing the average of their positions.
+
+    A tie group is a run of equal neighbours in stable sorted order
+    (NaN equals nothing, so each NaN ranks alone); positions first..last
+    share the rank 0.5 (first + last) + 1.
+    """
     order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.ones(len(v), dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(v)) - 1
     ranks = np.empty(len(v), dtype=np.float64)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts) - 1]
     return ranks
 
 

@@ -170,6 +170,12 @@ def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
     0 at exactly 0. The mask is sign(a_l), a float 0/1 (a_l >= 0, and
     sign(-0.0) is +0.0), which multiplies with the bits of the bool
     a_l > 0, itself z_l > 0, on every input but NaN, and costs half.
+
+    The einsum sums each outer product onto +0.0, so a product that is
+    -0.0 comes out +0.0 where np.outer gives -0.0. That cannot move a
+    trained parameter, because no parameter is ever -0.0: weights start
+    as nonzero normal draws, biases at +0.0, and an SGD step x - eta g is
+    -0.0 only when x is -0.0.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != acts[-1].shape:
@@ -257,13 +263,18 @@ def finite_diff_grad(loss_fn, model: MlpModel, eps: float = 1e-6) -> np.ndarray:
 
 
 def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:
-    """Softmax probabilities for a batch of inputs, shape (n, K)."""
+    """Softmax probabilities for a batch of inputs, shape (n, K).
+
+    Biases are added in place, as in mlp_forward, so a layer makes one
+    (n, width) array, not two.
+    """
     a = np.asarray(xs, dtype=np.float64)
     if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
         raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
     last = model.num_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T + b
+        a = a @ w.T
+        a += b
         if l != last:
             np.maximum(a, 0.0, out=a)
     if not np.all(np.isfinite(a)):

@@ -26,6 +26,9 @@ __all__ = [
     "zigzag_score",
 ]
 
+# samples per block of export_csv: only a block's paths become Python floats
+_EXPORT_BLOCK = 64
+
 # simplex corners for the K = 3 planar projection
 _BARY_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
@@ -71,17 +74,21 @@ class PathStore:
 
     def export_csv(self, path, header_lines=()) -> None:
         """All paths as CSV, grouped by sample ascending: sample_index,
-        step, q_0..q_{K-1}."""
+        step, q_0..q_{K-1}. Samples are formatted a block at a time, so
+        only one block's points are ever Python floats."""
         cols = ["sample_index", "step"] + [f"q_{j}" for j in range(self.num_classes)]
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
             fh.write(",".join(cols) + "\n")
-            for i, steps, qs in zip(self.indices.tolist(), self.steps.T.tolist(),
-                                    self.preds.transpose(1, 0, 2).tolist()):
-                for step, q in zip(steps, qs):
-                    fh.write(f"{i},{step}," + ",".join(format(v, ".17g") for v in q)
-                             + "\n")
+            steps, preds = self.steps.T, self.preds.transpose(1, 0, 2)
+            for at in range(0, self.indices.size, _EXPORT_BLOCK):
+                block = slice(at, at + _EXPORT_BLOCK)
+                for i, row_steps, qs in zip(self.indices[block].tolist(),
+                                            steps[block].tolist(), preds[block].tolist()):
+                    for step, q in zip(row_steps, qs):
+                        fh.write(f"{i},{step}," + ",".join(format(v, ".17g") for v in q)
+                                 + "\n")
 
 
 def ema_filter(qs, alpha: float, start) -> np.ndarray:

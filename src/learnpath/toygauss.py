@@ -25,6 +25,9 @@ from learnpath.rngstreams import stream
 TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "valid", "test")
 
+# rows per block when building x and p*: their temporaries stay block-sized
+_BLOCK_ROWS = 256
+
 __all__ = [
     "GaussianSpec", "ToyDataset", "gen_class_means", "compute_p_star",
     "sample_dataset", "split_counts", "split_dataset", "flip_labels",
@@ -130,15 +133,23 @@ def gen_class_means(spec: GaussianSpec) -> np.ndarray:
 def compute_p_star(x: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
     """True posterior under uniform labels and shared isotropic covariance.
 
-    Accepts one input (dim,) -> (K,) or a batch (n, dim) -> (n, K).
+    Accepts one input (dim,) -> (K,) or a batch (n, dim) -> (n, K). The
+    squared distances are built in blocks of rows, so no (n, K, dim)
+    array is formed; each (row, class) distance is still one contiguous
+    length-dim sum, with the bits of the one-shot formula.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != means.shape[1]:
         raise ValueError(f"input dim {x.shape[-1]} vs means dim {means.shape[1]}")
-    d2 = ((x[..., None, :] - means) ** 2).sum(axis=-1)
-    return softmax(-d2 / (2.0 * sigma * sigma))
+    rows = x.reshape(-1, x.shape[-1])
+    d2 = np.empty((len(rows), len(means)))
+    for at in range(0, len(rows), _BLOCK_ROWS):
+        diff = rows[at:at + _BLOCK_ROWS, None, :] - means
+        np.square(diff, out=diff).sum(axis=-1, out=d2[at:at + _BLOCK_ROWS])
+    d2 /= -2.0 * sigma * sigma  # the bits of -d2 / (2 sigma^2)
+    return softmax(d2.reshape(*x.shape[:-1], len(means)))
 
 
 def sample_dataset(spec: GaussianSpec, n_samples: int) -> ToyDataset:
@@ -150,8 +161,10 @@ def sample_dataset(spec: GaussianSpec, n_samples: int) -> ToyDataset:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     means = gen_class_means(spec)
     y = stream(spec.seed, "labels").integers(0, spec.num_classes, size=n_samples)
-    noise = stream(spec.seed, "inputs").standard_normal((n_samples, spec.input_dim))
-    x = means[y] + spec.sigma * noise
+    x = stream(spec.seed, "inputs").standard_normal((n_samples, spec.input_dim))
+    x *= spec.sigma  # then + mu_y in place, block by block: IEEE + commutes
+    for at in range(0, n_samples, _BLOCK_ROWS):
+        x[at:at + _BLOCK_ROWS] += means[y[at:at + _BLOCK_ROWS]]
     p_star = compute_p_star(x, means, spec.sigma)
     return ToyDataset(spec=spec, means=means, x=x,
                       y=y.astype(np.int64), original_y=y.astype(np.int64).copy(),

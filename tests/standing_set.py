@@ -14,6 +14,10 @@ runs, with the learnpath under this checkout's src/:
                                          where a check fails and the CLI
                                          exits 2, so the failing verdict is
                                          compared too
+  default/gen-data                       gen-data at its defaults: every x
+                                         and p* row of 10 000 at %.17g, so
+                                         the row blocks p* is built in are
+                                         compared bit for bit
 
 Run it in two checkouts, say this one and one of the parent commit, and
 compare with `diff -r`: an empty diff means every artifact is
@@ -71,6 +75,7 @@ def write_standing_set(out_root):
         _run(out_root, f"workload/{name}", wl.command, wl.config_text(config),
              "--seed", str(seed), "--jobs", str(wl.jobs))
     _run(out_root, "default/ntk-verify-seed3", "ntk-verify", "", "--seed", "3")
+    _run(out_root, "default/gen-data", "gen-data", "")
 
 
 def _files(root):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import rel_entr
 
-from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
-                               spearman_perm_pvalue, xi_bounds)
+from learnpath.metrics import (XI_TERMS, _fractional_ranks, accuracy, ece,
+                               spearman, spearman_perm_pvalue, xi_bounds)
 from learnpath.supervision import make_gt_targets
 
 LN2 = 0.69314718055994530942
@@ -37,6 +37,21 @@ def random_preds(rng, n, k=3):
     preds = rng.dirichlet(np.ones(k), size=n)
     labels = rng.integers(0, k, size=n)
     return preds, labels
+
+
+def loop_fractional_ranks(v):
+    """Tie groups walked one by one in stable sorted order; a group runs
+    while its entries equal its first (NaN equals nothing)."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v), dtype=np.float64)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestAccuracy:
@@ -219,6 +234,13 @@ class TestXiBounds:
 
 
 class TestSpearman:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf,
+                                     -math.inf]) | st.floats(), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_ranks_have_the_bits_of_the_loop(self, values):
+        v = np.array(values, dtype=np.float64)
+        assert _fractional_ranks(v).tobytes() == loop_fractional_ranks(v).tobytes()
+
     def test_monotone_chains(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         assert spearman(xs, [10, 20, 30, 40]) == pytest.approx(1.0)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from learnpath.config import load_config
 from learnpath.experiments import read_csv, run_distance_gap
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (PathStore, barycentric_project,
+from learnpath.pathtrace import (_EXPORT_BLOCK, PathStore, barycentric_project,
                                  base_difficulty, ema_filter, zigzag_score)
 from learnpath.toygauss import sample_dataset, split_dataset
 
@@ -77,11 +79,12 @@ class TestPathStore:
         assert np.array_equal(np.array([float(v) for v in first[2:]]),
                               store.preds[0, 0])
 
-    def test_export_is_the_same_for_any_visit_order(self, tmp_path):
+    @pytest.mark.parametrize("n", [40, _EXPORT_BLOCK, 2 * _EXPORT_BLOCK + 1])
+    def test_export_is_the_same_for_any_visit_order(self, tmp_path, n):
         # one epoch after another, each in its own shuffle order of the
         # columns, against the per-sample, per-visit rows written one at a time
         rng = np.random.default_rng(1)
-        indices = rng.choice(1000, size=40, replace=False)
+        indices = rng.choice(1000, size=n, replace=False)
         store = PathStore(indices, num_classes=4)
         visits = {int(i): [] for i in indices}
         step = 0
@@ -98,6 +101,21 @@ class TestPathStore:
             for s, q in visits[i]:
                 want.append(",".join([str(i), str(s), *(format(v, ".17g") for v in q)]))
         assert out.read_text().splitlines() == want
+
+    def test_export_memory_is_block_sized(self, tmp_path):
+        # 20 x 500 x 3 points as Python floats at once would take 2 MB
+        store = PathStore(np.arange(500), num_classes=3)
+        preds = np.random.default_rng(2).dirichlet(np.ones(3), size=(20, 500))
+        for t, qs in enumerate(preds):
+            for column, q in enumerate(qs):
+                store.log(t, column, 500 * t + column, q)
+        tracemalloc.start()
+        try:
+            store.export_csv(tmp_path / "paths.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestEmaFilter:

@@ -439,6 +439,20 @@ class TestLockstep:
         for table, result in zip(tables, stacked):
             assert_same_run(result, train_model(ds, table, cfg))
 
+    def test_no_parameter_is_ever_negative_zero(self):
+        # why the kernel's einsum, which makes a -0.0 gradient product
+        # +0.0, steps every parameter as np.outer would (mlp_backward)
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
+                          patience=0, seed=1)
+        seen = []
+        results = train_stack([(ds, t, s) for t in tables for s in (1, 2)], cfg,
+                              epoch_callback=lambda e, m: seen.append(m.params.copy()))
+        seen += [r.final_model.params for r in results]
+        assert len(seen) == 8 * (cfg.max_epochs + 1)
+        for p in seen:
+            assert not (np.signbit(p) & (p == 0)).any()
+
     # (1, 0) builds the gradient on zeros; (0.5, 0.5) tempers with tau < 1
     @pytest.mark.parametrize("tau,beta,record", [
         (1.0, 1.0, False), (2.0, 0.5, False), (1.0, 0.0, False), (0.5, 0.5, False),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from learnpath.toygauss import (SPLIT_NAMES, TEST, TRAIN, VALID, GaussianSpec,
-                                ToyDataset, compute_p_star, flip_labels,
-                                gen_class_means, perturb_target, sample_dataset,
-                                save_dataset, split_dataset)
+from learnpath.numerics import softmax
+from learnpath.rngstreams import stream
+from learnpath.toygauss import (_BLOCK_ROWS, SPLIT_NAMES, TEST, TRAIN, VALID,
+                                GaussianSpec, ToyDataset, compute_p_star,
+                                flip_labels, gen_class_means, perturb_target,
+                                sample_dataset, save_dataset, split_dataset)
 
 
 def bayes_oracle(x, means, sigma):
@@ -17,6 +20,12 @@ def bayes_oracle(x, means, sigma):
     dens = np.array([stats.multivariate_normal(mean=mu, cov=sigma**2).pdf(x)
                      for mu in means])
     return dens / dens.sum()
+
+
+def one_shot_p_star(x, means, sigma):
+    """The posterior from one (..., K, dim) difference array, unblocked."""
+    d2 = ((x[..., None, :] - means) ** 2).sum(axis=-1)
+    return softmax(-d2 / (2.0 * sigma * sigma))
 
 
 class TestMeans:
@@ -73,6 +82,19 @@ class TestPStar:
             assert np.allclose(batch[i], compute_p_star(x, means, spec.sigma),
                                atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("k,dim", [(3, 30), (5, 7)])
+    def test_row_blocks_have_the_bits_of_the_one_shot_formula(self, n, k, dim):
+        spec = GaussianSpec(num_classes=k, input_dim=dim, seed=4)
+        means = gen_class_means(spec)
+        xs = np.random.default_rng(n).normal(scale=3.0, size=(n, dim))
+        got = compute_p_star(xs, means, spec.sigma)
+        assert got.tobytes() == one_shot_p_star(xs, means, spec.sigma).tobytes()
+        one = compute_p_star(xs[-1], means, spec.sigma)  # a 1-D input
+        assert one.shape == (k,)
+        assert one.tobytes() == one_shot_p_star(xs[-1], means, spec.sigma).tobytes()
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_are_simplex(self, seed):
@@ -116,6 +138,29 @@ class TestSampling:
         ds = sample_dataset(GaussianSpec(seed=3), 40)
         want = compute_p_star(ds.x, ds.means, ds.spec.sigma)
         assert np.allclose(ds.p_star, want, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS + 1])
+    def test_x_and_p_star_have_the_bits_of_the_one_shot_formulas(self, n):
+        spec = GaussianSpec(seed=3)
+        ds = sample_dataset(spec, n)
+        noise = stream(spec.seed, "inputs").standard_normal((n, spec.input_dim))
+        assert ds.x.tobytes() == (ds.means[ds.y] + spec.sigma * noise).tobytes()
+        want = one_shot_p_star(ds.x, ds.means, spec.sigma)
+        assert ds.p_star.tobytes() == want.tobytes()
+
+    def test_transient_memory_is_block_sized(self):
+        # beyond the arrays it returns, 10 000 rows take under 1 MB: no
+        # second (n, dim) array (2.4 MB) and no (n, K, dim) one (7.2 MB)
+        sample_dataset(GaussianSpec(), 10)
+        tracemalloc.start()
+        try:
+            ds = sample_dataset(GaussianSpec(), 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in (ds.means, ds.x, ds.y, ds.original_y,
+                                     ds.p_star, ds.split))
+        assert peak - own < 1_000_000
 
     def test_all_rows_start_train(self):
         ds = sample_dataset(GaussianSpec(seed=0), 20)
