@@ -23,7 +23,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-from itertools import repeat
 
 import numpy as np
 
@@ -51,23 +50,25 @@ __all__ = [
 ]
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _cell_format(kind: type) -> str:
+    return ("%d" if issubclass(kind, (bool, np.bool_, int, np.integer))
+            else "%.17g" if issubclass(kind, (float, np.floating)) else "%s")
 
 
 def write_csv(path, header_lines, columns, rows) -> None:
+    """Header lines, column names, then each row in the one %-format line of
+    its tuple of cell types: %d for bools and integers, %.17g for floats."""
+    formats = {}
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+            fh.write(formats[kinds] % row)
 
 
 def read_csv(path):
@@ -592,18 +593,16 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     model = init_mlp((cfg.input_dim, *cfg.hidden_sizes, k), seed=cfg.seed)
 
     pair_rng = stream(cfg.seed, "pairs")
-    drawn = [pair_rng.choice(ti, size=2, replace=False) for _ in range(cfg.n_pairs)]
-    p_tars = perturb_target(ds.p_star[[j for _, j in drawn]], cfg.target_noise,
-                            stream(cfg.seed, "pairs", 1))
-    pairs = [(ds.x[i], ds.x[j], p_tar) for (i, j), p_tar in zip(drawn, p_tars)]
-
-    records, medians = residual_scaling_test(model, pairs, cfg.eta_grid)
+    o, u = np.array([pair_rng.choice(ti, size=2, replace=False)
+                     for _ in range(cfg.n_pairs)]).T
+    p_tars = perturb_target(ds.p_star[u], cfg.target_noise, stream(cfg.seed, "pairs", 1))
+    dec, medians = residual_scaling_test(model, ds.x[o], ds.x[u], p_tars, cfg.eta_grid)
     write_csv(os.path.join(out_dir, "decomposition.csv"), cfg.echo_lines(),
               ["pair_id", "eta", "residual_norm",
                *[f"pred_{i}" for i in range(k)], *[f"act_{i}" for i in range(k)],
-               "trace_a", "trace_kernel"],
-              ([rec.pair_id, rec.eta, rec.residual_norm, *rec.predicted,
-                *rec.actual, rec.trace_a, rec.trace_kernel] for rec in records))
+               "trace_a", "trace_kernel"],  # dec's fields in order, (K,) ones by column
+              zip(*(c.tolist() for f in dec.dtype.names
+                    for c in dec[f].reshape(len(dec), -1).T)))
 
     lines, checks = [], []
     for (e1, m1), (e2, m2) in zip(medians, medians[1:]):
@@ -630,8 +629,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
         lines.append(f"similarity probe {pidx}: spearman = {rho:.17g} sign = {sign}")
     write_csv(os.path.join(out_dir, "similarity.csv"), cfg.echo_lines(),
               ["probe_id", "index", "cosine", "trace"],
-              (row for pidx, recs in enumerate(studies)
-               for row in zip(repeat(pidx), recs["index"], recs["cosine"], recs["trace"])))
+              ((pidx, *row) for pidx, recs in enumerate(studies) for row in recs.tolist()))
 
     checkpoints = [model.copy()]
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)
@@ -639,16 +637,12 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
                 epoch_callback=lambda e, m: checkpoints.append(m.copy()))
     _, cols = _difficulty_picks(ds, np.linspace(0.0, 1.0, cfg.trace_samples))
     picks = [int(ti[col]) for col in cols]
-    trace_rows = []
+    traces = [trace_evolution(checkpoints, ds.x[i]).tolist() for i in picks]
     slack_max = 1.0 - 1.0 / k
-    traces_ok = True
-    for i in picks:
-        tr = trace_evolution(checkpoints, ds.x[i])
-        traces_ok &= bool(np.all(tr >= -1e-12) and np.all(tr <= slack_max + 1e-12))
-        for e, v in enumerate(tr):
-            trace_rows.append([i, e, float(v)])
+    traces_ok = all(-1e-12 <= v <= slack_max + 1e-12 for tr in traces for v in tr)
     write_csv(os.path.join(out_dir, "trace_evolution.csv"), cfg.echo_lines(),
-              ["sample_index", "epoch", "trace"], trace_rows)
+              ["sample_index", "epoch", "trace"],
+              ((i, e, v) for i, tr in zip(picks, traces) for e, v in enumerate(tr)))
     checks.append(("trace_within_bounds", traces_ok,
                    f"bounds [0, {slack_max:.17g}]"))
     _write_summary(out_dir, cfg, lines, checks)

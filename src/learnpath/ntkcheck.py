@@ -11,10 +11,10 @@ where A(x) = diag(q(x)) - q(x) q(x)^T is the softmax Jacobian at x_o
 and K(x_o, x_u) = J(x_o) J(x_u)^T is the empirical tangent kernel of the
 logit Jacobians J = d z / d w. The residual is O(eta^2), so halving eta
 should shrink it roughly 4x; residual_scaling_test measures exactly that
-ratio, for all pairs in one batched pass: q, A, K and the loss gradient
-once per pair, then one real SGD step per (pair, eta), each a row of a
-stack of stepped models that reads its own x_o. Every batched call gives
-a row the bits of that row alone.
+ratio, for all pairs in one batched pass over blocks of pairs: q, A, K
+and the loss gradient once per pair, then one real SGD step per (pair,
+eta), each a row of a stack of stepped models that reads its own x_o.
+Every batched call gives a row the bits of that row alone.
 
 K needs no Jacobian. Per layer l the Jacobian of logit k is the outer
 product of the backward delta delta^{l,k} with the layer input a^{l-1}
@@ -33,8 +33,6 @@ bounds the trace by 1 - 1/K and makes 1 - sum q_i^2 a handy per-sample
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from learnpath.numerics import (MlpModel, jacobian_factors, mlp_backward,
@@ -42,8 +40,8 @@ from learnpath.numerics import (MlpModel, jacobian_factors, mlp_backward,
 from learnpath.supervision import DivergenceError
 
 __all__ = [
-    "DecompositionRecord", "softmax_jacobian", "empirical_ntk",
-    "predicted_delta_q", "residual_scaling_test",
+    "softmax_jacobian", "empirical_ntk", "predicted_delta_q",
+    "residual_scaling_test",
     "similarity_trace_study", "trace_evolution",
 ]
 
@@ -93,66 +91,69 @@ def predicted_delta_q(eta, a_matrix: np.ndarray, kernel: np.ndarray,
     return eta * np.matmul(a_matrix, np.matmul(kernel, v[..., None]))[..., 0]
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
-    """One (pair, eta) comparison of predicted vs actual prediction move."""
-
-    pair_id: int
-    eta: float
-    predicted: np.ndarray
-    actual: np.ndarray
-    residual_norm: float
-    trace_a: float
-    trace_kernel: float
-
-
-def residual_scaling_test(model: MlpModel, pairs, eta_grid):
-    """Median decomposition residual at each step size.
-
-    pairs is a sequence of (x_o, x_u, p_tar_u); eta_grid is evaluated as
-    given. Returns (records, medians): records are eta-major (every pair
-    at the first eta, then every pair at the next) and medians is a list
-    of (eta, median residual norm) in grid order. Medians rather than
-    means keep the occasional near-kink pair from dominating. Each actual
-    move is a real SGD step on a copy of the model, stepped in place from
-    the finite model, so an overflowing step raises DivergenceError for
-    its (pair, eta), the first in pair-major order.
-    """
-    eta_grid = [float(e) for e in eta_grid]
-    if not pairs or not eta_grid:
-        raise ValueError("need at least one pair and one eta")
-    for eta in eta_grid:
-        if not eta > 0:
-            raise ValueError(f"step sizes must be positive, got {eta}")
-    x_o, x_u, p_tar = (np.array(c, dtype=np.float64) for c in zip(*pairs))
-    (n, k), m, etas = p_tar.shape, len(eta_grid), np.array(eta_grid)
+def _decompose_block(model: MlpModel, x_o, x_u, p_tar, etas, rows) -> None:
+    """Fill rows, one block's (eta, pair) cells, as residual_scaling_test says;
+    a function, so that a block's arrays are freed before the next block's."""
+    nb, m, k = len(x_o), len(etas), p_tar.shape[1]
     acts = mlp_forward(model, np.concatenate([x_o, x_u]))
     q = softmax(acts[-1])
-    q_o, q_u = q[:n], q[n:]
-    kernel, actual = np.empty((n, k, k)), np.empty((m, n, k))
+    q_o, q_u = q[:nb], q[nb:]
+    kernel = empirical_ntk(model, x_o, x_u)
+    grads = mlp_backward(model, [a[nb:] for a in acts], q_u - p_tar)
+    stepped = MlpModel(model.layer_sizes, np.tile(model.params, (nb * m, 1)))
+    for i, grad in enumerate(grads):  # row i * m + e: pair i stepped at etas[e]
+        stepped.params[i * m:(i + 1) * m] -= etas[:, None] * grad
+    logits = mlp_forward(stepped, np.repeat(x_o, m, axis=0))[-1]
+    bad = ~np.isfinite(logits).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise DivergenceError(
+            "non-finite logits after the decomposition step of pair "
+            f"{rows['pair_id'][0, r // m]} at eta = {etas[r % m]:g}: {logits[r]!r}")
+    rows["actual"] = (softmax(logits).reshape(-1, m, k) - q_o[:, None]).swapaxes(0, 1)
+    a_matrix = softmax_jacobian(q_o)
+    rows["predicted"] = predicted_delta_q(etas[:, None, None], a_matrix, kernel, p_tar, q_u)
+    diff = rows["actual"] - rows["predicted"]
+    rows["residual_norm"] = np.sqrt(_dot_rows(diff, diff))
+    rows["trace_a"] = np.trace(a_matrix, axis1=1, axis2=2)
+    rows["trace_kernel"] = np.trace(kernel, axis1=1, axis2=2)
+
+
+def residual_scaling_test(model: MlpModel, x_o, x_u, p_tar, eta_grid):
+    """Median decomposition residual at each step size.
+
+    Pair i is the rows x_o[i], x_u[i] of two (n, in) arrays and p_tar[i]
+    of an (n, K) one. Returns (out, medians): out is a structured array,
+    eta-major (every pair at the first eta, then at the next), of fields
+    pair_id, eta, residual_norm, predicted and actual (each (K,)),
+    trace_a and trace_kernel; medians is [(eta, median residual norm)] in
+    grid order, medians so that the occasional near-kink pair does not
+    dominate. The pass forwards one block of _BLOCK_PAIRS pairs at a time
+    and holds one block's rows beyond out. Each actual move is a real SGD
+    step on a copy of the model, stepped in place from the finite model,
+    so an overflowing step raises DivergenceError for its (pair, eta),
+    the first in pair-major order.
+    """
+    eta_grid = [float(e) for e in eta_grid]
+    x_o, x_u, p_tar = (np.asarray(a, dtype=np.float64) for a in (x_o, x_u, p_tar))
+    if not len(p_tar) or not eta_grid:
+        raise ValueError("need at least one pair and one eta")
+    if not all(eta > 0 for eta in eta_grid):
+        raise ValueError(f"step sizes must be positive, got {eta_grid}")
+    if x_o.shape != x_u.shape or p_tar.ndim != 2 or len(p_tar) != len(x_o):
+        raise ValueError(f"want row-aligned (n, in), (n, in) and (n, K) arrays, got "
+                         f"{x_o.shape}, {x_u.shape} and {p_tar.shape}")
+    (n, k), m, etas = p_tar.shape, len(eta_grid), np.array(eta_grid)
+    out = np.empty((m, n), dtype=[
+        ("pair_id", np.int64), ("eta", np.float64), ("residual_norm", np.float64),
+        ("predicted", np.float64, (k,)), ("actual", np.float64, (k,)),
+        ("trace_a", np.float64), ("trace_kernel", np.float64)])
+    out["pair_id"], out["eta"] = np.arange(n), etas[:, None]
     for start in range(0, n, _BLOCK_PAIRS):
         b = slice(start, start + _BLOCK_PAIRS)
-        kernel[b] = empirical_ntk(model, x_o[b], x_u[b])
-        grads = mlp_backward(model, [a[n:][b] for a in acts], q_u[b] - p_tar[b])
-        stepped = MlpModel(model.layer_sizes, np.tile(model.params, (len(grads) * m, 1)))
-        stepped.params -= (etas[:, None] * grads[:, None]).reshape(stepped.params.shape)
-        logits = mlp_forward(stepped, np.repeat(x_o[b], m, axis=0))[-1]
-        bad = ~np.isfinite(logits).all(axis=1)
-        if bad.any():
-            r = int(np.argmax(bad))
-            raise DivergenceError(
-                "non-finite logits after the decomposition step of pair "
-                f"{start + r // m} at eta = {eta_grid[r % m]:g}: {logits[r]!r}")
-        actual[:, b] = (softmax(logits).reshape(-1, m, k) - q_o[b, None]).swapaxes(0, 1)
-    a_matrix = softmax_jacobian(q_o)
-    predicted = predicted_delta_q(etas[:, None, None], a_matrix, kernel, p_tar, q_u)
-    norms = np.sqrt(_dot_rows(actual - predicted, actual - predicted))
-    trace_a, trace_k = (np.trace(t, axis1=1, axis2=2).tolist() for t in (a_matrix, kernel))
-    records = [DecompositionRecord(pid, eta, predicted[e, pid], actual[e, pid], norm,
-                                   trace_a[pid], trace_k[pid])
-               for e, (eta, row) in enumerate(zip(eta_grid, norms.tolist()))
-               for pid, norm in enumerate(row)]
-    return records, [(eta, float(np.median(r))) for eta, r in zip(eta_grid, norms)]
+        _decompose_block(model, x_o[b], x_u[b], p_tar[b], etas, out[:, b])
+    medians = [(eta, float(np.median(r))) for eta, r in zip(eta_grid, out["residual_norm"])]
+    return out.reshape(-1), medians
 
 
 def similarity_trace_study(model: MlpModel, x_o: np.ndarray, xs: np.ndarray):

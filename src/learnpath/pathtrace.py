@@ -74,9 +74,10 @@ class PathStore:
 
     def export_csv(self, path, header_lines=()) -> None:
         """All paths as CSV, grouped by sample ascending: sample_index,
-        step, q_0..q_{K-1}. Samples are formatted a block at a time, so
-        only one block's points are ever Python floats."""
+        step, q_0..q_{K-1}, floats at %.17g. Samples are formatted a block
+        at a time, so only one block's points are ever Python floats."""
         cols = ["sample_index", "step"] + [f"q_{j}" for j in range(self.num_classes)]
+        fmt = "%d,%d," + ",".join(["%.17g"] * self.num_classes) + "\n"
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(line + "\n")
@@ -87,8 +88,7 @@ class PathStore:
                 for i, row_steps, qs in zip(self.indices[block].tolist(),
                                             steps[block].tolist(), preds[block].tolist()):
                     for step, q in zip(row_steps, qs):
-                        fh.write(f"{i},{step}," + ",".join(format(v, ".17g") for v in q)
-                                 + "\n")
+                        fh.write(fmt % (i, step, *q))
 
 
 def ema_filter(qs, alpha: float, start) -> np.ndarray:

@@ -254,14 +254,12 @@ def save_dataset(ds: ToyDataset, csv_path) -> None:
     cols = (["index", "split", "y", "original_y"]
             + [f"x_{j}" for j in range(dim)]
             + [f"pstar_{j}" for j in range(k)])
+    fmt = "%d,%s,%d,%d," + ",".join(["%.17g"] * (dim + k)) + "\n"
     with open(csv_path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(ds.n):
-            row = [str(i), SPLIT_NAMES[ds.split[i]], str(int(ds.y[i])),
-                   str(int(ds.original_y[i]))]
-            row += [format(v, ".17g") for v in ds.x[i]]
-            row += [format(v, ".17g") for v in ds.p_star[i]]
-            fh.write(",".join(row) + "\n")
+            fh.write(fmt % (i, SPLIT_NAMES[ds.split[i]], ds.y[i], ds.original_y[i],
+                            *ds.x[i].tolist(), *ds.p_star[i].tolist()))
     header = {
         "num_classes": ds.spec.num_classes,
         "input_dim": ds.spec.input_dim,

@@ -75,16 +75,14 @@ def test_criterion_02_sgd_decomposition_residual(capsys):
     ds = sample_dataset(GaussianSpec(seed=0), 2000)
     model = init_mlp((30, 32, 32, 3), seed=0)
     rng = np.random.default_rng(99)
-    pairs = []
-    for _ in range(60):
-        o, u = rng.choice(ds.n, size=2, replace=False)
-        pairs.append((ds.x[o], ds.x[u], ds.p_star[u]))
-    _, medians = residual_scaling_test(model, pairs, (1e-2, 5e-3, 2.5e-3))
+    o, u = np.array([rng.choice(ds.n, size=2, replace=False) for _ in range(60)]).T
+    _, medians = residual_scaling_test(model, ds.x[o], ds.x[u], ds.p_star[u],
+                                       (1e-2, 5e-3, 2.5e-3))
     ratios = [medians[i][1] / medians[i + 1][1] for i in range(len(medians) - 1)]
     ok = all(3.0 <= r <= 5.0 for r in ratios)
     verdict(capsys, 2, "residual-shrinks-quadratically", ok,
             "median-ratio per halving = "
-            + ", ".join(f"{r:.3f}" for r in ratios) + f" over {len(pairs)} pairs")
+            + ", ".join(f"{r:.3f}" for r in ratios) + f" over {len(o)} pairs")
 
 
 # ------------------------------------------------ 3: softmax Jacobian

@@ -4,7 +4,10 @@ import os
 import sys
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from learnpath import experiments
 from learnpath.cli import build_parser, main
@@ -416,6 +419,44 @@ class TestGenData:
             assert main(["gen-data", "--config", path, "--out", str(out)]) == 0
         for name in ("dataset.csv", "summary.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def fmt_cell(v) -> str:
+    """One CSV cell as write_csv wrote it cell by cell, before its line formats."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                  -5e-324, 2.2250738585072009e-308, 0.1, 2.0 ** 70]))
+_CELLS = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-128, 127).map(np.int8),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 2 ** 64 - 1).map(np.uint64),
+    _FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.text(max_size=5), st.text(max_size=5).map(np.str_), st.none())
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(_CELLS, max_size=8), max_size=6))
+    @example(rows=[[True, np.True_, 2 ** 70, np.int8(-7), 0.1, -0.0, np.float32(0.1),
+                    math.nan, -math.inf, 5e-324, "s", None]] * 2)
+    def test_lines_equal_the_per_cell_join(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+        experiments.write_csv(path, ["# a = 1"], ["c0", "c1"], iter(rows))
+        want = "".join(["# a = 1\n", "c0,c1\n"]
+                       + [",".join(fmt_cell(v) for v in row) + "\n" for row in rows])
+        with open(path, newline="") as fh:  # no newline translation
+            assert fh.read() == want
 
 
 class TestZigzag:

@@ -1,9 +1,11 @@
+import tracemalloc
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from learnpath.metrics import spearman
-from learnpath.ntkcheck import (_BLOCK_PAIRS, DecompositionRecord,
-                                empirical_ntk, predicted_delta_q,
+from learnpath.ntkcheck import (_BLOCK_PAIRS, empirical_ntk, predicted_delta_q,
                                 residual_scaling_test, similarity_trace_study,
                                 softmax_jacobian, trace_evolution)
 from learnpath.numerics import (MlpModel, init_mlp, jacobian_factors,
@@ -42,6 +44,11 @@ def actual_delta_q(model, x_o, x_u, p_tar_u, eta):
     return softmax(mlp_forward(stepped, x_o)[-1]) - q_before
 
 
+# one (pair, eta) row of the reference pass
+Record = namedtuple("Record", "pair_id eta predicted actual residual_norm "
+                              "trace_a trace_kernel")
+
+
 def reference_decompose_pair(model, x_o, x_u, p_tar_u, eta_grid, pair_id=0):
     """Both sides of the decomposition for one pair, every eta: the
     per-pair pass that residual_scaling_test batches over all pairs.
@@ -69,17 +76,17 @@ def reference_decompose_pair(model, x_o, x_u, p_tar_u, eta_grid, pair_id=0):
             raise DivergenceError("non-finite logits after the decomposition step "
                                   f"of pair {pair_id} at eta = {eta:g}: {logits!r}")
         act = softmax(logits) - q_o
-        records.append(DecompositionRecord(
+        records.append(Record(
             pair_id=pair_id, eta=float(eta), predicted=pred, actual=act,
             residual_norm=float(np.linalg.norm(act - pred)),
             trace_a=trace_a, trace_kernel=trace_kernel))
     return records
 
 
-def reference_residual_scaling(model, pairs, eta_grid):
-    """residual_scaling_test's records, eta-major, from the per-pair pass."""
+def reference_residual_scaling(model, x_o, x_u, p_tar, eta_grid):
+    """residual_scaling_test's rows, eta-major, from the per-pair pass."""
     per_pair = [reference_decompose_pair(model, *pair, eta_grid, pair_id=pid)
-                for pid, pair in enumerate(pairs)]
+                for pid, pair in enumerate(zip(x_o, x_u, p_tar))]
     return [recs[e] for e in range(len(eta_grid)) for recs in per_pair]
 
 
@@ -237,32 +244,32 @@ class TestDeltas:
 
 
 def decomposition_pairs(n_pairs, seed=0):
+    """(x_o, x_u, p_tar), row i the pair i."""
     ds = sample_dataset(GaussianSpec(seed=seed), 200)
     rng = np.random.default_rng(seed + 17)
-    pairs = []
-    for _ in range(n_pairs):
-        o, u = rng.choice(ds.n, size=2, replace=False)
-        pairs.append((ds.x[o], ds.x[u], ds.p_star[u]))
-    return pairs
+    o, u = np.array([rng.choice(ds.n, size=2, replace=False)
+                     for _ in range(n_pairs)]).T
+    return ds.x[o], ds.x[u], ds.p_star[u]
 
 
 class TestDecomposition:
     def test_record_fields_consistent(self, rng):
         model = init_mlp((30, 16, 3), seed=9)
-        (x_o, x_u, p_tar) = decomposition_pairs(1)[0]
-        rec = residual_scaling_test(model, [(x_o, x_u, p_tar)] * 4, (0.01,))[0][3]
-        assert rec.pair_id == 3 and rec.eta == 0.01
-        assert rec.residual_norm == pytest.approx(
-            np.linalg.norm(rec.actual - rec.predicted), abs=0)
-        q_o = softmax(mlp_forward(model, x_o)[-1])
-        assert rec.trace_a == pytest.approx(1.0 - (q_o * q_o).sum(), abs=1e-14)
+        pair = decomposition_pairs(1)
+        rec = residual_scaling_test(model, *(np.repeat(a, 4, axis=0) for a in pair),
+                                    (0.01,))[0][3]
+        assert rec["pair_id"] == 3 and rec["eta"] == 0.01
+        assert rec["residual_norm"] == pytest.approx(
+            np.linalg.norm(rec["actual"] - rec["predicted"]), abs=0)
+        q_o = softmax(mlp_forward(model, pair[0][0])[-1])
+        assert rec["trace_a"] == pytest.approx(1.0 - (q_o * q_o).sum(), abs=1e-14)
 
     def test_residual_shrinks_quadratically(self):
         # halving eta should shrink the first-order residual about 4x
         model = init_mlp((30, 16, 3), seed=10)
         pairs = decomposition_pairs(25, seed=1)
         records, medians = residual_scaling_test(
-            model, pairs, (1e-2, 5e-3, 2.5e-3))
+            model, *pairs, (1e-2, 5e-3, 2.5e-3))
         assert len(records) == 75
         assert [e for e, _ in medians] == [1e-2, 5e-3, 2.5e-3]
         for (_, r1), (_, r2) in zip(medians, medians[1:]):
@@ -275,26 +282,25 @@ class TestDecomposition:
         model = init_mlp(sizes, seed=len(sizes))
         pairs = decomposition_pairs(4, seed=2)
         grid = (1e-2, 5e-3, 2.5e-3)
-        records, _ = residual_scaling_test(model, pairs, grid)
-        assert [(r.pair_id, r.eta) for r in records] == \
-            [(pid, eta) for eta in grid for pid in range(len(pairs))]
+        records, _ = residual_scaling_test(model, *pairs, grid)
+        assert list(zip(records["pair_id"].tolist(), records["eta"].tolist())) == \
+            [(pid, eta) for eta in grid for pid in range(len(pairs[0]))]
         for rec in records:
-            x_o, x_u, p_tar = pairs[rec.pair_id]
+            x_o, x_u, p_tar = (a[rec["pair_id"]] for a in pairs)
             q_o = softmax(mlp_forward(model, x_o)[-1])
             q_u = softmax(mlp_forward(model, x_u)[-1])
             kernel = empirical_ntk(model, x_o, x_u)
-            pred = predicted_delta_q(rec.eta, softmax_jacobian(q_o), kernel,
+            pred = predicted_delta_q(rec["eta"], softmax_jacobian(q_o), kernel,
                                      p_tar, q_u)
-            act = actual_delta_q(model, x_o, x_u, p_tar, rec.eta)
-            assert np.allclose(rec.predicted, pred, rtol=0, atol=1e-12)
-            assert np.allclose(rec.actual, act, rtol=0, atol=1e-12)
-            assert rec.trace_kernel == pytest.approx(np.trace(kernel), rel=1e-12)
+            act = actual_delta_q(model, x_o, x_u, p_tar, rec["eta"])
+            assert np.allclose(rec["predicted"], pred, rtol=0, atol=1e-12)
+            assert np.allclose(rec["actual"], act, rtol=0, atol=1e-12)
+            assert rec["trace_kernel"] == pytest.approx(np.trace(kernel), rel=1e-12)
 
     def test_model_untouched(self):
         model = init_mlp((30, 16, 3), seed=4)
         before = model.params.copy()
-        x_o, x_u, p_tar = decomposition_pairs(1)[0]
-        residual_scaling_test(model, [(x_o, x_u, p_tar)], (0.5, 0.1))
+        residual_scaling_test(model, *decomposition_pairs(1), (0.5, 0.1))
         assert np.array_equal(model.params, before)
 
     @pytest.mark.parametrize("grid", [(1e-2,), (1e-2, 5e-3, 2.5e-3)])
@@ -302,18 +308,17 @@ class TestDecomposition:
     @pytest.mark.parametrize("sizes", [(30, 3), (30, 16, 3), (30, 32, 32, 3)])
     def test_records_equal_the_per_pair_reference(self, sizes, n_pairs, grid):
         # the batched pass computes every row as its pair alone: each
-        # record has the reference's bits, field by field
+        # column has the reference's bits, field by field
         model = init_mlp(sizes, seed=len(sizes))
         pairs = decomposition_pairs(n_pairs, seed=3)
-        records, medians = residual_scaling_test(model, pairs, grid)
-        want = reference_residual_scaling(model, pairs, grid)
+        records, medians = residual_scaling_test(model, *pairs, grid)
+        want = reference_residual_scaling(model, *pairs, grid)
         assert len(records) == len(want) == n_pairs * len(grid)
-        for got, ref in zip(records, want):
-            assert (got.pair_id, got.eta) == (ref.pair_id, ref.eta)
-            assert type(got.residual_norm) is float and type(got.trace_a) is float
-            for field in ("predicted", "actual", "residual_norm", "trace_a",
-                          "trace_kernel"):
-                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert records.dtype.names == ("pair_id", "eta", "residual_norm", "predicted",
+                                       "actual", "trace_a", "trace_kernel")
+        for field in records.dtype.names:
+            column = np.array([getattr(ref, field) for ref in want])
+            assert np.array_equal(records[field], column), field
         for e, (eta, median) in enumerate(medians):
             column = want[e * n_pairs:(e + 1) * n_pairs]
             assert (eta, median) == (grid[e], float(np.median(
@@ -327,13 +332,12 @@ class TestDecomposition:
         model = init_mlp((30, 16, 3), seed=4)
         pairs = decomposition_pairs(_BLOCK_PAIRS + 3, seed=5)
         for i in range(first):
-            x_o, x_u, _ = pairs[i]
-            pairs[i] = (x_o, x_u, softmax(mlp_forward(model, x_u)[-1]))
+            pairs[2][i] = softmax(mlp_forward(model, pairs[1][i])[-1])
         grid = (1e-3, 1e300, 1e301)
         with pytest.raises(DivergenceError) as want:
-            reference_residual_scaling(model, pairs, grid)
+            reference_residual_scaling(model, *pairs, grid)
         with pytest.raises(DivergenceError) as got:
-            residual_scaling_test(model, pairs, grid)
+            residual_scaling_test(model, *pairs, grid)
         assert str(got.value) == str(want.value)
         assert f"of pair {first} at eta = 1e+300: array([" in str(got.value)
 
@@ -342,17 +346,38 @@ class TestDecomposition:
         model.weights[0][:] = 1e200
         model.weights[1][:] = 1e200
         with pytest.raises(ValueError, match="softmax got non-finite logits"):
-            residual_scaling_test(model, decomposition_pairs(2), (1e-2,))
+            residual_scaling_test(model, *decomposition_pairs(2), (1e-2,))
 
     def test_bad_inputs(self):
         model = init_mlp((30, 16, 3), seed=0)
-        pairs = decomposition_pairs(2)
+        x_o, x_u, p_tar = decomposition_pairs(2)
         with pytest.raises(ValueError):
-            residual_scaling_test(model, [], (1e-2,))
+            residual_scaling_test(model, x_o[:0], x_u[:0], p_tar[:0], (1e-2,))
         with pytest.raises(ValueError):
-            residual_scaling_test(model, pairs, ())
+            residual_scaling_test(model, x_o, x_u, p_tar, ())
         with pytest.raises(ValueError):
-            residual_scaling_test(model, pairs, (0.0,))
+            residual_scaling_test(model, x_o, x_u, p_tar, (0.0,))
+        with pytest.raises(ValueError, match="row-aligned"):
+            residual_scaling_test(model, x_o, x_u[:1], p_tar, (1e-2,))
+        with pytest.raises(ValueError, match="row-aligned"):
+            residual_scaling_test(model, x_o, x_u, p_tar[0], (1e-2,))
+
+    def test_transient_memory_does_not_grow_with_pairs(self):
+        # each block of pairs forwards only its own rows, so past the
+        # result (88 bytes per pair and eta) 800 pairs peak as 8 do. The
+        # first call warms numpy's caches, which would count against 8 pairs.
+        model = init_mlp((30, 32, 32, 32, 3), seed=0)
+        pairs = decomposition_pairs(800)
+        peaks = []
+        for n in (8, 8, 800):
+            tracemalloc.start()
+            try:
+                out, _ = residual_scaling_test(model, *(a[:n] for a in pairs),
+                                               (1e-2, 5e-3, 2.5e-3))
+                peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 250_000, peaks
 
 
 class TestSimilarity:
