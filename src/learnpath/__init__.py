@@ -8,20 +8,37 @@ and checks the numerical claims connecting supervision quality,
 generalization, and the SGD prediction-change decomposition.
 
 The package root exports the names of the README's library example;
-everything else is imported from its submodule.
+everything else is imported from its submodule. Each export loads its
+submodule on first use, so `import learnpath` alone loads no numpy:
+learnpath.cli sets its BLAS thread default before numpy loads.
 """
 
-from learnpath.metrics import accuracy
-from learnpath.numerics import predict_proba
-from learnpath.supervision import (TrainConfig, train_model,
-                                   train_teacher_filterkd_multi)
-from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
-                                split_dataset)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianSpec", "sample_dataset", "split_dataset", "flip_labels",
-    "TrainConfig", "train_teacher_filterkd_multi", "train_model",
-    "accuracy", "predict_proba",
-]
+# the variables OpenBLAS reads its own thread count from, in its order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "GaussianSpec": "toygauss", "sample_dataset": "toygauss",
+    "split_dataset": "toygauss", "flip_labels": "toygauss",
+    "TrainConfig": "supervision", "train_teacher_filterkd_multi": "supervision",
+    "train_model": "supervision", "accuracy": "metrics",
+    "predict_proba": "numerics",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'learnpath' has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"learnpath.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

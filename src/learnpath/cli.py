@@ -12,8 +12,12 @@ row instead), 2 when the command ran but a verification check failed.
 task per flip ratio, correlate one per seed, and a command with one task
 starts no pool. The tasks, and so every artifact, do not depend on
 --jobs. Each command, and each --jobs worker, runs BLAS on one thread:
-its hot calls are too small to split. Setting OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS leaves OpenBLAS at that count.
+its hot calls are too small to split. The default is set before numpy
+loads, so OpenBLAS starts no second thread to spin: importing this
+module writes OPENBLAS_NUM_THREADS=1 into os.environ when none of
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set, and
+pool workers inherit it. Importing learnpath itself changes nothing.
+Setting one of those variables to another count leaves OpenBLAS at it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,14 @@ import argparse
 import os
 import sys
 
-from learnpath.config import ConfigError, load_config
-from learnpath.experiments import RUNNERS, _write_summary, cap_blas_threads
-from learnpath.supervision import DivergenceError
+from learnpath import _BLAS_THREAD_VARS
+
+if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
+
+from learnpath.config import ConfigError, load_config  # noqa: E402
+from learnpath.experiments import RUNNERS, _write_summary, cap_blas_threads  # noqa: E402
+from learnpath.supervision import DivergenceError  # noqa: E402
 
 _STRICT = {"ntk-verify"}  # failed checks flip the exit code
 
@@ -72,11 +81,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create --out {out_dir}: {err}") from err
         checks = RUNNERS[args.command](cfg, out_dir, jobs=args.jobs)
     except (ConfigError, DivergenceError) as err:
+        message = " ".join(str(err).split())  # one line: an array repr wraps
         if isinstance(err, DivergenceError):
             # the runner had not written its summary: mark --out as failed
-            message = " ".join(str(err).split())
             _write_summary(out_dir, cfg, [f"error = {message}"], [])
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return 1
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

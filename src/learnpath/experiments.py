@@ -26,6 +26,7 @@ import os
 
 import numpy as np
 
+from learnpath import _BLAS_THREAD_VARS
 from learnpath.config import ExperimentConfig
 from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
                                spearman_perm_pvalue, xi_bounds)
@@ -38,8 +39,9 @@ from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
                                    make_gt_targets, make_ls_targets,
-                                   make_onehot_targets, train_filterkd_teachers,
-                                   train_model, train_stack)
+                                   make_onehot_targets, predict_or_diverge,
+                                   train_filterkd_teachers, train_model,
+                                   train_stack)
 from learnpath.toygauss import (ToyDataset, flip_labels, perturb_target,
                                 sample_dataset, save_dataset, split_dataset)
 
@@ -105,7 +107,7 @@ def _build_dataset(cfg: ExperimentConfig) -> ToyDataset:
 
 def _test_metrics(model, ds):
     idx = ds.test_indices
-    probs = predict_proba(model, ds.x[idx])
+    probs = predict_or_diverge(model, ds.x[idx], "predicting the test split")
     return accuracy(probs, ds.y[idx]), ece(probs, ds.y[idx])
 
 
@@ -133,10 +135,6 @@ def run_gen_data(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 # ------------------------------------------------------- worker processes
 
-# the variables OpenBLAS reads its own thread count from
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _openblas_functions(name: str) -> list:
     """openblas_<name> of each OpenBLAS library loaded in this process
     (numpy's bundled one exports scipy_openblas_<name>64_); empty under
@@ -162,9 +160,12 @@ def _openblas_functions(name: str) -> list:
 def cap_blas_threads() -> None:
     """Give BLAS one thread, so --jobs is the only parallelism: each hot call
     is a batch-1 gemv or a prediction of at most a few thousand rows, where
-    a second OpenBLAS thread only spins. A thread count set in the
-    environment wins."""
-    if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+    a second OpenBLAS thread only spins. A count other than 1 in the first
+    thread variable set, in OpenBLAS's order, wins. A 1 there is capped
+    anyway: learnpath.cli writes it on import, which is too late for an
+    OpenBLAS that numpy loaded before."""
+    asked = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), "1")
+    if asked.strip() == "1":
         for set_threads in _openblas_functions("set_num_threads"):
             set_threads(1)
 
@@ -176,7 +177,7 @@ _POOL_DS = None
 def _pool_init(ds):
     global _POOL_DS
     _POOL_DS = ds
-    cap_blas_threads()  # a forkserver or spawn worker starts uncapped
+    cap_blas_threads()  # a forkserver or spawn worker loads its own OpenBLAS
 
 
 def _dispatch(worker, ds, tasks, jobs: int):
@@ -209,7 +210,8 @@ def _stack_rows(runs, tconfig):
     runs, so a generator lets each table go once the stack holds its
     train rows. A finished run's row is its fields plus _student_row's
     measures; a failed one has its name under "run" and why it has no
-    result under "error": its own divergence or its table's string.
+    result under "error": its own divergence, in training or on the test
+    split, or its table's string.
     """
     described = []
 
@@ -223,10 +225,13 @@ def _stack_rows(runs, tconfig):
     rows = []
     for name, fields, ds, error in described:
         result = error or next(trained)
-        if isinstance(result, (str, DivergenceError)):
-            rows.append({"run": name, "error": str(result)})
-        else:
-            rows.append({**fields, **_student_row(ds, result)})
+        if not isinstance(result, (str, DivergenceError)):
+            try:
+                rows.append({**fields, **_student_row(ds, result)})
+                continue
+            except DivergenceError as err:
+                result = err
+        rows.append({"run": name, "error": str(result)})
     return rows
 
 
@@ -502,7 +507,10 @@ def _distill_runs(fr, s, flipped, seed, teacher, alphas):
         tables = dict.fromkeys(alphas, eskd)
     else:
         result, tables = teacher
-        eskd = extract_eskd_targets(result, flipped)
+        try:
+            eskd = extract_eskd_targets(result, flipped)
+        except DivergenceError as err:
+            eskd = f"teacher: {err}"
 
     def run(kind, table, alpha=math.nan):
         name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind

@@ -59,12 +59,13 @@ __all__ = [
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
     "kd_loss_and_grad", "train_stack", "train_model", "train_models",
     "train_filterkd_teachers", "train_teacher_filterkd_multi",
-    "extract_eskd_targets", "extract_kd_targets",
+    "extract_eskd_targets", "extract_kd_targets", "predict_or_diverge",
 ]
 
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite numbers."""
+    """Training produced non-finite numbers, or a trained model predicts
+    non-finite logits on rows it has to predict (predict_or_diverge)."""
 
 
 @dataclass
@@ -307,15 +308,16 @@ class _Stack:
         params = _aligned_rows(len(runs), like.num_params)
         for row, run in zip(params, runs):
             row[...] = run.init_model.params
-        self._rows = (params, targets, labels)  # (R, ...) each, row r run r's
-        self._grad = _aligned_rows(*params.shape)
+        # params, grad, targets, labels: row r of each is run r's. keep moves
+        # all four, so no dropped run's non-finite gradient stays in a kept row
+        self._rows = (params, _aligned_rows(*params.shape), targets, labels)
         self._point(like.layer_sizes)
 
     def _point(self, layer_sizes) -> None:
         r = len(self.runs)
-        params, targets, labels = (a[:r] for a in self._rows)
+        params, grad, targets, labels = (a[:r] for a in self._rows)
         self.model = MlpModel(layer_sizes, params)
-        self.grad = MlpModel(layer_sizes, self._grad[:r])
+        self.grad = MlpModel(layer_sizes, grad)
         self.targets = targets.reshape(-1, targets.shape[-1])
         self.labels = labels.reshape(-1)
         for run, row in zip(self.runs, params):
@@ -571,11 +573,24 @@ def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas):
     return teacher
 
 
+def predict_or_diverge(model: MlpModel, xs, what: str) -> np.ndarray:
+    """predict_proba of a trained model on rows it may never have visited,
+    such as the test split. Its logits can overflow there while every
+    visited row's stayed finite; that model has diverged, so this raises
+    DivergenceError("<what>: ...") where predict_proba raises ValueError."""
+    try:
+        return predict_proba(model, xs)
+    except ValueError as err:
+        raise DivergenceError(f"{what}: {err}") from err
+
+
 def extract_eskd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
-    """Teacher predictions at the best-validation checkpoint."""
-    return TargetTable(predict_proba(result.best_model, ds.x))
+    """Teacher predictions at the best-validation checkpoint; raises
+    DivergenceError if some row's are non-finite."""
+    return TargetTable(predict_or_diverge(result.best_model, ds.x, "predicting every row"))
 
 
 def extract_kd_targets(result: TrainResult, ds: ToyDataset) -> TargetTable:
-    """Teacher predictions at the end of training."""
-    return TargetTable(predict_proba(result.final_model, ds.x))
+    """Teacher predictions at the end of training; raises DivergenceError
+    if some row's are non-finite."""
+    return TargetTable(predict_or_diverge(result.final_model, ds.x, "predicting every row"))

@@ -1,4 +1,5 @@
-"""Peak RSS of the CLI in two source trees, as interleaved A/B rounds.
+"""Peak RSS and CPU time of the CLI in two source trees, as interleaved
+A/B rounds.
 
     python tests/peak_rss.py SRC_A SRC_B [--rounds N]
 
@@ -16,8 +17,11 @@ ones:
 A case's peak is the ru_maxrss of its CLI process, which covers the pool
 workers it reaped, read by perfbench/run.py's own timed_run. For each
 case it prints the median MB of A and B, in how many rounds B was lower,
-and whether the two trees wrote the same bytes in every round. pytest
-does not collect this file (it is not test_*.py).
+and whether the two trees wrote the same bytes in every round. A second
+table gives each case's median cpu_s and cpu_s - wall_s: a process with
+one compute thread whose CPU time runs well past its wall time has a
+thread spinning beside it, such as an OpenBLAS worker started at import.
+pytest does not collect this file (it is not test_*.py).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def cases() -> dict:
 
 
 def run_case(src: str, command: str, text: str, args: list) -> tuple:
-    """(peak RSS in MB, digest of each output file) of one CLI run."""
+    """(timed_run's ProcResult, digest of each output file) of one CLI run."""
     work = tempfile.mkdtemp(prefix="peak_rss-")
     try:
         cfg, out = os.path.join(work, "case.cfg"), os.path.join(work, "out")
@@ -62,9 +66,18 @@ def run_case(src: str, command: str, text: str, args: list) -> tuple:
             with open(log, errors="replace") as fh:
                 sys.stderr.write(fh.read()[-2000:])
             raise SystemExit(f"{src}: learnpath {command} exited {res.rc}")
-        return res.peak_rss_mb, _digests(out)
+        return res, _digests(out)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+
+
+def _medians(pairs, metric, fmt: str) -> str:
+    """Median metric of A and of B over the (A, B) run pairs, and in how
+    many pairs B was lower."""
+    a, b = ([metric(run[side][0]) for run in pairs] for side in (0, 1))
+    lower = sum(y < x for x, y in zip(a, b))
+    return (f"{statistics.median(a):>{fmt}}{statistics.median(b):>{fmt}}"
+            f"  {lower:>3}/{len(pairs):<4}")
 
 
 def main(argv=None) -> int:
@@ -83,16 +96,21 @@ def main(argv=None) -> int:
                 got[name, src] = run_case(src, *case)
         rounds.append({name: (got[name, src_a], got[name, src_b]) for name in todo})
         print(f"round {i}: " + "  ".join(
-            f"{name} {a[0]:.2f}/{b[0]:.2f}" for name, (a, b) in rounds[-1].items()),
+            f"{name} {a[0].peak_rss_mb:.2f}/{b[0].peak_rss_mb:.2f}"
+            for name, (a, b) in rounds[-1].items()),
             flush=True)
     print(f"{'case':<15}{'A MB':>9}{'B MB':>9}  B lower  same bytes")
     for name in todo:
         pairs = [r[name] for r in rounds]
-        wins = sum(b[0] < a[0] for a, b in pairs)
         same = all(a[1] == b[1] for a, b in pairs)
-        print(f"{name:<15}{statistics.median(a[0] for a, _ in pairs):>9.2f}"
-              f"{statistics.median(b[0] for _, b in pairs):>9.2f}"
-              f"  {wins:>3}/{len(pairs):<4}  {'yes' if same else 'NO'}")
+        print(f"{name:<15}{_medians(pairs, lambda r: r.peak_rss_mb, '9.2f')}"
+              f"  {'yes' if same else 'NO'}")
+    print(f"{'case':<15}{'A cpu_s':>9}{'B cpu_s':>9}  B lower "
+          f"{'A cpu-wall':>11}{'B cpu-wall':>11}  B lower")
+    for name in todo:
+        pairs = [r[name] for r in rounds]
+        print(f"{name:<15}{_medians(pairs, lambda r: r.cpu_s, '9.3f')}"
+              f"{_medians(pairs, lambda r: r.cpu_s - r.wall_s, '11.3f')}")
     return 0
 
 

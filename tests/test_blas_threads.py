@@ -2,7 +2,10 @@
 
 `learnpath.cli.main` and every pool worker cap numpy's OpenBLAS at one
 thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
-is set. Each case runs in a subprocess, because the cap and the
+asks for another count. Importing `learnpath.cli` sets that default
+before numpy loads, so OpenBLAS starts no second thread at all, while
+`import learnpath` loads no numpy and the library changes no BLAS
+setting. Each case runs in a subprocess, because the cap and the
 variables act on the whole process. Criterion 11 and the snapshot run
 16 wide, where OpenBLAS never splits a call, so the byte test here runs
 `paths` at 128 wide, where OpenBLAS splits each 300-row prediction over
@@ -106,6 +109,57 @@ class TestThreadCount:
         assert got["main"] and set(got["main"]) == {2}
         got = _probe(tmp_path, ["spawn"], threads=2)
         assert [set(w) for w in got["workers"]] == [{2}, {2}]
+
+
+def _fresh(code, *args):
+    """Run code in a fresh python with no BLAS thread variable; the JSON of
+    its last line of output."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# this process's OS threads and OpenBLAS thread counts, as JSON
+THREADS = """
+import json, os
+from learnpath.experiments import _openblas_functions
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "blas": [get() for get in _openblas_functions("get_num_threads")]}))
+"""
+
+
+class TestBeforeNumpyLoads:
+    """learnpath.cli sets the one-thread default before numpy loads, so
+    OpenBLAS starts no second thread; the package root loads no numpy."""
+
+    def test_importing_the_package_loads_no_numpy(self):
+        assert _fresh("import json, sys, learnpath\n"
+                      "print(json.dumps('numpy' in sys.modules))") is False
+
+    @two_cpus
+    def test_the_cli_starts_openblas_on_one_thread(self):
+        got = _fresh("import learnpath.cli, numpy\n" + THREADS)
+        assert got["tasks"] == 1 and got["blas"] and set(got["blas"]) == {1}
+        got = _fresh("import numpy\n" + THREADS)  # without the CLI
+        assert got["tasks"] > 1 and set(got["blas"]) == {2}
+
+    def test_the_library_example_changes_no_blas_setting(self):
+        readme = os.path.join(ROOT, "README.md")
+        got = _fresh("""
+import json, os, re, sys
+from learnpath.experiments import _openblas_functions
+
+def state():
+    return dict(os.environ), [get() for get in _openblas_functions("get_num_threads")]
+
+before = state()
+with open(sys.argv[1]) as fh:
+    example, = re.findall(r"```python\\n(.*?)```", fh.read(), flags=re.S)
+exec(compile(example, "README.md", "exec"), {})
+print(json.dumps([before, state()]))
+""", readme)
+        assert got[0] == got[1] and got[0][1]
 
 
 def test_a_mapped_file_that_cannot_be_loaded_is_skipped(tmp_path, monkeypatch):

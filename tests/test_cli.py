@@ -320,6 +320,31 @@ class TestDispatch:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class TestAcceptedConfigsFinish:
+    """Sweeps whose runs diverge in ways the loop does not see at a visit
+    finish and list those runs, instead of ending in a traceback."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,text,n_failed", [
+        # a run whose gradient overflowed left the stack; its gradient row
+        # must not stay in the rows the kept runs go on with
+        ("distill", "num_classes = 5\ninput_dim = 2\nratios = 0.2,0.4,0.4\n"
+                    "learning_rate = 5.0\nmax_epochs = 3\npatience = 1\n", 33),
+        ("correlate", "learning_rate = 5.0\nmax_epochs = 3\n", 50),
+        # every visited row stays finite, and the test split overflows
+        ("correlate", "n_samples = 14\nmax_epochs = 1\nhidden_sizes = 4,2\n"
+                      "noise_grid = 0.0\nnoise_seeds = 1\nbaseline_seeds = 1\n"
+                      "sigma = 1e100\n", 5),
+    ], ids=["distill-gradient", "correlate-gradient", "correlate-test-split"])
+    def test_sweep_lists_its_failed_runs(self, tmp_path, command, text, n_failed):
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_file(tmp_path, text),
+                     "--out", str(out)]) == 0
+        csv = (out / ("distill.csv" if command == "distill" else "runs.csv")).read_text()
+        assert f"# diverged_runs = {n_failed}\n" in csv
+        assert csv.count("\n# failed_run = ") == n_failed
+
+
 class TestSingleRunDivergence:
     """A model that diverges in a single-run command is an error exit."""
 

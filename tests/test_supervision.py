@@ -491,6 +491,20 @@ class TestLockstep:
             assert_reference_run(stacked[r], reference_student(ds, runs[r], cfg))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_run_diverging_through_its_parameters_leaves_the_next(self):
+        # run 0's first gradient overflows, so its parameters and its row of
+        # the gradient buffer go non-finite and it leaves at its second
+        # visit; run 1 moves up into row 0 and goes on as it would alone
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=4,
+                          patience=0, seed=1)
+        bad = tables[0].rows * 1e308
+        stacked = train_models(ds, [bad, tables[1]], cfg)
+        assert str(stacked[0]).startswith(
+            "non-finite state at epoch 0, step 1: softmax got")
+        assert_reference_run(stacked[1], reference_student(ds, tables[1].rows, cfg))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("tau,why", [(1.0, "softmax got non-finite logits"),
                                          (1.5, "non-finite distillation gradient")])
     def test_diverging_run_leaves_the_others_unchanged(self, tau, why):
