@@ -9,7 +9,7 @@ holds an `error = ...` line; sweeps record a diverged run as a failed
 row instead), 2 when the command ran but a verification check failed.
 
 --jobs spreads a sweep's tasks over worker processes: distill runs one
-task per flip ratio, correlate one per seed, and a command with one task
+task per flip ratio, correlate two in all, and a command with one task
 starts no pool. The tasks, and so every artifact, do not depend on
 --jobs. Each command, and each --jobs worker, runs BLAS on one thread:
 its hot calls are too small to split. The default is set before numpy
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed override")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweep commands: distill "
-                            "spreads its flip ratios, correlate its seeds")
+                       help="worker processes for sweeps: distill spreads its "
+                            "flip ratios, correlate its baselines and noisy runs")
     return parser
 
 

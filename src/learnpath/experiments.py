@@ -5,11 +5,10 @@ directory, writes CSV artifacts and a summary.txt, and returns a list
 of (name, passed, detail) checks. Checks are informational for most
 commands; ntk-verify turns failed checks into a non-zero exit.
 
-The sweeps spread their tasks over --jobs worker processes: distill one
-task per flip ratio, whose every seed's teachers train as one lockstep
-stack and then all their students as another, and correlate one task
-per seed (its baselines) or per noise repeat. The tasks come from the
-config alone, never from --jobs.
+The sweeps spread their tasks, which come from the config alone, over
+--jobs worker processes: distill one per flip ratio, correlate two, its
+baselines and its noisy students. A task trains its teachers, if any,
+as one lockstep stack, then all its students as another.
 
 Determinism contract: given the same config (including master seed),
 every artifact is byte-identical across re-runs and across --jobs
@@ -272,62 +271,59 @@ _BASELINE_ORDER = ("oht", "ls", "gt", "kd", "eskd")
 
 
 def _correlate_group(ds, task):
-    """One unit of correlate work: the baselines of one seed, or the
-    noisy-target runs of one repeat at every noise level.
-
-    The students of a unit share one TrainConfig and train as one stack.
-    """
+    """One of correlate's two tasks: "baselines", every seed's one-hot
+    teacher as one stack, then all their students as one more in (seed,
+    kind) order; or "noise", the noisy students as one stack in (noise
+    level, repeat) order. A run has its seed's or repeat's seed, and its
+    table is built as the stack reads it."""
     cfg = task["cfg"]
     ti = ds.train_indices
 
-    def run(name, table, **fields):
+    def run(name, table, seed, fields):
         if not isinstance(table, str):  # the gap terms read only the table
             fields.update(xi_bounds(table.rows[ti], ds.p_star[ti], cfg.loss_bound))
         return name, fields, ds, seed, table
 
-    if task["what"] == "baselines":
-        s = task["seed_index"]
-        seed = derive_seed(cfg.seed, 1, s)
-        teacher_cfg = cfg.train_config(seed=seed, patience=0,
-                                       stop_at_train_acc=1.0)
+    def baselines():
         tables = _teacher_free_tables(ds, cfg.ls_epsilon)
-        try:
-            teacher = train_model(ds, tables["oht"], teacher_cfg)
-            tables["kd"] = extract_kd_targets(teacher, ds)
-            tables["eskd"] = extract_eskd_targets(teacher, ds)
-        except DivergenceError as err:
-            tables["kd"] = tables["eskd"] = f"teacher: {err}"
-        runs = [run(f"baseline/seed={s} {kind}", tables[kind], supervision=kind,
-                    noise_scale=math.nan, seed=s)
-                for kind in _BASELINE_ORDER]
-    else:
-        r = task["repeat"]
-        seed = derive_seed(cfg.seed, 2, r)
-        runs = []
+        seeds = [derive_seed(cfg.seed, 1, s) for s in range(cfg.baseline_seeds)]
+        # the one-hot table run at tau = 1, beta = 1, whatever the students'
+        teachers = train_stack([(ds, tables["oht"], seed) for seed in seeds],
+                               cfg.train_config(patience=0, stop_at_train_acc=1.0,
+                                                temperature=1.0, beta=1.0))
+        for s, (seed, teacher) in enumerate(zip(seeds, teachers)):
+            try:
+                if isinstance(teacher, DivergenceError):
+                    raise teacher
+                tables["kd"] = extract_kd_targets(teacher, ds)
+                tables["eskd"] = extract_eskd_targets(teacher, ds)
+            except DivergenceError as err:
+                tables["kd"] = tables["eskd"] = f"teacher: {err}"
+            for kind in _BASELINE_ORDER:
+                yield run(f"baseline/seed={s} {kind}", tables[kind], seed,
+                          {"supervision": kind, "noise_scale": math.nan, "seed": s})
+
+    def noisy():
         for j, noise in enumerate(cfg.noise_grid):
-            rows_t = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
-            runs.append(run(f"noise_scale={noise:g}/seed={r} noisy_gt",
-                            TargetTable(rows_t), supervision="noisy_gt",
-                            noise_scale=noise, seed=r))
-    return _stack_rows(runs, cfg.train_config(seed=seed))
+            for r in range(cfg.noise_seeds):
+                rows = perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r))
+                yield run(f"noise_scale={noise:g}/seed={r} noisy_gt", TargetTable(rows),
+                          derive_seed(cfg.seed, 2, r),
+                          {"supervision": "noisy_gt", "noise_scale": noise, "seed": r})
+
+    runs = baselines() if task["what"] == "baselines" else noisy()
+    return _stack_rows(runs, cfg.train_config())
 
 
 def run_correlate(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    tasks = [{"cfg": cfg, "what": "baselines", "seed_index": s}
-             for s in range(cfg.baseline_seeds)]
-    tasks += [{"cfg": cfg, "what": "noise", "repeat": r}
-              for r in range(cfg.noise_seeds)]
+    tasks = [{"cfg": cfg, "what": what} for what in ("baselines", "noise")]
     groups = _dispatch(_correlate_group, ds, tasks, jobs)
-    noisy = groups[cfg.baseline_seeds:]
-    # rows in (noise level, repeat) order, although a task holds a repeat
-    runs = [row for group in groups[:cfg.baseline_seeds] for row in group]
-    runs += [noisy[r][j] for j in range(len(cfg.noise_grid))
-             for r in range(cfg.noise_seeds)]
     rows, diverged = _write_sweep(
         os.path.join(out_dir, "runs.csv"), cfg,
         ["run_id", "supervision", "noise_scale", "seed", "l2_gap", "l1_gap",
-         "test_acc", "test_ece", *XI_TERMS, "epochs_run"], runs)
+         "test_acc", "test_ece", *XI_TERMS, "epochs_run"],
+        [row for group in groups for row in group])
 
     gaps = [row["l2_gap"] for row in rows]
     accs = [row["test_acc"] for row in rows]

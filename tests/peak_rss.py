@@ -13,14 +13,17 @@ ones:
                                           perfbench/workloads.py at
                                           benchmark seed 0
   paths, gen-data                         the two commands at their defaults
+  correlate-j1, correlate-j2              correlate at its defaults, at
+                                          --jobs 1 and 2
 
 A case's peak is the ru_maxrss of its CLI process, which covers the pool
 workers it reaped, read by perfbench/run.py's own timed_run. For each
 case it prints the median MB of A and B, in how many rounds B was lower,
 and whether the two trees wrote the same bytes in every round. A second
-table gives each case's median cpu_s and cpu_s - wall_s: a process with
-one compute thread whose CPU time runs well past its wall time has a
-thread spinning beside it, such as an OpenBLAS worker started at import.
+table gives each case's median wall_s, cpu_s and cpu_s - wall_s: a
+process with one compute thread whose CPU time runs well past its wall
+time has a thread spinning beside it, such as an OpenBLAS worker started
+at import.
 pytest does not collect this file (it is not test_*.py).
 """
 
@@ -48,6 +51,8 @@ def cases() -> dict:
                      ["--seed", str(seed), "--jobs", str(wl.jobs)])
     for command in ("paths", "gen-data"):
         out[command] = (command, "", [])
+    for jobs in (1, 2):
+        out[f"correlate-j{jobs}"] = ("correlate", "", ["--jobs", str(jobs)])
     return out
 
 
@@ -105,11 +110,13 @@ def main(argv=None) -> int:
         same = all(a[1] == b[1] for a, b in pairs)
         print(f"{name:<15}{_medians(pairs, lambda r: r.peak_rss_mb, '9.2f')}"
               f"  {'yes' if same else 'NO'}")
-    print(f"{'case':<15}{'A cpu_s':>9}{'B cpu_s':>9}  B lower "
+    print(f"{'case':<15}{'A wall_s':>9}{'B wall_s':>9}  B lower "
+          f"{'A cpu_s':>9}{'B cpu_s':>9}  B lower "
           f"{'A cpu-wall':>11}{'B cpu-wall':>11}  B lower")
     for name in todo:
         pairs = [r[name] for r in rounds]
-        print(f"{name:<15}{_medians(pairs, lambda r: r.cpu_s, '9.3f')}"
+        print(f"{name:<15}{_medians(pairs, lambda r: r.wall_s, '9.3f')}"
+              f"{_medians(pairs, lambda r: r.cpu_s, '9.3f')}"
               f"{_medians(pairs, lambda r: r.cpu_s - r.wall_s, '11.3f')}")
     return 0
 

@@ -7,6 +7,10 @@ runs, with the learnpath under this checkout's src/:
 
   tiny-j1/<command>, tiny-j2/<command>   every command at its TINY config
                                          (criterion 11) at --jobs 1 and 2
+  tiny-j1/correlate-multi, tiny-j2/...   correlate's TINY config at two
+                                         baseline seeds and two noise
+                                         repeats, so that row order across
+                                         seeds and repeats is compared
   divergence/<command>                   both TestTeacherDivergence configs
   workload/<name>                        the benchmark's three workloads at
                                          benchmark seed 0
@@ -42,7 +46,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), ROOT]
 from learnpath.cli import main  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from test_acceptance import TINY_CONFIGS  # noqa: E402
-from test_cli import TestTeacherDivergence  # noqa: E402
+from test_cli import CORRELATE_MULTI, TestTeacherDivergence  # noqa: E402
 from test_snapshot import _INT, _NUMBER  # noqa: E402
 
 
@@ -66,6 +70,8 @@ def write_standing_set(out_root):
     for jobs in (1, 2):
         for command, text in sorted(TINY_CONFIGS.items()):
             _run(out_root, f"tiny-j{jobs}/{command}", command, text, "--jobs", str(jobs))
+        _run(out_root, f"tiny-j{jobs}/correlate-multi", "correlate", CORRELATE_MULTI,
+             "--jobs", str(jobs))
     divergence = {"distill": TestTeacherDivergence.DISTILL,
                   "correlate": TestTeacherDivergence.CORRELATE}
     for command, text in divergence.items():

@@ -12,17 +12,24 @@ from hypothesis import strategies as st
 from learnpath import experiments
 from learnpath.cli import build_parser, main
 from learnpath.config import load_config
-from learnpath.metrics import accuracy, ece
+from learnpath.metrics import XI_TERMS, accuracy, ece, xi_bounds
 from learnpath.numerics import predict_proba
-from learnpath.rngstreams import derive_seed
-from learnpath.supervision import (extract_eskd_targets, make_gt_targets,
-                                   make_onehot_targets, train_models,
+from learnpath.rngstreams import derive_seed, stream
+from learnpath.supervision import (TargetTable, extract_eskd_targets,
+                                   extract_kd_targets, make_gt_targets,
+                                   make_ls_targets, make_onehot_targets,
+                                   train_model, train_models,
                                    train_teacher_filterkd_multi)
-from learnpath.toygauss import flip_labels
+from learnpath.toygauss import flip_labels, perturb_target
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_acceptance import TINY_CONFIGS  # noqa: E402
 from test_config import REMOVED_KEYS, REMOVED_VALUES  # noqa: E402
+
+# correlate at two baseline seeds and two noise repeats, so that its rows
+# come from more than one seed and repeat
+CORRELATE_MULTI = (TINY_CONFIGS["correlate"].replace("noise_seeds = 1", "noise_seeds = 2")
+                   .replace("baseline_seeds = 1", "baseline_seeds = 2"))
 
 COMMANDS = ("gen-data", "correlate", "paths", "distance-gap", "recovery",
             "distill", "ntk-verify", "zigzag")
@@ -212,8 +219,7 @@ class TestTeacherDivergence:
             [False, True, True, False] * 2
         cfg = load_config("correlate", cfg_file(tmp_path, self.CORRELATE))
         rows = experiments._correlate_group(
-            experiments._build_dataset(cfg),
-            {"cfg": cfg, "what": "baselines", "seed_index": 0})
+            experiments._build_dataset(cfg), {"cfg": cfg, "what": "baselines"})
         # oht, ls, gt, kd, eskd
         assert [r["error"].startswith("teacher: ") for r in rows] == \
             [False, False, False, True, True]
@@ -269,6 +275,72 @@ def test_distill_group_rows_equal_the_per_cell_reference(tmp_path):
         want = [row for s in cfg.seeds for row in reference_distill_cell(ds, cfg, fi, s)]
         assert [sorted((k, repr(v)) for k, v in row.items()) for row in got] == \
             [sorted((k, repr(v)) for k, v in row.items()) for row in want]
+
+
+def reference_correlate_units(ds, cfg):
+    """correlate trained one unit at a time: (baseline rows in (seed, kind)
+    order, noisy rows per repeat). Each seed's teacher trains alone, then
+    its five students as one stack of one seed; each repeat's noisy
+    students train as one stack of one seed."""
+    ti, test = ds.train_indices, ds.test_indices
+
+    def row(table, result, **fields):
+        probs = predict_proba(result.best_model, ds.x[test])
+        return {**fields, **xi_bounds(table.rows[ti], ds.p_star[ti], cfg.loss_bound),
+                "test_acc": accuracy(probs, ds.y[test]),
+                "test_ece": ece(probs, ds.y[test]), "epochs_run": result.epochs_run}
+
+    baselines, noisy = [], []
+    for s in range(cfg.baseline_seeds):
+        seed = derive_seed(cfg.seed, 1, s)
+        teacher = train_model(ds, make_onehot_targets(ds), cfg.train_config(
+            seed=seed, patience=0, stop_at_train_acc=1.0))
+        tables = {"oht": make_onehot_targets(ds),
+                  "ls": make_ls_targets(ds, cfg.ls_epsilon),
+                  "gt": make_gt_targets(ds),
+                  "kd": extract_kd_targets(teacher, ds),
+                  "eskd": extract_eskd_targets(teacher, ds)}
+        results = train_models(ds, list(tables.values()), cfg.train_config(seed=seed))
+        baselines += [row(table, result, supervision=kind, noise_scale=math.nan, seed=s)
+                      for (kind, table), result in zip(tables.items(), results)]
+    for r in range(cfg.noise_seeds):
+        tables = [TargetTable(perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r)))
+                  for j, noise in enumerate(cfg.noise_grid)]
+        results = train_models(ds, tables, cfg.train_config(seed=derive_seed(cfg.seed, 2, r)))
+        noisy.append([row(table, result, supervision="noisy_gt", noise_scale=noise, seed=r)
+                      for table, result, noise in zip(tables, results, cfg.noise_grid)])
+    return baselines, noisy
+
+
+def test_correlate_group_rows_equal_the_per_unit_reference(tmp_path):
+    # one stack of every seed's teachers, then one of all their students,
+    # and one stack of every noisy student give each unit the rows it has
+    # trained alone, in (seed, kind) and then (noise level, repeat) order
+    cfg = load_config("correlate", cfg_file(tmp_path, CORRELATE_MULTI))
+    assert (cfg.baseline_seeds, cfg.noise_seeds, len(cfg.noise_grid)) == (2, 2, 2)
+    ds = experiments._build_dataset(cfg)
+    got = [row for what in ("baselines", "noise")
+           for row in experiments._correlate_group(ds, {"cfg": cfg, "what": what})]
+    baselines, noisy = reference_correlate_units(ds, cfg)
+    want = baselines + [noisy[r][j] for j in range(len(cfg.noise_grid))
+                        for r in range(cfg.noise_seeds)]
+    assert [sorted((k, repr(v)) for k, v in row.items()) for row in got] == \
+        [sorted((k, repr(v)) for k, v in row.items()) for row in want]
+
+
+def test_correlate_teacher_ignores_the_students_temperature_and_beta(tmp_path):
+    # the kd and eskd tables come from the one-hot teacher at tau = 1 and
+    # beta = 1, so their measures do not move with the students' keys
+    measures = []
+    for extra in ("", "temperature = 2\nbeta = 0.5\n"):
+        out = tmp_path / f"o{len(measures)}"
+        assert main(["correlate", "--config", cfg_file(tmp_path, TINY_CONFIGS["correlate"] + extra),
+                     "--out", str(out)]) == 0
+        columns, rows = experiments.read_csv(out / "runs.csv")
+        at = [columns.index(c) for c in ("supervision", "l2_gap", "l1_gap", *XI_TERMS)]
+        measures.append([[row[i] for i in at] for row in rows
+                         if row[columns.index("supervision")] in ("kd", "eskd")])
+    assert len(measures[0]) == 2 and measures[0] == measures[1]
 
 
 class _InlineExecutor:
