@@ -27,6 +27,7 @@ import numpy as np
 
 from learnpath import _BLAS_THREAD_VARS
 from learnpath.config import ExperimentConfig
+from learnpath.csvio import write_csv
 from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
                                spearman_perm_pvalue, xi_bounds)
 from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
@@ -49,27 +50,6 @@ __all__ = [
     "run_recovery", "run_distill", "run_ntk_verify", "run_zigzag",
     "read_csv", "RUNNERS",
 ]
-
-
-def _cell_format(kind: type) -> str:
-    return ("%d" if issubclass(kind, (bool, np.bool_, int, np.integer))
-            else "%.17g" if issubclass(kind, (float, np.floating)) else "%s")
-
-
-def write_csv(path, header_lines, columns, rows) -> None:
-    """Header lines, column names, then each row in the one %-format line of
-    its tuple of cell types: %d for bools and integers, %.17g for floats."""
-    formats = {}
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-            fh.write(formats[kinds] % row)
 
 
 def read_csv(path):
@@ -634,6 +614,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     write_csv(os.path.join(out_dir, "similarity.csv"), cfg.echo_lines(),
               ["probe_id", "index", "cosine", "trace"],
               ((pidx, *row) for pidx, recs in enumerate(studies) for row in recs.tolist()))
+    del o, u, p_tars, dec, studies, sim_targets, recs  # written; not held through training
 
     checkpoints = [model.copy()]
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)

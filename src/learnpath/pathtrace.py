@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from learnpath.csvio import write_csv
+
 __all__ = [
     "PathStore", "ema_filter", "barycentric_project", "base_difficulty",
     "zigzag_score",
@@ -74,21 +76,17 @@ class PathStore:
 
     def export_csv(self, path, header_lines=()) -> None:
         """All paths as CSV, grouped by sample ascending: sample_index,
-        step, q_0..q_{K-1}, floats at %.17g. Samples are formatted a block
-        at a time, so only one block's points are ever Python floats."""
-        cols = ["sample_index", "step"] + [f"q_{j}" for j in range(self.num_classes)]
-        fmt = "%d,%d," + ",".join(["%.17g"] * self.num_classes) + "\n"
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(line + "\n")
-            fh.write(",".join(cols) + "\n")
-            steps, preds = self.steps.T, self.preds.transpose(1, 0, 2)
-            for at in range(0, self.indices.size, _EXPORT_BLOCK):
-                block = slice(at, at + _EXPORT_BLOCK)
-                for i, row_steps, qs in zip(self.indices[block].tolist(),
-                                            steps[block].tolist(), preds[block].tolist()):
-                    for step, q in zip(row_steps, qs):
-                        fh.write(fmt % (i, step, *q))
+        step, q_0..q_{K-1}. Samples become rows a block at a time, so only
+        one block's points are ever Python floats."""
+        steps, preds = self.steps.T, self.preds.transpose(1, 0, 2)
+        n = self.indices.size
+        blocks = (slice(at, at + _EXPORT_BLOCK) for at in range(0, n, _EXPORT_BLOCK))
+        write_csv(path, header_lines,
+                  ["sample_index", "step", *(f"q_{j}" for j in range(self.num_classes))],
+                  ((i, step, *q) for b in blocks
+                   for i, row_steps, qs in zip(self.indices[b].tolist(),
+                                               steps[b].tolist(), preds[b].tolist())
+                   for step, q in zip(row_steps, qs)))
 
 
 def ema_filter(qs, alpha: float, start) -> np.ndarray:

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from learnpath.csvio import write_csv
 from learnpath.numerics import softmax
 from learnpath.rngstreams import stream
 
 TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "valid", "test")
 
-# rows per block when building x and p*: their temporaries stay block-sized
-_BLOCK_ROWS = 256
+# rows per block when building or writing x and p*: temporaries stay block-sized
+_BLOCK_ROWS = 64
 
 __all__ = [
     "GaussianSpec", "ToyDataset", "gen_class_means", "compute_p_star",
@@ -248,27 +249,18 @@ def perturb_target(p_star: np.ndarray, noise_scale: float, seed) -> np.ndarray:
 def save_dataset(ds: ToyDataset, csv_path) -> None:
     """Write the sample table plus a JSON header carrying spec and means.
 
-    Floats use %.17g, which round-trips float64 exactly.
+    Rows are built a block at a time, so only one block's x and p* are
+    ever Python floats.
     """
-    dim, k = ds.spec.input_dim, ds.num_classes
-    cols = (["index", "split", "y", "original_y"]
-            + [f"x_{j}" for j in range(dim)]
-            + [f"pstar_{j}" for j in range(k)])
-    fmt = "%d,%s,%d,%d," + ",".join(["%.17g"] * (dim + k)) + "\n"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            fh.write(fmt % (i, SPLIT_NAMES[ds.split[i]], ds.y[i], ds.original_y[i],
-                            *ds.x[i].tolist(), *ds.p_star[i].tolist()))
-    header = {
-        "num_classes": ds.spec.num_classes,
-        "input_dim": ds.spec.input_dim,
-        "sigma": ds.spec.sigma,
-        "delta_mu": ds.spec.delta_mu,
-        "seed": ds.spec.seed,
-        "n_samples": ds.n,
-        "means": [[float(v) for v in row] for row in ds.means],
-    }
+    cols = (ds.split, ds.y, ds.original_y, ds.x, ds.p_star)
+    blocks = (slice(at, at + _BLOCK_ROWS) for at in range(0, ds.n, _BLOCK_ROWS))
+    write_csv(csv_path, (),
+              ["index", "split", "y", "original_y",
+               *(f"x_{j}" for j in range(ds.spec.input_dim)),
+               *(f"pstar_{j}" for j in range(ds.num_classes))],
+              ((i, SPLIT_NAMES[s], y, oy, *x, *p) for b in blocks
+               for i, s, y, oy, x, p in zip(range(ds.n)[b], *(a[b].tolist() for a in cols))))
+    header = {**asdict(ds.spec), "n_samples": ds.n, "means": ds.means.tolist()}
     base = str(csv_path).removesuffix(".csv")
     with open(base + ".header.json", "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)

@@ -14,6 +14,10 @@ runs, with the learnpath under this checkout's src/:
   divergence/<command>                   both TestTeacherDivergence configs
   workload/<name>                        the benchmark's three workloads at
                                          benchmark seed 0
+  wide-k5/gen-data, wide-k5/paths        gen-data's and paths' TINY configs
+                                         at num_classes = 5, input_dim = 7,
+                                         so dataset.csv and paths.csv are
+                                         compared at other column counts
   default/ntk-verify-seed3               ntk-verify at its defaults, --seed 3,
                                          where a check fails and the CLI
                                          exits 2, so the failing verdict is
@@ -80,6 +84,9 @@ def write_standing_set(out_root):
         seed, config = wl.inputs(0)
         _run(out_root, f"workload/{name}", wl.command, wl.config_text(config),
              "--seed", str(seed), "--jobs", str(wl.jobs))
+    for command in ("gen-data", "paths"):
+        _run(out_root, f"wide-k5/{command}", command,
+             TINY_CONFIGS[command] + "num_classes = 5\ninput_dim = 7\n")
     _run(out_root, "default/ntk-verify-seed3", "ntk-verify", "", "--seed", "3")
     _run(out_root, "default/gen-data", "gen-data", "")
 

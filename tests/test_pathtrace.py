@@ -118,6 +118,43 @@ class TestPathStore:
         assert peak < 1_000_000
 
 
+def fixed_format_export(store, path, header_lines=()):
+    """PathStore.export_csv as it was before write_csv: its own line format."""
+    cols = ["sample_index", "step"] + [f"q_{j}" for j in range(store.num_classes)]
+    fmt = "%d,%d," + ",".join(["%.17g"] * store.num_classes) + "\n"
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(cols) + "\n")
+        for i, row_steps, qs in zip(store.indices.tolist(), store.steps.T.tolist(),
+                                    store.preds.transpose(1, 0, 2).tolist()):
+            for step, q in zip(row_steps, qs):
+                fh.write(fmt % (i, step, *q))
+
+
+class TestExportBytes:
+    def test_bytes_equal_the_fixed_format_writer(self, tmp_path):
+        # the smallest subnormal, +0.0 and doubles within an ulp or so of 1
+        # among ordinary points, over more samples than two blocks
+        edge = np.array([5e-324, 0.0, 1.0, np.nextafter(1.0, 0.0),
+                         np.nextafter(1.0, 2.0), 1.0 - 2.0 ** -52, 0.1])
+        n = 2 * _EXPORT_BLOCK + 5
+        rng = np.random.default_rng(3)
+        store = PathStore(rng.choice(5000, size=n, replace=False), num_classes=3)
+        step = 0
+        for epoch in range(4):
+            for column in rng.permutation(n):
+                q = rng.dirichlet(np.ones(3))
+                edged = rng.random(3) < 0.5
+                q[edged] = rng.choice(edge, size=edged.sum())
+                store.log(epoch, column, step, q)
+                step += 1
+        assert {0.0, 5e-324, np.nextafter(1.0, 0.0)} <= set(store.preds.ravel().tolist())
+        store.export_csv(tmp_path / "got.csv", header_lines=("# run = demo", "# k = 3"))
+        fixed_format_export(store, tmp_path / "want.csv", ("# run = demo", "# k = 3"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestEmaFilter:
     def test_alpha_one_is_identity(self):
         qs = [(1, 0, 0), (0.2, 0.3, 0.5), (0, 0, 1)]

@@ -316,3 +316,41 @@ class TestRoundTrip:
         header = json.loads((tmp_path / "d.header.json").read_text())
         assert header["sigma"] == 2.5
         assert len(header["means"]) == 3
+
+
+def fixed_format_save(ds, csv_path):
+    """save_dataset as it was before write_csv: its own line format and a
+    header built field by field."""
+    dim, k = ds.spec.input_dim, ds.num_classes
+    cols = (["index", "split", "y", "original_y"]
+            + [f"x_{j}" for j in range(dim)] + [f"pstar_{j}" for j in range(k)])
+    fmt = "%d,%s,%d,%d," + ",".join(["%.17g"] * (dim + k)) + "\n"
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(ds.n):
+            fh.write(fmt % (i, SPLIT_NAMES[ds.split[i]], ds.y[i], ds.original_y[i],
+                            *ds.x[i].tolist(), *ds.p_star[i].tolist()))
+    header = {"num_classes": ds.spec.num_classes, "input_dim": ds.spec.input_dim,
+              "sigma": ds.spec.sigma, "delta_mu": ds.spec.delta_mu,
+              "seed": ds.spec.seed, "n_samples": ds.n,
+              "means": [[float(v) for v in row] for row in ds.means]}
+    with open(str(csv_path).removesuffix(".csv") + ".header.json", "w") as fh:
+        json.dump(header, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+class TestSaveDatasetBytes:
+    @pytest.mark.parametrize("k, dim", [(3, 30), (5, 7)])
+    def test_bytes_equal_the_fixed_format_writer(self, tmp_path, k, dim):
+        # more rows than two blocks, every split present, some labels flipped
+        spec = GaussianSpec(num_classes=k, input_dim=dim, sigma=1.5, seed=4)
+        ds = split_dataset(sample_dataset(spec, 2 * _BLOCK_ROWS + 37), (0.6, 0.15, 0.25))
+        ds = flip_labels(ds, 0.3, seed=2)
+        assert ds.flipped_indices.size and ds.test_indices.size
+        (tmp_path / "got").mkdir()
+        (tmp_path / "want").mkdir()
+        save_dataset(ds, tmp_path / "got" / "dataset.csv")
+        fixed_format_save(ds, tmp_path / "want" / "dataset.csv")
+        for name in ("dataset.csv", "dataset.header.json"):
+            assert ((tmp_path / "got" / name).read_bytes()
+                    == (tmp_path / "want" / name).read_bytes())
