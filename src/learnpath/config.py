@@ -35,7 +35,7 @@ _DATA = {"seed": _SPEC["seed"], **_SPEC, "n_samples": 10000,
          "ratios": (0.05, 0.05, 0.9)}
 # the training settings: TrainConfig's defaults, in its field order
 _TRAINING = {f.name: f.default for f in fields(TrainConfig)
-             if f.name not in ("seed", "record_paths", "stop_at_train_acc")}
+             if f.name not in ("seed", "stop_at_train_acc")}
 _COMMON = {**_DATA, **_TRAINING}
 
 # Per-kind defaults, desk-scale; a kind has exactly the keys its runs

@@ -33,8 +33,8 @@ from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
 from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (barycentric_project, base_difficulty,
-                                 ema_filter, zigzag_score)
+from learnpath.pathtrace import (PathStore, barycentric_project,
+                                 base_difficulty, ema_filter, zigzag_score)
 from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
@@ -352,8 +352,8 @@ def _difficulty_picks(ds, fractions):
 
 def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    tconfig = cfg.train_config(record_paths=True)
-    paths = train_model(ds, make_onehot_targets(ds), tconfig).paths
+    paths = PathStore(ds.train_indices, ds.num_classes)
+    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths)
     paths.export_csv(os.path.join(out_dir, "paths.csv"), cfg.echo_lines())
 
     ti = ds.train_indices  # the columns of paths.preds
@@ -426,12 +426,13 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     def snap(epoch, model):
         raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
 
-    tconfig = cfg.train_config(patience=0, record_paths=True)
-    teacher = train_model(ds, make_onehot_targets(ds), tconfig, epoch_callback=snap)
+    paths = PathStore(ti, ds.num_classes)
+    teacher = train_model(ds, make_onehot_targets(ds), cfg.train_config(patience=0),
+                          epoch_callback=snap, paths=paths)
     # the Filter-KD table after each epoch, at the flipped rows
-    cols = np.searchsorted(teacher.paths.indices, flip)
+    cols = np.searchsorted(paths.indices, flip)
     q0 = predict_proba(teacher.init_model, ds.x)
-    filtered = ema_filter(teacher.paths.preds[:, cols], alpha, q0[flip])[1:]
+    filtered = ema_filter(paths.preds[:, cols], alpha, q0[flip])[1:]
     filt_hist = [accuracy(rows, ds.original_y[flip]) for rows in filtered]
     init_rec = accuracy(q0[flip], ds.original_y[flip])
     vacc0 = accuracy(q0[ds.valid_indices], ds.y[ds.valid_indices])
@@ -638,11 +639,11 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    tconfig = cfg.train_config(record_paths=True)
-    result = train_model(ds, make_onehot_targets(ds), tconfig)
-    ti = ds.train_indices  # the columns of result.paths.preds
+    ti = ds.train_indices  # the columns of paths.preds
+    paths = PathStore(ti, ds.num_classes)
+    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths)
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
-    scores = zigzag_score(result.paths.preds, ds.y[ti])
+    scores = zigzag_score(paths.preds, ds.y[ti])
     flags = np.isin(ti, ds.flipped_indices)
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],

@@ -40,9 +40,9 @@ class PathStore:
 
     preds[t, j] is the prediction at the visit in epoch t of train row
     indices[j], with indices ascending, and steps[t, j] is the run's step
-    count at that visit. Both hold the epochs logged so far, which the SGD
-    loop logs in order, every row of one before the next. The room doubles
-    as epochs arrive: max_epochs can far exceed what an early stop uses.
+    count at that visit. Both hold the epochs logged so far; as a run's
+    path sink (supervision.train_stack) it logs one whole epoch per call.
+    The room doubles as epochs arrive: max_epochs can exceed an early stop's.
     """
 
     def __init__(self, indices, num_classes: int):
@@ -53,7 +53,7 @@ class PathStore:
         self._steps = np.empty((1, self.indices.size), dtype=np.int64)
 
     def log(self, epoch: int, column: int, step: int, q: np.ndarray) -> None:
-        """Record q as the visit of row indices[column] in epoch."""
+        """Record q as the visit of row indices[column] in epoch, or arrays of visits."""
         if epoch == len(self._preds):  # double the room
             self._preds = np.concatenate((self._preds, np.empty_like(self._preds)))
             self._steps = np.concatenate((self._steps, np.empty_like(self._steps)))

@@ -11,15 +11,13 @@ consumes the rows of the train split. Builders cover the usual schemes:
   - the filtered teacher: the exponential moving average of the
     teacher's learning path ("filter_kd").
 
-The filtered teacher is the one-hot table run at tau = 1, beta = 1, with
-its learning path recorded: the pre-update prediction at every visit. Each
-table row is the EMA of that row's path (pathtrace.ema_filter), started
-from the untrained model's prediction. Averaging across visits smooths
-out the oscillation that noisy-labeled neighbours induce, so the table
-can be better supervision than any single checkpoint.
-train_filterkd_teachers fills one such table per smoothing rate alpha
-from the same path, for every teacher of a stack; a single rate is a grid
-of one, (alpha,).
+The filtered teacher is the one-hot table run at tau = 1, beta = 1. Each
+table row is the EMA (pathtrace.ema_filter) of that row's learning path,
+its pre-update prediction at every visit, started from the untrained
+model's prediction. Averaging across visits smooths out the oscillation
+that noisy-labeled neighbours induce, so the table can be better
+supervision than any single checkpoint. As in the paper, a teacher keeps
+only its running tables, one per rate alpha, folding in every epoch.
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
@@ -27,18 +25,18 @@ loop, train_stack, and it steps a stack of R runs in lockstep. The runs
 of a stack share one TrainConfig but its seed, and may differ in three
 things: their seed (so their initialization and shuffle order), their
 labels (each reads its own labelled copy of one dataset, such as a
-flipped one) and their target tables. train_models stacks students of
-one seed and dataset, train_model is its R = 1 case, and
-train_filterkd_teachers stacks path-recording teachers, one per
-(dataset, seed) cell. A stack is one MlpModel with (R, P) parameters, a
-flat vector per run; each visit gathers one input row, target row and
-label per run and does one numerics.mlp_forward, one softmax (the
-visit's one finiteness check), one stacked loss gradient built from that
-q and one mlp_backward on the forward's list of layer inputs, then one
-sgd_step per run, a vector update of its row. The contract is bitwise:
-every run ends with exactly the parameters, histories and stopping epoch
-it would have had trained alone. Early stopping stays per run, and a run
-that stops or diverges leaves the stack without touching the others.
+flipped one) and their target tables; a run may also bring a path sink.
+train_model is the R = 1 case, and train_filterkd_teachers stacks one
+teacher per (dataset, seed) cell. A stack is one MlpModel with (R, P)
+parameters, a flat vector per run; each visit gathers one input row,
+target row and label per run and does one numerics.mlp_forward, one
+softmax (the visit's one finiteness check), one stacked loss gradient
+built from that q and one mlp_backward on the forward's list of layer
+inputs, then one sgd_step per run, a vector update of its row. The
+contract is bitwise: every run ends with exactly the parameters,
+histories and stopping epoch it would have had trained alone. Early
+stopping stays per run, and a run that stops or diverges leaves the
+stack without touching the others.
 """
 
 from __future__ import annotations
@@ -50,14 +48,14 @@ import numpy as np
 from learnpath.metrics import accuracy, as_rows
 from learnpath.numerics import (MlpModel, init_mlp, mlp_backward, mlp_forward,
                                 predict_proba, sgd_step, softmax)
-from learnpath.pathtrace import PathStore, ema_filter
+from learnpath.pathtrace import ema_filter
 from learnpath.rngstreams import stream
 from learnpath.toygauss import ToyDataset
 
 __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
-    "kd_loss_and_grad", "train_stack", "train_model", "train_models",
+    "kd_loss_and_grad", "train_stack", "train_model",
     "train_filterkd_teachers", "train_teacher_filterkd_multi",
     "extract_eskd_targets", "extract_kd_targets", "predict_or_diverge",
 ]
@@ -210,7 +208,6 @@ class TrainConfig:
     temperature: float = 1.0
     beta: float = 1.0
     seed: int = 0
-    record_paths: bool = False
     stop_at_train_acc: float | None = None
 
     def __post_init__(self):
@@ -250,7 +247,6 @@ class TrainResult:
     train_acc_history: list
     init_model: MlpModel
     stopped_early: bool = False
-    paths: PathStore | None = None
 
 
 def _accuracy(model, xs, labels) -> float:
@@ -268,7 +264,7 @@ class _Run:
     seed: int
     init_model: MlpModel  # read-only, shared by the runs of its seed
     best_model: MlpModel
-    paths: PathStore | None
+    paths: object         # its path sink, or None
     valid_y: np.ndarray   # its labels on the valid split
     train_y: np.ndarray   # its labels on the train split, in split order
     model: MlpModel | None = None  # on its row of the stack's parameters
@@ -298,8 +294,9 @@ class _Stack:
     labels (R * n_train,) hold each run's train rows as one block, in
     split order. columns (n_train, R) is the epoch's visit order, the
     train column each run visits at each step, and flat the same visits
-    as rows of targets and labels. Dropping runs moves the kept runs'
-    rows up within the buffers the stack started with.
+    as rows of targets and labels; seen (R, n_train, K), only when a run
+    has a path sink, its q at each step. Dropping runs moves the kept
+    runs' rows up within the buffers the stack started with.
     """
 
     def __init__(self, runs, targets, labels):
@@ -308,14 +305,17 @@ class _Stack:
         params = _aligned_rows(len(runs), like.num_params)
         for row, run in zip(params, runs):
             row[...] = run.init_model.params
-        # params, grad, targets, labels: row r of each is run r's. keep moves
-        # all four, so no dropped run's non-finite gradient stays in a kept row
+        # params, grad, targets, labels, seen: row r of each is run r's. keep
+        # moves them all, so no dropped run's non-finite gradient stays put
         self._rows = (params, _aligned_rows(*params.shape), targets, labels)
+        if any(run.paths is not None for run in runs):
+            self._rows += (np.empty((len(runs), self.n_train, targets.shape[-1])),)
         self._point(like.layer_sizes)
 
     def _point(self, layer_sizes) -> None:
         r = len(self.runs)
-        params, grad, targets, labels = (a[:r] for a in self._rows)
+        params, grad, targets, labels, *seen = (a[:r] for a in self._rows)
+        self.seen = seen[0] if seen else None
         self.model = MlpModel(layer_sizes, params)
         self.grad = MlpModel(layer_sizes, grad)
         self.targets = targets.reshape(-1, targets.shape[-1])
@@ -350,7 +350,7 @@ class _Stack:
 
 
 def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
-    """The SGD loop: R runs, one (ds, targets, seed) each, in lockstep.
+    """The SGD loop: R runs, one (ds, targets, seed[, paths]) each, in lockstep.
 
     The runs share every field of config but seed: each brings its own,
     which draws its initialization and its per-epoch shuffle order. Each
@@ -365,7 +365,10 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     trained alone: the kernel computes every row as its model and input
     alone (see numerics), and so does the loss gradient. The visit's
     softmax raises on non-finite logits; its q builds the loss gradient
-    and is what a run that records its path logs.
+    and is the visit's point of the run's path. A run's paths, if not
+    None, is its path sink (a PathStore, say): once per epoch it completes,
+    before evaluating it, log(epoch, columns, steps, q) gets the epoch's
+    visits in order, q (n_train, K) a view the next epoch overwrites.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
@@ -376,7 +379,7 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     bookkeeping, before any stop decision.
     """
     members, targets, labels, inits = [], [], [], {}
-    for slot, (d, table, seed) in enumerate(runs):
+    for slot, (d, table, seed, *paths) in enumerate(runs):
         if not members:
             ds, k = d, d.num_classes
             train_idx, valid_idx = ds.train_indices, ds.valid_indices
@@ -399,7 +402,7 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
             inits[seed].params.setflags(write=False)
         members.append(_Run(
             slot=slot, seed=seed, init_model=inits[seed], best_model=inits[seed],
-            paths=PathStore(train_idx, k) if config.record_paths else None,
+            paths=paths[0] if paths else None,
             valid_y=d.y[valid_idx], train_y=labels[-1]))
     if not members:
         return []
@@ -408,7 +411,7 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     if tau != 1.0:  # the tempered targets; a NaN row fails at its visit
         tables = _power_renorm(tables, tau)
     stack = _Stack(members, tables, np.stack(labels))
-    del members, targets, labels, table, rows  # the stack holds what remains
+    del members, targets, labels, table, rows, paths  # the stack holds the rest
     out = [None] * len(stack.runs)
 
     # a run that leaves lets go of its row, which the stack then reuses
@@ -417,8 +420,7 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
             final_model=run.model.copy(), best_model=run.best_model,
             best_epoch=run.best_epoch, epochs_run=len(run.valid_hist),
             valid_acc_history=run.valid_hist, train_acc_history=run.train_hist,
-            init_model=run.init_model, stopped_early=stopped_early,
-            paths=run.paths)
+            init_model=run.init_model, stopped_early=stopped_early)
         run.model = None
 
     def diverge(run, epoch, step, reason):
@@ -434,10 +436,10 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
 
     eta = config.learning_rate
     x_train, x_valid = ds.x[train_idx], ds.x[valid_idx]
-    step = 0
+    step, n_train = 0, train_idx.size
     for epoch in range(config.max_epochs):
         stack.shuffle(epoch)
-        for t in range(train_idx.size):
+        for t in range(n_train):
             # a visit at which runs diverge is redone without them; rows
             # are independent, so the others' numbers do not change
             while stack.runs:
@@ -463,10 +465,8 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
                 break
             if not stack.runs:
                 break
-            if config.record_paths:
-                # a run's path column is its visit's train column
-                for run, column, q_r in zip(stack.runs, columns.tolist(), q):
-                    run.paths.log(epoch, column, step, q_r)
+            if stack.seen is not None:
+                stack.seen[:, t] = q
             mlp_backward(stack.model, acts, delta, out=stack.grad)
             for run, grad in zip(stack.runs, stack.grad.params):
                 sgd_step(run.model, grad, eta)
@@ -476,6 +476,9 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
 
         leaving = np.zeros(len(stack.runs), dtype=bool)
         for j, run in enumerate(stack.runs):
+            if run.paths is not None:
+                run.paths.log(epoch, stack.columns[:, j],
+                              epoch * n_train + np.arange(n_train), stack.seen[j])
             try:
                 vacc = _accuracy(run.model, x_valid, run.valid_y)
                 tacc = _accuracy(run.model, x_train, run.train_y)
@@ -506,26 +509,28 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     return out
 
 
-def train_models(ds: ToyDataset, tables, config: TrainConfig) -> list:
-    """Train one student per supervision table, all in one lockstep stack.
-
-    Every student shares config, so its initialization and shuffle order,
-    and each ends exactly as train_model(ds, table, config) would. Returns
-    one TrainResult per table, in order; a student that diverged leaves
-    its DivergenceError in its slot instead, and the others are
-    unaffected.
-    """
-    return train_stack([(ds, t, config.seed) for t in tables], config)
-
-
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
-                epoch_callback=None) -> TrainResult:
-    """Train a student against a fixed supervision table."""
-    [result] = train_stack([(ds, targets, config.seed)], config,
+                epoch_callback=None, paths=None) -> TrainResult:
+    """Train a student against a fixed supervision table (paths: see train_stack)."""
+    [result] = train_stack([(ds, targets, config.seed, paths)], config,
                            epoch_callback=epoch_callback)
     if isinstance(result, DivergenceError):
         raise result
     return result
+
+
+class _FilterTables:
+    """A teacher's path sink: its Filter-KD tables, one per alpha, each
+    init_model's predictions with every epoch's train rows folded in."""
+
+    def __init__(self, ds: ToyDataset, init_model: MlpModel, alphas):
+        self.train_idx, init_pred = ds.train_indices, predict_proba(init_model, ds.x)
+        self.rows = {a: init_pred.copy() for a in alphas}
+
+    def log(self, epoch, columns, steps, q) -> None:
+        at = self.train_idx[columns]
+        for a, rows in self.rows.items():
+            rows[at] = ema_filter(q[None], a, rows[at])[1]
 
 
 def train_filterkd_teachers(cells, config: TrainConfig, alphas) -> list:
@@ -533,34 +538,27 @@ def train_filterkd_teachers(cells, config: TrainConfig, alphas) -> list:
     Filter-KD tables, one per alpha.
 
     Each teacher is its cell's one-hot table run at temperature 1 and
-    beta 1 (plain cross entropy, whatever config says), with its path
-    recorded; the cells' datasets differ only in their labels, as in
-    train_stack. Returns, per cell in order, (TrainResult, {alpha:
-    TargetTable}), or the teacher's DivergenceError; result.paths holds
-    the teacher's path. Each table is the untrained model's predictions
-    with the train rows set to their path's EMA from there. alpha = 1
-    keeps no history: each row is simply the last pre-update prediction
-    seen.
+    beta 1 (plain cross entropy, whatever config says); the cells'
+    datasets differ only in their labels, as in train_stack. Returns, per
+    cell in order, (TrainResult, {alpha: TargetTable}), or the teacher's
+    DivergenceError. Each table is the untrained model's predictions with
+    the train rows set to their path's EMA from there, folded in once per
+    epoch, so no path is kept. alpha = 1 keeps no history: each row is
+    simply the last pre-update prediction seen.
     """
     alphas = tuple(float(a) for a in alphas)
     if not alphas or any(not 0 < a <= 1 for a in alphas):
         raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
+    sinks = [_FilterTables(ds, init_mlp(config.layer_sizes(ds.spec.input_dim,
+                                                           ds.num_classes), seed),
+                           alphas) for ds, seed in cells]
     results = train_stack(
-        [(ds, make_onehot_targets(ds), seed) for ds, seed in cells],
-        replace(config, temperature=1.0, beta=1.0, record_paths=True))
-    teachers = []
-    for (ds, _), result in zip(cells, results):
-        if isinstance(result, DivergenceError):
-            teachers.append(result)
-            continue
-        init_pred = predict_proba(result.init_model, ds.x)
-        ti, tables = result.paths.indices, {}
-        for a in alphas:
-            rows = init_pred.copy()
-            rows[ti] = ema_filter(result.paths.preds, a, init_pred[ti])[-1]
-            tables[a] = TargetTable(rows)
-        teachers.append((result, tables))
-    return teachers
+        [(ds, make_onehot_targets(ds), seed, sink)
+         for (ds, seed), sink in zip(cells, sinks)],
+        replace(config, temperature=1.0, beta=1.0))
+    return [result if isinstance(result, DivergenceError) else
+            (result, {a: TargetTable(rows) for a, rows in sink.rows.items()})
+            for result, sink in zip(results, sinks)]
 
 
 def train_teacher_filterkd_multi(ds: ToyDataset, config: TrainConfig, alphas):

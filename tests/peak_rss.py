@@ -15,6 +15,9 @@ ones:
   paths, gen-data                         the two commands at their defaults
   correlate-j1, correlate-j2              correlate at its defaults, at
                                           --jobs 1 and 2
+  distill                                 distill at its defaults, --jobs 1,
+                                          where what the Filter-KD teachers
+                                          hold shows
 
 A case's peak is the ru_maxrss of its CLI process, which covers the pool
 workers it reaped, read by perfbench/run.py's own timed_run. For each
@@ -53,6 +56,7 @@ def cases() -> dict:
         out[command] = (command, "", [])
     for jobs in (1, 2):
         out[f"correlate-j{jobs}"] = ("correlate", "", ["--jobs", str(jobs)])
+    out["distill"] = ("distill", "", ["--jobs", "1"])
     return out
 
 

@@ -18,7 +18,7 @@ from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (TargetTable, extract_eskd_targets,
                                    extract_kd_targets, make_gt_targets,
                                    make_ls_targets, make_onehot_targets,
-                                   train_model, train_models,
+                                   train_model, train_stack,
                                    train_teacher_filterkd_multi)
 from learnpath.toygauss import flip_labels, perturb_target
 
@@ -253,7 +253,8 @@ def reference_distill_cell(ds, cfg, fi, s):
              ("gt", make_gt_targets(flipped), math.nan)]
     rows = []
     for (kind, _, alpha), result in zip(
-            kinds, train_models(flipped, [t for _, t, _ in kinds], tconfig)):
+            kinds, train_stack([(flipped, t, tconfig.seed) for _, t, _ in kinds],
+                               tconfig)):
         probs = predict_proba(result.best_model, flipped.x[flipped.test_indices])
         labels = flipped.y[flipped.test_indices]
         rows.append({"flip_ratio": fr, "seed": s, "supervision": kind,
@@ -300,13 +301,15 @@ def reference_correlate_units(ds, cfg):
                   "gt": make_gt_targets(ds),
                   "kd": extract_kd_targets(teacher, ds),
                   "eskd": extract_eskd_targets(teacher, ds)}
-        results = train_models(ds, list(tables.values()), cfg.train_config(seed=seed))
+        results = train_stack([(ds, t, seed) for t in tables.values()],
+                              cfg.train_config(seed=seed))
         baselines += [row(table, result, supervision=kind, noise_scale=math.nan, seed=s)
                       for (kind, table), result in zip(tables.items(), results)]
     for r in range(cfg.noise_seeds):
         tables = [TargetTable(perturb_target(ds.p_star, noise, stream(cfg.seed, "perturb", j, r)))
                   for j, noise in enumerate(cfg.noise_grid)]
-        results = train_models(ds, tables, cfg.train_config(seed=derive_seed(cfg.seed, 2, r)))
+        tconfig = cfg.train_config(seed=derive_seed(cfg.seed, 2, r))
+        results = train_stack([(ds, t, tconfig.seed) for t in tables], tconfig)
         noisy.append([row(table, result, supervision="noisy_gt", noise_scale=noise, seed=r)
                       for table, result, noise in zip(tables, results, cfg.noise_grid)])
     return baselines, noisy

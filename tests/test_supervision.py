@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,15 @@ from hypothesis import strategies as st
 import learnpath.supervision as supervision
 from learnpath.metrics import accuracy
 from learnpath.numerics import init_mlp, predict_proba, softmax
+from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import stream
 from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
                                    TrainResult, extract_eskd_targets,
                                    extract_kd_targets, kd_loss_and_grad,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, train_model,
-                                   train_models, train_stack,
-                                   train_teacher_filterkd_multi)
-from learnpath.supervision import _aligned_rows
+                                   train_stack, train_teacher_filterkd_multi)
+from learnpath.supervision import _aligned_rows, _FilterTables
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
 
@@ -250,16 +251,17 @@ class TestTrainModel:
     def test_paths_recorded_per_visit(self):
         ds = tiny_ds()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
-                          patience=0, seed=0, record_paths=True)
-        result = train_model(ds, make_onehot_targets(ds), cfg)
+                          patience=0, seed=0)
         ti = ds.train_indices
-        assert np.array_equal(result.paths.indices, ti)
+        paths = PathStore(ti, ds.num_classes)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=paths)
+        assert np.array_equal(paths.indices, ti)
         # one visit per epoch: epoch t's steps are a permutation of its range
         n = ti.size
-        assert result.paths.preds.shape == (3, n, 3)
-        for t, steps in enumerate(result.paths.steps):
+        assert paths.preds.shape == (3, n, 3)
+        for t, steps in enumerate(paths.steps):
             assert sorted(steps) == list(range(t * n, (t + 1) * n))
-        assert np.allclose(result.paths.preds.sum(axis=2), 1.0, atol=1e-12)
+        assert np.allclose(paths.preds.sum(axis=2), 1.0, atol=1e-12)
 
 
 class TestFilterKd:
@@ -268,11 +270,13 @@ class TestFilterKd:
         # pre-update predictions, starting from the init-model forward pass
         ds = tiny_ds(seed=5, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=4,
-                          patience=0, seed=2, record_paths=True)
+                          patience=0, seed=2)
         alphas = (0.3, 1.0)
         result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         init_pred = predict_proba(result.init_model, ds.x)
-        paths = result.paths.paths
+        store = PathStore(ds.train_indices, ds.num_classes)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=store)
+        paths = store.paths
         for a in alphas:
             replay = init_pred.copy()
             for i in ds.train_indices:
@@ -315,20 +319,42 @@ class TestFilterKd:
         ds = tiny_ds(seed=13, n=80)
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=8,
                           patience=3, seed=4, temperature=tau, beta=beta)
-        teacher, _ = train_teacher_filterkd_multi(ds, cfg, (0.5,))
+        teacher, tables = train_teacher_filterkd_multi(ds, cfg, (0.5,))
+        paths = PathStore(ds.train_indices, ds.num_classes)
         student = train_model(ds, make_onehot_targets(ds), replace(
-            cfg, temperature=1.0, beta=1.0, record_paths=True))
+            cfg, temperature=1.0, beta=1.0), paths=paths)
         assert_same_run(teacher, student)
-        assert np.array_equal(teacher.paths.indices, student.paths.indices)
-        assert np.array_equal(teacher.paths.preds, student.paths.preds)
+        # and its table is the EMA of that run's path
+        rows = predict_proba(student.init_model, ds.x)
+        rows[paths.indices] = ema_filter(paths.preds, 0.5, rows[paths.indices])[-1]
+        assert np.array_equal(tables[0.5].rows, rows)
 
     def test_alpha_one_is_last_prediction(self):
         ds = tiny_ds(seed=6, n=50)
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=3,
-                          patience=0, seed=0, record_paths=True)
-        result, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
+                          patience=0, seed=0)
+        _, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
         ti = ds.train_indices
-        assert np.array_equal(tables[1.0].rows[ti], result.paths.preds[-1])
+        paths = PathStore(ti, ds.num_classes)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=paths)
+        assert np.array_equal(tables[1.0].rows[ti], paths.preds[-1])
+
+    def test_teacher_memory_does_not_grow_with_epochs(self):
+        # the teacher keeps its running tables, not its (T, n_train, K) path:
+        # ten times the epochs leaves the traced peak within one epoch's path
+        ds = tiny_ds(seed=14, n=400)
+        epoch_bytes = ds.train_indices.size * ds.num_classes * 8
+        peaks = {}
+        for epochs in (1, 4, 40):  # the first run is a warm-up
+            cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05,
+                              max_epochs=epochs, patience=0, seed=0)
+            tracemalloc.start()
+            try:
+                train_teacher_filterkd_multi(ds, cfg, (0.3, 1.0))
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] - peaks[4] < epoch_bytes, peaks
 
     def test_non_train_rows_stay_at_init(self):
         ds = tiny_ds(seed=7, n=50)
@@ -366,6 +392,19 @@ class TestFilterKd:
             train_teacher_filterkd_multi(ds, TINY, (0.0,))
         with pytest.raises(ValueError):
             train_teacher_filterkd_multi(ds, TINY, ())
+
+
+class LoggedFold(_FilterTables):
+    """The Filter-KD teachers' fold sink, also keeping the epoch and steps
+    of each call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def log(self, epoch, columns, steps, q):
+        self.calls.append((epoch, steps.tolist()))
+        super().log(epoch, columns, steps, q)
 
 
 def reference_student(ds, rows, cfg, path=None):
@@ -433,7 +472,7 @@ class TestLockstep:
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=6,
                           patience=3, seed=1, temperature=tau, beta=beta)
-        stacked = train_models(ds, tables, cfg)
+        stacked = train_stack([(ds, t, cfg.seed) for t in tables], cfg)
         # the runs leave the stack at different epochs
         assert len({r.epochs_run for r in stacked}) > 1
         for table, result in zip(tables, stacked):
@@ -463,14 +502,14 @@ class TestLockstep:
         # reference's pre-update softmax at every visit
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
-                          patience=3, seed=1, temperature=tau, beta=beta,
-                          record_paths=record)
+                          patience=3, seed=1, temperature=tau, beta=beta)
         for table in tables[:2]:
             path = np.full((cfg.max_epochs, ds.train_indices.size, ds.num_classes), np.nan)
-            got = train_model(ds, table, cfg)
+            store = PathStore(ds.train_indices, ds.num_classes) if record else None
+            got = train_model(ds, table, cfg, paths=store)
             assert_reference_run(got, reference_student(ds, table.rows, cfg, path))
             if record:
-                assert np.array_equal(got.paths.preds, path[:got.epochs_run])
+                assert np.array_equal(store.preds, path[:got.epochs_run])
 
     def test_survivors_of_a_divergence_equal_the_reference(self):
         # the middle run's scaled-up target row blows its weights up at
@@ -484,7 +523,7 @@ class TestLockstep:
         bad[ti[column]] *= 1e300
         runs = [tables[1].rows, bad, tables[3].rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = train_models(ds, runs, cfg)
+            stacked = train_stack([(ds, t, cfg.seed) for t in runs], cfg)
         assert str(stacked[1]).startswith(
             f"non-finite state at epoch 0, step {ti.size // 2 + 1}: softmax got")
         for r in (0, 2):
@@ -499,7 +538,7 @@ class TestLockstep:
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=4,
                           patience=0, seed=1)
         bad = tables[0].rows * 1e308
-        stacked = train_models(ds, [bad, tables[1]], cfg)
+        stacked = train_stack([(ds, t, cfg.seed) for t in (bad, tables[1])], cfg)
         assert str(stacked[0]).startswith(
             "non-finite state at epoch 0, step 1: softmax got")
         assert_reference_run(stacked[1], reference_student(ds, tables[1].rows, cfg))
@@ -517,7 +556,7 @@ class TestLockstep:
         else:
             bad[ds.train_indices[5]] = [1.5, -0.5, 0.0]  # p^tau is NaN
         runs = [tables[1], bad, tables[2]]
-        stacked = train_models(ds, runs, cfg)
+        stacked = train_stack([(ds, t, cfg.seed) for t in runs], cfg)
         assert isinstance(stacked[1], DivergenceError)
         with pytest.raises(DivergenceError) as alone:
             train_model(ds, bad, cfg)
@@ -530,13 +569,13 @@ class TestLockstep:
     @pytest.mark.parametrize("tau,beta", [(1.0, 1.0), (2.0, 0.5)])
     @pytest.mark.parametrize("diverge", [False, True], ids=["", "diverge"])
     def test_mixed_stack_equals_separate_runs(self, tau, beta, diverge):
-        # runs of their own seed, labels and targets, with paths recorded;
-        # with diverge, run 2's target row at its seed's visit halfway
-        # through epoch 0 is scaled up, so it leaves the stack mid-epoch
+        # runs of their own seed, labels, targets and path sink: a PathStore,
+        # a Filter-KD fold sink or none; with diverge, run 2's target row at
+        # its seed's visit halfway through epoch 0 is scaled up, so it
+        # leaves the stack mid-epoch
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=6,
-                          patience=2, seed=0, temperature=tau, beta=beta,
-                          record_paths=True)
+                          patience=2, seed=0, temperature=tau, beta=beta)
         # (dataset, table, seed) over three seeds and two label sets: ds
         # and a copy with 30 % of its train labels flipped
         flipped = flip_labels(ds, 0.3, seed=5)
@@ -550,17 +589,35 @@ class TestLockstep:
             bad = table.rows.copy()
             bad[ti[column]] *= 1e300
             runs[2] = (d, bad, seed)
-        stacked = train_stack(runs, cfg)
+        kinds = ("store", "fold", "store", None, "fold")
+        sizes = cfg.layer_sizes(ds.spec.input_dim, ds.num_classes)
+
+        def sink(kind, d, seed):
+            if kind == "store":
+                return PathStore(d.train_indices, d.num_classes)
+            if kind == "fold":
+                return LoggedFold(d, init_mlp(sizes, seed), (0.3, 1.0))
+            return None
+
+        sinks = [sink(k, d, seed) for k, (d, _, seed) in zip(kinds, runs)]
+        stacked = train_stack([(*run, s) for run, s in zip(runs, sinks)], cfg)
         assert len({r.epochs_run for r in stacked if isinstance(r, TrainResult)}) > 1
-        for (d, table, seed), got in zip(runs, stacked):
+        for kind, (d, table, seed), got, got_sink in zip(kinds, runs, stacked, sinks):
+            alone_sink = sink(kind, d, seed)
             try:
-                alone = train_model(d, table, replace(cfg, seed=seed))
+                alone = train_model(d, table, replace(cfg, seed=seed), paths=alone_sink)
             except DivergenceError as err:
                 assert str(got) == str(err) and " epoch 0, " in str(err)
-                continue
-            assert_same_run(got, alone)
-            assert np.array_equal(got.paths.preds, alone.paths.preds)
-            assert np.array_equal(got.paths.steps, alone.paths.steps)
+            else:
+                assert_same_run(got, alone)
+            if kind == "store":  # a run that diverged in epoch 0 logged none
+                assert np.array_equal(got_sink.preds, alone_sink.preds)
+                assert np.array_equal(got_sink.steps, alone_sink.steps)
+            elif kind == "fold":
+                assert [e for e, _ in got_sink.calls] == list(range(got.epochs_run))
+                assert got_sink.calls == alone_sink.calls
+                for a, rows in got_sink.rows.items():
+                    assert np.array_equal(rows, alone_sink.rows[a])
         assert isinstance(stacked[2], DivergenceError) == diverge
 
     def test_runs_of_a_stack_share_one_dataset(self):
@@ -582,7 +639,7 @@ class TestLockstep:
         ds, tables = self.data()
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=3,
                           patience=0, seed=1)
-        results = train_models(ds, tables, cfg)
+        results = train_stack([(ds, t, cfg.seed) for t in tables], cfg)
         visits = cfg.max_epochs * ds.train_indices.size
         assert calls == {"mlp_forward": visits, "softmax": visits,
                          "mlp_backward": visits}
@@ -595,17 +652,17 @@ class TestLockstep:
         monkeypatch.setattr(supervision, "softmax", broken)
         ds, tables = self.data()
         with pytest.raises(ValueError, match="broken softmax"):
-            train_models(ds, tables, TINY)
+            train_stack([(ds, t, TINY.seed) for t in tables], TINY)
 
     def test_targets_checked_when_the_stack_is_built(self):
         ds, tables = self.data()
         rows = tables[0].rows.copy()
         rows[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite targets"):
-            train_models(ds, [tables[1], rows], TINY)
+            train_stack([(ds, tables[1], 0), (ds, rows, 0)], TINY)
         with pytest.raises(ValueError, match="targets shape"):
-            train_models(ds, [tables[1], rows[:, :2]], TINY)
-        assert train_models(ds, [], TINY) == []
+            train_stack([(ds, tables[1], 0), (ds, rows[:, :2], 0)], TINY)
+        assert train_stack([], TINY) == []
 
     @pytest.mark.parametrize("n_rows,width", [(0, 5), (1, 3203), (6, 3203), (3, 8)])
     def test_stack_rows_start_on_cache_lines(self, n_rows, width):

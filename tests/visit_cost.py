@@ -8,21 +8,28 @@ subprocess with OpenBLAS on one thread, A first in even rounds and B first
 in odd ones. A subprocess times every case five times and keeps the least
 process CPU time, divided by the visits of one run (epochs x train rows):
 
-  w32-R1, w32-R6, w32-R24   3 epochs of train_models at hidden (32, 32, 32)
-                            with R = 1, 6 and 24 students
+  w32-R1, w32-R6, w32-R24   3 epochs of one train_stack at hidden
+                            (32, 32, 32) with R = 1, 6 and 24 students
   w128-R1-paths             3 epochs of one student at (128, 128, 128)
-                            with its path recorded
+                            with its path recorded, by a PathStore sink or,
+                            in a tree that has it, TrainConfig.record_paths
+  teachers-R5               3 epochs of train_filterkd_teachers at hidden
+                            (32, 32, 32) on 5 cells, each its own seed and
+                            20 % of its train labels flipped, at distill's
+                            six default alphas
 
 The per-epoch evaluation is included; the valid split is small. For each
 case it prints the median microseconds per visit of A and B, in how many
 rounds B was cheaper, and a hash of every final parameter of the case's
-runs, so a change that moves a single bit shows as two hashes. pytest does
+runs (and of the teachers' tables), so a change that moves a single bit
+shows as two hashes. pytest does
 not collect this file (it is not test_*.py).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,34 +38,55 @@ import subprocess
 import sys
 import time
 
-CASES = {  # name -> (hidden sizes, runs, record paths)
-    "w32-R1": ((32, 32, 32), 1, False),
-    "w32-R6": ((32, 32, 32), 6, False),
-    "w32-R24": ((32, 32, 32), 24, False),
-    "w128-R1-paths": ((128, 128, 128), 1, True),
+CASES = {  # name -> (hidden sizes, runs, what they are)
+    "w32-R1": ((32, 32, 32), 1, "students"),
+    "w32-R6": ((32, 32, 32), 6, "students"),
+    "w32-R24": ((32, 32, 32), 24, "students"),
+    "w128-R1-paths": ((128, 128, 128), 1, "paths"),
+    "teachers-R5": ((32, 32, 32), 5, "teachers"),
 }
 EPOCHS, REPEATS = 3, 5
+ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)  # distill's default alpha_grid
 
 
 def measure() -> dict:
     """case -> (least CPU us per visit, parameter hash), in this process."""
-    from learnpath import GaussianSpec, sample_dataset, split_dataset
-    from learnpath.supervision import TrainConfig, make_ls_targets, train_models
+    from learnpath import GaussianSpec, flip_labels, sample_dataset, split_dataset
+    from learnpath.pathtrace import PathStore
+    from learnpath.supervision import (TrainConfig, make_ls_targets,
+                                       train_filterkd_teachers, train_stack)
 
     ds = split_dataset(sample_dataset(GaussianSpec(seed=0), 1000), (0.5, 0.05, 0.45))
     visits = EPOCHS * ds.train_indices.size
+    # a tree whose TrainConfig records paths has no path sinks
+    by_flag = "record_paths" in {f.name for f in dataclasses.fields(TrainConfig)}
     out = {}
-    for name, (hidden, runs, paths) in CASES.items():
-        tables = [make_ls_targets(ds, (r + 1) / (runs + 1)) for r in range(runs)]
+    for name, (hidden, runs, kind) in CASES.items():
+        flag = {"record_paths": True} if by_flag and kind == "paths" else {}
         cfg = TrainConfig(hidden_sizes=hidden, max_epochs=EPOCHS, patience=0,
-                          seed=1, record_paths=paths)
+                          seed=1, **flag)
+        cells = [(flip_labels(ds, 0.2, seed=r), r) for r in range(runs)]
+        tables = [make_ls_targets(ds, (r + 1) / (runs + 1)) for r in range(runs)]
+
+        def train():
+            if kind == "teachers":
+                return train_filterkd_teachers(cells, cfg, ALPHAS)
+            sink = ()  # the 4th element of a run, in a tree with path sinks
+            if kind == "paths" and not by_flag:
+                sink = (PathStore(ds.train_indices, ds.num_classes),)
+            return train_stack([(ds, t, cfg.seed, *sink) for t in tables], cfg)
+
         best = float("inf")
         for _ in range(REPEATS):
             t0 = time.process_time()
-            results = train_models(ds, tables, cfg)
+            results = train()
             best = min(best, time.process_time() - t0)
         digest = hashlib.blake2b(digest_size=8)
         for result in results:
+            if kind == "teachers":
+                result, filtered = result
+                for a in ALPHAS:
+                    digest.update(filtered[a].rows.tobytes())
             digest.update(result.final_model.params.tobytes())
         out[name] = (best / visits * 1e6, digest.hexdigest())
     return out
