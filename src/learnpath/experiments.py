@@ -36,7 +36,7 @@ from learnpath.numerics import init_mlp, predict_proba
 from learnpath.pathtrace import (PathStore, barycentric_project,
                                  base_difficulty, ema_filter, zigzag_score)
 from learnpath.rngstreams import derive_seed, stream
-from learnpath.supervision import (DivergenceError, TargetTable,
+from learnpath.supervision import (DivergenceError, FilterTables, TargetTable,
                                    extract_eskd_targets, extract_kd_targets,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, predict_or_diverge,
@@ -418,25 +418,23 @@ def run_distance_gap(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    flip = ds.flipped_indices
-    alpha = cfg.filter_alpha
-    ti = ds.train_indices
-    raw_hist = []
+    flip, truth = ds.flipped_indices, ds.original_y[ds.flipped_indices]
+    ti, vi = ds.train_indices, ds.valid_indices
+    tconfig = cfg.train_config(patience=0)
+    # the teacher's Filter-KD table: its init predictions, then each epoch's fold
+    sink = FilterTables(ds, tconfig, tconfig.seed, (cfg.filter_alpha,))
+    [table] = sink.rows.values()
+    init_rec = accuracy(table[flip], truth)
+    vacc0 = accuracy(table[vi], ds.y[vi])
+    tacc0 = accuracy(table[ti], ds.y[ti])
+    raw_hist, filt_hist = [], []
 
     def snap(epoch, model):
-        raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), ds.original_y[flip]))
+        raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), truth))
+        filt_hist.append(accuracy(table[flip], truth))
 
-    paths = PathStore(ti, ds.num_classes)
-    teacher = train_model(ds, make_onehot_targets(ds), cfg.train_config(patience=0),
-                          epoch_callback=snap, paths=paths)
-    # the Filter-KD table after each epoch, at the flipped rows
-    cols = np.searchsorted(paths.indices, flip)
-    q0 = predict_proba(teacher.init_model, ds.x)
-    filtered = ema_filter(paths.preds[:, cols], alpha, q0[flip])[1:]
-    filt_hist = [accuracy(rows, ds.original_y[flip]) for rows in filtered]
-    init_rec = accuracy(q0[flip], ds.original_y[flip])
-    vacc0 = accuracy(q0[ds.valid_indices], ds.y[ds.valid_indices])
-    tacc0 = accuracy(q0[ti], ds.y[ti])
+    teacher = train_model(ds, make_onehot_targets(ds), tconfig,
+                          epoch_callback=snap, paths=sink)
     rows = [[0, init_rec, init_rec, vacc0, tacc0]]
     for e, (raw, filt) in enumerate(zip(raw_hist, filt_hist)):
         rows.append([e + 1, raw, filt, teacher.valid_acc_history[e],

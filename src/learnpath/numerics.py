@@ -193,6 +193,26 @@ def mlp_backward(model: MlpModel, acts: list, grad_logits: np.ndarray,
     return out.params
 
 
+def _batch_layers(model: MlpModel, xs: np.ndarray):
+    """The batched forward pass of one model on (..., n, num_inputs) xs,
+    each group with the bits of a pass on it alone: yields each layer's
+    input, then the logits. Biases are added in place, as in mlp_forward,
+    so a layer makes one array, not two."""
+    a = np.asarray(xs, dtype=np.float64)
+    if model.params.ndim != 1 or a.ndim < 2 or a.shape[-1] != model.num_inputs:
+        raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
+    last = model.num_layers - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        yield a
+        a = a @ w.T
+        a += b
+        if l != last:
+            np.maximum(a, 0.0, out=a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite logits in batch forward pass")
+    yield a
+
+
 def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     """Per-layer factors of the logit Jacobians of a batch of inputs.
 
@@ -204,21 +224,11 @@ def jacobian_factors(model: MlpModel, xs: np.ndarray) -> list:
     b_l, deltas[i, k]; no (K, d) block is ever formed. Each group of an
     (..., n, num_inputs) xs has the bits of a call on it alone.
     """
-    a = np.asarray(xs, dtype=np.float64)
-    if model.params.ndim != 1 or a.ndim < 2 or a.shape[-1] != model.num_inputs:
-        raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
-    inputs = []
-    last = model.num_layers - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        inputs.append(a)
-        z = a @ w.T + b
-        a = z if l == last else np.maximum(z, 0.0, out=z)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite logits in batch forward pass")
-    *groups, n, k = a.shape
+    *inputs, logits = _batch_layers(model, xs)
+    *groups, n, k = logits.shape
     delta = np.broadcast_to(np.eye(k), (*groups, n, k, k))
     deltas = [None] * model.num_layers
-    for l in range(last, -1, -1):
+    for l in range(model.num_layers - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
             back = delta.reshape(*groups, n * k, -1) @ model.weights[l]
@@ -263,20 +273,8 @@ def finite_diff_grad(loss_fn, model: MlpModel, eps: float = 1e-6) -> np.ndarray:
 
 
 def predict_proba(model: MlpModel, xs: np.ndarray) -> np.ndarray:
-    """Softmax probabilities for a batch of inputs, shape (n, K).
-
-    Biases are added in place, as in mlp_forward, so a layer makes one
-    (n, width) array, not two.
-    """
-    a = np.asarray(xs, dtype=np.float64)
-    if model.params.ndim != 1 or a.ndim != 2 or a.shape[1] != model.num_inputs:
-        raise ValueError(f"batch shape {a.shape}, one model expects (n, {model.num_inputs})")
-    last = model.num_layers - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T
-        a += b
-        if l != last:
-            np.maximum(a, 0.0, out=a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite logits in batch forward pass")
-    return softmax(a)
+    """Softmax probabilities for a batch of inputs, shape (n, K); of
+    _batch_layers it keeps only the logits, so it holds one layer at a time."""
+    for logits in _batch_layers(model, xs):
+        pass
+    return softmax(logits)

@@ -17,7 +17,8 @@ its pre-update prediction at every visit, started from the untrained
 model's prediction. Averaging across visits smooths out the oscillation
 that noisy-labeled neighbours induce, so the table can be better
 supervision than any single checkpoint. As in the paper, a teacher keeps
-only its running tables, one per rate alpha, folding in every epoch.
+only its running tables, one per rate alpha, folding in every epoch: its
+path sink is a FilterTables.
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
@@ -56,7 +57,7 @@ __all__ = [
     "TargetTable", "TrainConfig", "TrainResult", "DivergenceError",
     "make_onehot_targets", "make_ls_targets", "make_gt_targets",
     "kd_loss_and_grad", "train_stack", "train_model",
-    "train_filterkd_teachers", "train_teacher_filterkd_multi",
+    "FilterTables", "train_filterkd_teachers", "train_teacher_filterkd_multi",
     "extract_eskd_targets", "extract_kd_targets", "predict_or_diverge",
 ]
 
@@ -519,11 +520,17 @@ def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
     return result
 
 
-class _FilterTables:
-    """A teacher's path sink: its Filter-KD tables, one per alpha, each
-    init_model's predictions with every epoch's train rows folded in."""
+class FilterTables:
+    """A teacher's path sink: its Filter-KD tables, one per alpha. rows[alpha]
+    (n, K) starts as the predictions of seed's untrained model under config
+    and folds in each epoch logged, so no path is kept. alpha = 1 keeps no
+    history: each row is simply the last pre-update prediction seen."""
 
-    def __init__(self, ds: ToyDataset, init_model: MlpModel, alphas):
+    def __init__(self, ds: ToyDataset, config: TrainConfig, seed: int, alphas):
+        alphas = tuple(float(a) for a in alphas)
+        if not alphas or any(not 0 < a <= 1 for a in alphas):
+            raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
+        init_model = init_mlp(config.layer_sizes(ds.spec.input_dim, ds.num_classes), seed)
         self.train_idx, init_pred = ds.train_indices, predict_proba(init_model, ds.x)
         self.rows = {a: init_pred.copy() for a in alphas}
 
@@ -541,17 +548,9 @@ def train_filterkd_teachers(cells, config: TrainConfig, alphas) -> list:
     beta 1 (plain cross entropy, whatever config says); the cells'
     datasets differ only in their labels, as in train_stack. Returns, per
     cell in order, (TrainResult, {alpha: TargetTable}), or the teacher's
-    DivergenceError. Each table is the untrained model's predictions with
-    the train rows set to their path's EMA from there, folded in once per
-    epoch, so no path is kept. alpha = 1 keeps no history: each row is
-    simply the last pre-update prediction seen.
+    DivergenceError; each cell's tables are its FilterTables sink's.
     """
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas or any(not 0 < a <= 1 for a in alphas):
-        raise ValueError(f"filter alphas must be in (0, 1], got {alphas}")
-    sinks = [_FilterTables(ds, init_mlp(config.layer_sizes(ds.spec.input_dim,
-                                                           ds.num_classes), seed),
-                           alphas) for ds, seed in cells]
+    sinks = [FilterTables(ds, config, seed, alphas) for ds, seed in cells]
     results = train_stack(
         [(ds, make_onehot_targets(ds), seed, sink)
          for (ds, seed), sink in zip(cells, sinks)],

@@ -12,7 +12,8 @@ ones:
                                           the configs of
                                           perfbench/workloads.py at
                                           benchmark seed 0
-  paths, gen-data                         the two commands at their defaults
+  paths, gen-data, recovery               the three commands at their
+                                          defaults
   correlate-j1, correlate-j2              correlate at its defaults, at
                                           --jobs 1 and 2
   distill                                 distill at its defaults, --jobs 1,
@@ -52,7 +53,7 @@ def cases() -> dict:
         seed, config = wl.inputs(0)
         out[name] = (wl.command, wl.config_text(config),
                      ["--seed", str(seed), "--jobs", str(wl.jobs)])
-    for command in ("paths", "gen-data"):
+    for command in ("paths", "gen-data", "recovery"):
         out[command] = (command, "", [])
     for jobs in (1, 2):
         out[f"correlate-j{jobs}"] = ("correlate", "", ["--jobs", str(jobs)])

@@ -11,7 +11,10 @@ runs, with the learnpath under this checkout's src/:
                                          baseline seeds and two noise
                                          repeats, so that row order across
                                          seeds and repeats is compared
-  divergence/<command>                   both TestTeacherDivergence configs
+  divergence/<command>                   both TestTeacherDivergence configs,
+                                         and recovery's config of
+                                         TestSingleRunDivergence, whose
+                                         teacher diverges and exits 1
   workload/<name>                        the benchmark's three workloads at
                                          benchmark seed 0
   wide-k5/gen-data, wide-k5/paths        gen-data's and paths' TINY configs
@@ -50,11 +53,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), ROOT]
 from learnpath.cli import main  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from test_acceptance import TINY_CONFIGS  # noqa: E402
-from test_cli import CORRELATE_MULTI, TestTeacherDivergence  # noqa: E402
+from test_cli import (CORRELATE_MULTI, TestSingleRunDivergence,  # noqa: E402
+                      TestTeacherDivergence)
 from test_snapshot import _INT, _NUMBER  # noqa: E402
 
 
-def _run(out_root, name, command, text, *args):
+def _run(out_root, name, command, text, *args, exits=0):
     out = os.path.join(out_root, name)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     cfg = out + ".cfg"
@@ -66,8 +70,8 @@ def _run(out_root, name, command, text, *args):
         with open(os.path.join(out, "summary.txt")) as fh:
             if any(line.startswith("check ") and ": FAIL (" in line for line in fh):
                 return
-    if status != 0:
-        raise SystemExit(f"{name}: learnpath {command} failed")
+    if status != exits:
+        raise SystemExit(f"{name}: learnpath {command} exited {status}, want {exits}")
 
 
 def write_standing_set(out_root):
@@ -80,6 +84,8 @@ def write_standing_set(out_root):
                   "correlate": TestTeacherDivergence.CORRELATE}
     for command, text in divergence.items():
         _run(out_root, f"divergence/{command}", command, text)
+    _run(out_root, "divergence/recovery", "recovery",
+         TestSingleRunDivergence.RECOVERY + "max_epochs = 3\n", exits=1)
     for name, wl in sorted(WORKLOADS.items()):
         seed, config = wl.inputs(0)
         _run(out_root, f"workload/{name}", wl.command, wl.config_text(config),

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -14,6 +15,7 @@ from learnpath.cli import build_parser, main
 from learnpath.config import load_config
 from learnpath.metrics import XI_TERMS, accuracy, ece, xi_bounds
 from learnpath.numerics import predict_proba
+from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (TargetTable, extract_eskd_targets,
                                    extract_kd_targets, make_gt_targets,
@@ -346,6 +348,46 @@ def test_correlate_teacher_ignores_the_students_temperature_and_beta(tmp_path):
     assert len(measures[0]) == 2 and measures[0] == measures[1]
 
 
+def test_recovery_filtered_column_equals_the_replayed_path_ema(tmp_path):
+    # the teacher's Filter-KD table, folded in once per epoch, gives every
+    # epoch the recovery of the EMA of the flipped rows' recorded paths
+    cfg = load_config("recovery", cfg_file(tmp_path, TINY_CONFIGS["recovery"]))
+    out = tmp_path / "o"
+    out.mkdir()
+    experiments.run_recovery(cfg, str(out))
+    columns, rows = experiments.read_csv(out / "recovery.csv")
+    got = [float(row[columns.index("filtered_recovery")]) for row in rows]
+    ds = experiments._build_dataset(cfg)
+    flip, truth = ds.flipped_indices, ds.original_y[ds.flipped_indices]
+    paths = PathStore(ds.train_indices, ds.num_classes)
+    teacher = train_model(ds, make_onehot_targets(ds), cfg.train_config(patience=0),
+                          paths=paths)
+    q0 = predict_proba(teacher.init_model, ds.x)
+    cols = np.searchsorted(paths.indices, flip)
+    filtered = ema_filter(paths.preds[:, cols], cfg.filter_alpha, q0[flip])[1:]
+    want = [accuracy(q0[flip], truth)] + [accuracy(q, truth) for q in filtered]
+    assert len(want) == cfg.max_epochs + 1 and got == want
+
+
+def test_recovery_memory_is_flat_in_epochs(tmp_path):
+    # the teacher keeps its running table, not its path: 36 more epochs
+    # cost less than one epoch's path of the 500 train rows
+    text = "n_samples = 1000\nratios = 0.5,0.25,0.25\nhidden_sizes = 12\nflip_ratio = 0.3\n"
+    epoch_bytes = 500 * 3 * 8
+    peaks = {}
+    for epochs in (1, 4, 40):  # the first run is a warm-up
+        cfg = load_config("recovery", cfg_file(tmp_path, text + f"max_epochs = {epochs}\n"))
+        out = tmp_path / f"o{epochs}"
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            experiments.run_recovery(cfg, str(out))
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] - peaks[4] < epoch_bytes, peaks
+
+
 class _InlineExecutor:
     """A ProcessPoolExecutor stand-in that records its max_workers and runs
     every task in this process, at submit."""
@@ -426,12 +468,18 @@ class TestSingleRunDivergence:
     DIVERGING = ("n_samples = 100\nratios = 0.5,0.25,0.25\n"
                  "hidden_sizes = 8\nlearning_rate = 1000\n")
 
+    # recovery's teacher needs a larger step to diverge; the parser
+    # rejects a repeated key, so its text is its own
+    RECOVERY = DIVERGING.replace("learning_rate = 1000", "learning_rate = 1e4")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,extra", [("distance-gap", "max_epochs = 3\n"),
-                                               ("ntk-verify", "")])
+                                               ("ntk-verify", ""),
+                                               ("recovery", "max_epochs = 3\n")])
     def test_exits_one_with_the_message(self, tmp_path, capsys, command, extra):
         out = tmp_path / "o"
-        path = cfg_file(tmp_path, self.DIVERGING + extra)
+        text = self.RECOVERY if command == "recovery" else self.DIVERGING
+        path = cfg_file(tmp_path, text + extra)
         rc = main([command, "--config", path, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: non-finite state at epoch")

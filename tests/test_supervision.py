@@ -11,13 +11,13 @@ from learnpath.metrics import accuracy
 from learnpath.numerics import init_mlp, predict_proba, softmax
 from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import stream
-from learnpath.supervision import (DivergenceError, TargetTable, TrainConfig,
-                                   TrainResult, extract_eskd_targets,
+from learnpath.supervision import (DivergenceError, FilterTables, TargetTable,
+                                   TrainConfig, TrainResult, extract_eskd_targets,
                                    extract_kd_targets, kd_loss_and_grad,
                                    make_gt_targets, make_ls_targets,
                                    make_onehot_targets, train_model,
                                    train_stack, train_teacher_filterkd_multi)
-from learnpath.supervision import _aligned_rows, _FilterTables
+from learnpath.supervision import _aligned_rows
 from learnpath.toygauss import (GaussianSpec, flip_labels, sample_dataset,
                                 split_dataset)
 
@@ -394,7 +394,7 @@ class TestFilterKd:
             train_teacher_filterkd_multi(ds, TINY, ())
 
 
-class LoggedFold(_FilterTables):
+class LoggedFold(FilterTables):
     """The Filter-KD teachers' fold sink, also keeping the epoch and steps
     of each call."""
 
@@ -590,13 +590,12 @@ class TestLockstep:
             bad[ti[column]] *= 1e300
             runs[2] = (d, bad, seed)
         kinds = ("store", "fold", "store", None, "fold")
-        sizes = cfg.layer_sizes(ds.spec.input_dim, ds.num_classes)
 
         def sink(kind, d, seed):
             if kind == "store":
                 return PathStore(d.train_indices, d.num_classes)
             if kind == "fold":
-                return LoggedFold(d, init_mlp(sizes, seed), (0.3, 1.0))
+                return LoggedFold(d, cfg, seed, (0.3, 1.0))
             return None
 
         sinks = [sink(k, d, seed) for k, (d, _, seed) in zip(kinds, runs)]

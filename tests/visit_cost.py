@@ -11,8 +11,7 @@ process CPU time, divided by the visits of one run (epochs x train rows):
   w32-R1, w32-R6, w32-R24   3 epochs of one train_stack at hidden
                             (32, 32, 32) with R = 1, 6 and 24 students
   w128-R1-paths             3 epochs of one student at (128, 128, 128)
-                            with its path recorded, by a PathStore sink or,
-                            in a tree that has it, TrainConfig.record_paths
+                            with its path recorded by a PathStore sink
   teachers-R5               3 epochs of train_filterkd_teachers at hidden
                             (32, 32, 32) on 5 cells, each its own seed and
                             20 % of its train labels flipped, at distill's
@@ -29,7 +28,6 @@ not collect this file (it is not test_*.py).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -58,23 +56,17 @@ def measure() -> dict:
 
     ds = split_dataset(sample_dataset(GaussianSpec(seed=0), 1000), (0.5, 0.05, 0.45))
     visits = EPOCHS * ds.train_indices.size
-    # a tree whose TrainConfig records paths has no path sinks
-    by_flag = "record_paths" in {f.name for f in dataclasses.fields(TrainConfig)}
     out = {}
     for name, (hidden, runs, kind) in CASES.items():
-        flag = {"record_paths": True} if by_flag and kind == "paths" else {}
-        cfg = TrainConfig(hidden_sizes=hidden, max_epochs=EPOCHS, patience=0,
-                          seed=1, **flag)
+        cfg = TrainConfig(hidden_sizes=hidden, max_epochs=EPOCHS, patience=0, seed=1)
         cells = [(flip_labels(ds, 0.2, seed=r), r) for r in range(runs)]
         tables = [make_ls_targets(ds, (r + 1) / (runs + 1)) for r in range(runs)]
 
         def train():
             if kind == "teachers":
                 return train_filterkd_teachers(cells, cfg, ALPHAS)
-            sink = ()  # the 4th element of a run, in a tree with path sinks
-            if kind == "paths" and not by_flag:
-                sink = (PathStore(ds.train_indices, ds.num_classes),)
-            return train_stack([(ds, t, cfg.seed, *sink) for t in tables], cfg)
+            sink = PathStore(ds.train_indices, ds.num_classes) if kind == "paths" else None
+            return train_stack([(ds, t, cfg.seed, sink) for t in tables], cfg)
 
         best = float("inf")
         for _ in range(REPEATS):
