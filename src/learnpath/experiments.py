@@ -8,7 +8,8 @@ commands; ntk-verify turns failed checks into a non-zero exit.
 The sweeps spread their tasks, which come from the config alone, over
 --jobs worker processes: distill one per flip ratio, correlate two, its
 baselines and its noisy students. A task trains its teachers, if any,
-as one lockstep stack, then all its students as another.
+as one lockstep stack, then all its students as another. distance-gap's
+supervisions are one stack too, at one seed: one init, one visit order.
 
 Determinism contract: given the same config (including master seed),
 every artifact is byte-identical across re-runs and across --jobs
@@ -33,7 +34,7 @@ from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
 from learnpath.ntkcheck import (residual_scaling_test, similarity_trace_study,
                                 trace_evolution)
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (PathStore, barycentric_project,
+from learnpath.pathtrace import (PathStore, PathSums, barycentric_project,
                                  base_difficulty, ema_filter, zigzag_score)
 from learnpath.rngstreams import derive_seed, stream
 from learnpath.supervision import (DivergenceError, FilterTables, TargetTable,
@@ -389,17 +390,19 @@ def run_distance_gap(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tables = _teacher_free_tables(ds, cfg.ls_epsilon)
     ti = ds.train_indices
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
+    results = train_stack([(ds, tables[kind], cfg.seed) for kind in cfg.supervisions],
+                          cfg.train_config())
     rows, lines = [], []
-    for kind in cfg.supervisions:
-        targets = tables[kind]
-        result = train_model(ds, targets, cfg.train_config())
+    for kind, result in zip(cfg.supervisions, results):
+        if isinstance(result, DivergenceError):
+            raise result
         stages = (("init", result.init_model),
                   ("early_stop", result.best_model),
                   ("converged", result.final_model))
         for stage, model in stages:
             q = predict_proba(model, ds.x[ti])
             d_star = np.linalg.norm(q - ds.p_star[ti], axis=1)
-            d_tar = np.linalg.norm(q - targets.rows[ti], axis=1)
+            d_tar = np.linalg.norm(q - tables[kind].rows[ti], axis=1)
             for pos, i in enumerate(ti):
                 rows.append([kind, stage, int(i), diffs[pos],
                              d_star[pos], d_tar[pos]])
@@ -637,11 +640,11 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
-    ti = ds.train_indices  # the columns of paths.preds
-    paths = PathStore(ti, ds.num_classes)
+    ti = ds.train_indices  # the rows of paths.sums
+    paths = PathSums(ti.size, ds.num_classes)
     train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths)
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
-    scores = zigzag_score(paths.preds, ds.y[ti])
+    scores = zigzag_score(paths.sums, ds.y[ti])
     flags = np.isin(ti, ds.flipped_indices)
     write_csv(os.path.join(out_dir, "zigzag.csv"), cfg.echo_lines(),
               ["sample_index", "base_difficulty", "zigzag_score", "flipped"],

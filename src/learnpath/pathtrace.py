@@ -11,10 +11,9 @@ exponential moving average, ema_filter, gives the Filter-KD tables.
 Two scalar summaries matter downstream. The base difficulty of a sample
 is ||e_y - p*||_2, the distance from its training label to the true
 posterior: near 0 for samples the Bayes classifier gets confidently
-right, near sqrt(2) for label noise. The zig-zag score of a path sums
-the probability mass a path spends on its strongest wrong class, which
-is large exactly for the oscillating paths that hard or mislabeled
-samples produce.
+right, near sqrt(2) for label noise. The zig-zag score of a path is its
+largest wrong-class column sum (PathSums keeps only those, PathStore
+every point), large for the oscillating paths of hard or mislabeled rows.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import numpy as np
 from learnpath.csvio import write_csv
 
 __all__ = [
-    "PathStore", "ema_filter", "barycentric_project", "base_difficulty",
-    "zigzag_score",
+    "PathStore", "PathSums", "ema_filter", "barycentric_project",
+    "base_difficulty", "zigzag_score",
 ]
 
 # samples per block of export_csv: only a block's paths become Python floats
@@ -89,6 +88,17 @@ class PathStore:
                    for step, q in zip(row_steps, qs)))
 
 
+class PathSums:
+    """A path sink that keeps only column sums: sums[j] adds up train column
+    j's points as epochs arrive, in PathStore.preds.sum(axis=0)'s order."""
+
+    def __init__(self, n_train: int, num_classes: int):
+        self.sums = np.zeros((n_train, num_classes))
+
+    def log(self, epoch, columns, steps, q) -> None:
+        self.sums[columns] += q
+
+
 def ema_filter(qs, alpha: float, start) -> np.ndarray:
     """Exponential moving average along paths, all samples at once.
 
@@ -140,20 +150,19 @@ def base_difficulty(labels, p_star) -> np.ndarray:
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
-def zigzag_score(paths, labels) -> np.ndarray:
+def zigzag_score(sums, labels) -> np.ndarray:
     """Largest wrong-class column sum of each path's prediction matrix.
 
-    paths (T, n, K) holds n paths of T points and labels (n,) their
-    labels. Column sums of a T-point path add to T, so a score lives in
-    [0, T]; confidently-correct paths stay near 0.
+    sums (n, K) holds the column sums of n paths (PathSums.sums) and
+    labels (n,) their labels. Column sums of a T-point path add to T, so
+    a score lives in [0, T]; confidently-correct paths stay near 0.
     """
-    qs = np.asarray(paths, dtype=np.float64)
+    col = np.array(sums, dtype=np.float64)
     y = np.asarray(labels)
-    if qs.ndim != 3 or qs.shape[0] == 0 or y.shape != qs.shape[1:2]:
-        raise ValueError(f"need paths (T > 0, n, K) and labels (n,), "
-                         f"got {qs.shape}/{y.shape}")
-    if y.size and not (0 <= y.min() and y.max() < qs.shape[2]):
-        raise ValueError(f"labels out of range for {qs.shape[2]} classes")
-    col = qs.sum(axis=0)
+    if col.ndim != 2 or y.shape != col.shape[:1]:
+        raise ValueError(f"need column sums (n, K) and labels (n,), "
+                         f"got {col.shape}/{y.shape}")
+    if y.size and not (0 <= y.min() and y.max() < col.shape[1]):
+        raise ValueError(f"labels out of range for {col.shape[1]} classes")
     col[np.arange(y.size), y] = -np.inf
     return col.max(axis=1)

@@ -367,8 +367,8 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     alone (see numerics), and so does the loss gradient. The visit's
     softmax raises on non-finite logits; its q builds the loss gradient
     and is the visit's point of the run's path. A run's paths, if not
-    None, is its path sink (a PathStore, say): once per epoch it completes,
-    before evaluating it, log(epoch, columns, steps, q) gets the epoch's
+    None, is its path sink (PathStore, PathSums, FilterTables): once per
+    epoch, before evaluation, log(epoch, columns, steps, q) gets its
     visits in order, q (n_train, K) a view the next epoch overwrites.
 
     Early stopping, checkpoints and histories are per run. A run that

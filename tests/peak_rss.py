@@ -12,8 +12,8 @@ ones:
                                           the configs of
                                           perfbench/workloads.py at
                                           benchmark seed 0
-  paths, gen-data, recovery               the three commands at their
-                                          defaults
+  paths, gen-data, recovery,              these five commands at their
+  distance-gap, zigzag                    defaults
   correlate-j1, correlate-j2              correlate at its defaults, at
                                           --jobs 1 and 2
   distill                                 distill at its defaults, --jobs 1,
@@ -53,7 +53,7 @@ def cases() -> dict:
         seed, config = wl.inputs(0)
         out[name] = (wl.command, wl.config_text(config),
                      ["--seed", str(seed), "--jobs", str(wl.jobs)])
-    for command in ("paths", "gen-data", "recovery"):
+    for command in ("paths", "gen-data", "recovery", "distance-gap", "zigzag"):
         out[command] = (command, "", [])
     for jobs in (1, 2):
         out[f"correlate-j{jobs}"] = ("correlate", "", ["--jobs", str(jobs)])

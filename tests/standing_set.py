@@ -12,9 +12,10 @@ runs, with the learnpath under this checkout's src/:
                                          repeats, so that row order across
                                          seeds and repeats is compared
   divergence/<command>                   both TestTeacherDivergence configs,
-                                         and recovery's config of
-                                         TestSingleRunDivergence, whose
-                                         teacher diverges and exits 1
+                                         and the distance-gap and recovery
+                                         configs of TestSingleRunDivergence
+                                         at max_epochs = 3, where a run
+                                         diverges and the CLI exits 1
   workload/<name>                        the benchmark's three workloads at
                                          benchmark seed 0
   wide-k5/gen-data, wide-k5/paths        gen-data's and paths' TINY configs
@@ -84,6 +85,8 @@ def write_standing_set(out_root):
                   "correlate": TestTeacherDivergence.CORRELATE}
     for command, text in divergence.items():
         _run(out_root, f"divergence/{command}", command, text)
+    _run(out_root, "divergence/distance-gap", "distance-gap",
+         TestSingleRunDivergence.DIVERGING + "max_epochs = 3\n", exits=1)
     _run(out_root, "divergence/recovery", "recovery",
          TestSingleRunDivergence.RECOVERY + "max_epochs = 3\n", exits=1)
     for name, wl in sorted(WORKLOADS.items()):

@@ -17,7 +17,8 @@ from learnpath.metrics import XI_TERMS, accuracy, ece, xi_bounds
 from learnpath.numerics import predict_proba
 from learnpath.pathtrace import PathStore, ema_filter
 from learnpath.rngstreams import derive_seed, stream
-from learnpath.supervision import (TargetTable, extract_eskd_targets,
+from learnpath.supervision import (DivergenceError, TargetTable,
+                                   extract_eskd_targets,
                                    extract_kd_targets, make_gt_targets,
                                    make_ls_targets, make_onehot_targets,
                                    train_model, train_stack,
@@ -488,6 +489,24 @@ class TestSingleRunDivergence:
         *echo, error = (out / "summary.txt").read_text().splitlines()
         assert echo == cfg.echo_lines()
         assert error.startswith("error = non-finite state at epoch")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("supervisions", ["gt,oht", "gt,ls"])
+    def test_distance_gap_raises_the_first_supervisions_error(self, tmp_path, capsys,
+                                                              supervisions):
+        # its supervisions train as one stack; the error is the first one's
+        # in supervisions order, as that run trained alone raises it. At
+        # gt,ls the ls run diverges at an earlier step than the gt run
+        path = cfg_file(tmp_path, self.DIVERGING + "max_epochs = 3\n"
+                        f"supervisions = {supervisions}\n")
+        assert main(["distance-gap", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        cfg = load_config("distance-gap", path)
+        ds = experiments._build_dataset(cfg)
+        table = experiments._teacher_free_tables(ds, cfg.ls_epsilon)[cfg.supervisions[0]]
+        with pytest.raises(DivergenceError) as alone:
+            train_model(ds, table, cfg.train_config())
+        # the CLI prints the message on one line
+        assert capsys.readouterr().err == f"error: {' '.join(str(alone.value).split())}\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_decomposition_step_that_overflows(self, tmp_path, capsys):

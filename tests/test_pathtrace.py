@@ -6,9 +6,11 @@ import pytest
 from learnpath.config import load_config
 from learnpath.experiments import read_csv, run_distance_gap
 from learnpath.numerics import init_mlp, predict_proba
-from learnpath.pathtrace import (_EXPORT_BLOCK, PathStore, barycentric_project,
-                                 base_difficulty, ema_filter, zigzag_score)
-from learnpath.toygauss import sample_dataset, split_dataset
+from learnpath.pathtrace import (_EXPORT_BLOCK, PathStore, PathSums,
+                                 barycentric_project, base_difficulty, ema_filter,
+                                 zigzag_score)
+from learnpath.supervision import TrainConfig, make_onehot_targets, train_model
+from learnpath.toygauss import GaussianSpec, sample_dataset, split_dataset
 
 SQRT23 = 0.81649658092772603273  # sqrt(2/3)
 SQRT3_2 = 0.86602540378443864676  # sqrt(3)/2
@@ -18,6 +20,11 @@ SQRT3_6 = 0.28867513459481288225  # sqrt(3)/6
 def one_path(qs) -> np.ndarray:
     """A single path of T points as the (T, 1, K) array of one sample."""
     return np.asarray(qs, dtype=np.float64)[:, None, :]
+
+
+def col_sums(qs) -> np.ndarray:
+    """The (1, K) column sums of a single path of T points, zigzag_score's input."""
+    return one_path(qs).sum(axis=0)
 
 
 def filter_path(qs, alpha):
@@ -277,21 +284,22 @@ class TestBaseDifficulty:
 
 class TestZigzag:
     def test_confident_correct_path_scores_zero(self):
-        assert zigzag_score(one_path([(1, 0, 0)] * 4), [0]).tolist() == [0.0]
+        assert zigzag_score(col_sums([(1, 0, 0)] * 4), [0]).tolist() == [0.0]
 
     def test_uniform_path_scores_t_over_k(self):
-        got = zigzag_score(one_path([(1 / 3, 1 / 3, 1 / 3)] * 6), [0])
+        got = zigzag_score(col_sums([(1 / 3, 1 / 3, 1 / 3)] * 6), [0])
         assert got[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_case(self):
         # columns sum to (1.5, 0.3, 0.2); strongest wrong class is 0.3
-        got = zigzag_score(one_path([(0.7, 0.2, 0.1), (0.8, 0.1, 0.1)]), [0])
+        got = zigzag_score(col_sums([(0.7, 0.2, 0.1), (0.8, 0.1, 0.1)]), [0])
         assert got[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_oscillation_scores_higher_than_decay(self):
         osc = [(0.5, 0.5, 0), (0.1, 0.9, 0), (0.5, 0.5, 0), (0.1, 0.9, 0)]
         decay = [(0.5, 0.5, 0), (0.8, 0.2, 0), (0.95, 0.05, 0), (0.99, 0.01, 0)]
-        osc_score, decay_score = zigzag_score(np.stack([osc, decay], axis=1), [0, 0])
+        paths = np.stack([osc, decay], axis=1)
+        osc_score, decay_score = zigzag_score(paths.sum(axis=0), [0, 0])
         assert osc_score > decay_score
 
     @pytest.mark.parametrize("k", [3, 10])
@@ -304,15 +312,55 @@ class TestZigzag:
             col = np.array(paths[:, j]).sum(axis=0)
             col[label] = -np.inf
             want.append(float(col.max()))
-        assert np.array_equal(zigzag_score(paths, y), want)
+        assert np.array_equal(zigzag_score(paths.sum(axis=0), y), want)
+
+    def test_sums_are_left_as_given(self):
+        sums = col_sums([(0.7, 0.2, 0.1), (0.8, 0.1, 0.1)])
+        before = sums.copy()
+        zigzag_score(sums, [0])
+        assert np.array_equal(sums, before)
 
     def test_bad_inputs(self):
+        with pytest.raises(ValueError):  # a (T, n, K) path, not its (n, K) sums
+            zigzag_score(one_path([(1, 0, 0)]), [0])
         with pytest.raises(ValueError):
-            zigzag_score(np.zeros((0, 1, 3)), [0])
+            zigzag_score(np.zeros(3), [0])
         with pytest.raises(ValueError):
-            zigzag_score(one_path([(1, 0, 0)]), [5])
+            zigzag_score(col_sums([(1, 0, 0)]), [5])
         with pytest.raises(ValueError):
-            zigzag_score(one_path([(1, 0, 0)]), [0, 1])
+            zigzag_score(col_sums([(1, 0, 0)]), [0, 1])
+
+
+class TestPathSums:
+    """PathSums folds a run's path into the column sums of PathStore's path."""
+
+    @pytest.mark.parametrize("num_classes,patience", [(3, 0), (5, 0), (3, 2), (5, 2)])
+    def test_sums_equal_the_stored_path_summed_bitwise(self, num_classes, patience):
+        ds = split_dataset(sample_dataset(GaussianSpec(num_classes=num_classes, seed=4),
+                                          120), (0.5, 0.25, 0.25))
+        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=30,
+                          patience=patience, seed=1)
+        ti = ds.train_indices
+        store, sums = PathStore(ti, num_classes), PathSums(ti.size, num_classes)
+
+        class Both:  # one run, both sinks
+            def log(self, *visits):
+                store.log(*visits)
+                sums.log(*visits)
+
+        result = train_model(ds, make_onehot_targets(ds), cfg, paths=Both())
+        # patience 2 stops these runs well before max_epochs
+        assert result.stopped_early == (patience > 0)
+        assert len(store.preds) == result.epochs_run
+        assert np.array_equal(sums.sums, store.preds.sum(axis=0))
+        assert np.array_equal(zigzag_score(sums.sums, ds.y[ti]),
+                              zigzag_score(store.preds.sum(axis=0), ds.y[ti]))
+
+    def test_log_adds_each_epoch_at_its_columns(self):
+        sums = PathSums(3, num_classes=2)
+        sums.log(0, np.array([2, 0, 1]), np.arange(3), np.array([[1.0, 0], [0, 1], [.5, .5]]))
+        sums.log(1, np.array([0, 1, 2]), np.arange(3, 6), np.array([[1.0, 0], [0, 1], [.5, .5]]))
+        assert sums.sums.tolist() == [[1.0, 1.0], [0.5, 1.5], [1.5, 0.5]]
 
 
 class TestDistanceGap:

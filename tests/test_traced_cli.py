@@ -4,8 +4,9 @@ perfbench/tracer.py wraps learnpath functions by name when it installs,
 so a rename under src/ can break the benchmark while every other test
 passes. This runs perfbench/traced_cli.py on TINY configs of criterion 11
 (paths and recovery run the tracer over PathStore and the filtered
-teacher) and checks its exit code and that the traced run writes the
-same bytes as an untraced one.
+teacher, distance-gap over one train_stack and zigzag over PathSums) and
+checks its exit code and that the traced run writes the same bytes as an
+untraced one.
 """
 
 import glob
@@ -25,7 +26,8 @@ TRACED_CLI = os.path.join(ROOT, "perfbench", "traced_cli.py")
 
 
 @pytest.mark.parametrize("command,jobs", [("distill", "2"), ("ntk-verify", "1"),
-                                          ("paths", "1"), ("recovery", "1")])
+                                          ("paths", "1"), ("recovery", "1"),
+                                          ("distance-gap", "1"), ("zigzag", "1")])
 def test_traced_run_writes_the_untraced_bytes(tmp_path, command, jobs):
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(TINY_CONFIGS[command])
