@@ -10,15 +10,13 @@ generalization, and the SGD prediction-change decomposition.
 The package root exports the names of the README's library example;
 everything else is imported from its submodule. Each export loads its
 submodule on first use, so `import learnpath` alone loads no numpy:
-learnpath.cli sets its BLAS thread default before numpy loads.
+learnpath.cli sets its BLAS thread default, an environment variable,
+before numpy loads, and nothing else in the package sets one.
 """
 
 import importlib
 
 __version__ = "0.1.0"
-
-# the variables OpenBLAS reads its own thread count from, in its order
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # exported name -> the submodule that defines it
 _EXPORTS = {

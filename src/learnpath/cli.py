@@ -15,9 +15,12 @@ starts no pool. The tasks, and so every artifact, do not depend on
 its hot calls are too small to split. The default is set before numpy
 loads, so OpenBLAS starts no second thread to spin: importing this
 module writes OPENBLAS_NUM_THREADS=1 into os.environ when none of
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set, and
-pool workers inherit it. Importing learnpath itself changes nothing.
-Setting one of those variables to another count leaves OpenBLAS at it.
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS is set. Pool
+workers keep it: a forked one inherits the parent's OpenBLAS, a
+forkserver or spawn one the variable. Setting one of those variables to
+another count leaves OpenBLAS at it, and so does loading numpy before
+this module (the benchmark's traced runs do): main() sets no thread
+count itself. Importing learnpath itself changes nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ import argparse
 import os
 import sys
 
-from learnpath import _BLAS_THREAD_VARS
+# the variables OpenBLAS reads its own thread count from, in its order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 if not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads
 
 from learnpath.config import ConfigError, load_config  # noqa: E402
-from learnpath.experiments import RUNNERS, _write_summary, cap_blas_threads  # noqa: E402
+from learnpath.experiments import RUNNERS, _write_summary  # noqa: E402
 from learnpath.supervision import DivergenceError  # noqa: E402
 
 _STRICT = {"ntk-verify"}  # failed checks flip the exit code
@@ -68,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cap_blas_threads()
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.path.join("out", args.command)
     try:

@@ -20,13 +20,11 @@ absolute paths inside outputs.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 
 import numpy as np
 
-from learnpath import _BLAS_THREAD_VARS
 from learnpath.config import ExperimentConfig
 from learnpath.csvio import write_csv
 from learnpath.metrics import (XI_TERMS, accuracy, ece, spearman,
@@ -115,41 +113,6 @@ def run_gen_data(cfg: ExperimentConfig, out_dir, jobs: int = 1):
 
 # ------------------------------------------------------- worker processes
 
-def _openblas_functions(name: str) -> list:
-    """openblas_<name> of each OpenBLAS library loaded in this process
-    (numpy's bundled one exports scipy_openblas_<name>64_); empty under
-    another BLAS or without /proc/self/maps. A mapped file that will not
-    load (a program under an openblas directory, a deleted library) is skipped."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
-                            if "openblas" in line})
-    except OSError:
-        return []
-    symbols = [f"{p}openblas_{name}{s}" for p in ("scipy_", "") for s in ("64_", "_64", "")]
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        found += [getattr(lib, s) for s in symbols if hasattr(lib, s)][:1]
-    return found
-
-
-def cap_blas_threads() -> None:
-    """Give BLAS one thread, so --jobs is the only parallelism: each hot call
-    is a batch-1 gemv or a prediction of at most a few thousand rows, where
-    a second OpenBLAS thread only spins. A count other than 1 in the first
-    thread variable set, in OpenBLAS's order, wins. A 1 there is capped
-    anyway: learnpath.cli writes it on import, which is too late for an
-    OpenBLAS that numpy loaded before."""
-    asked = next((os.environ[v] for v in _BLAS_THREAD_VARS if os.environ.get(v)), "1")
-    if asked.strip() == "1":
-        for set_threads in _openblas_functions("set_num_threads"):
-            set_threads(1)
-
-
 # worker-global dataset, set once per pool worker to avoid re-pickling
 _POOL_DS = None
 
@@ -157,7 +120,6 @@ _POOL_DS = None
 def _pool_init(ds):
     global _POOL_DS
     _POOL_DS = ds
-    cap_blas_threads()  # a forkserver or spawn worker loads its own OpenBLAS
 
 
 def _dispatch(worker, ds, tasks, jobs: int):

@@ -1,11 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from learnpath import GaussianSpec, sample_dataset, split_dataset
-from learnpath.experiments import cap_blas_threads
+# run BLAS on one thread, as a default CLI process does, also where a test
+# calls a runner directly and whatever the calling shell sets: OpenBLAS reads
+# this once, when numpy loads, and numpy is not loaded yet when pytest
+# imports this file
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# run BLAS the way the CLI does, also where a test calls a runner directly
-cap_blas_threads()
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from learnpath import GaussianSpec, sample_dataset, split_dataset  # noqa: E402
 
 
 @pytest.fixture(scope="session")

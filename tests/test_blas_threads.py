@@ -1,18 +1,20 @@
 """The CLI runs OpenBLAS on one thread, and the thread count moves no byte.
 
-`learnpath.cli.main` and every pool worker cap numpy's OpenBLAS at one
-thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
-asks for another count. Importing `learnpath.cli` sets that default
-before numpy loads, so OpenBLAS starts no second thread at all, while
-`import learnpath` loads no numpy and the library changes no BLAS
-setting. Each case runs in a subprocess, because the cap and the
-variables act on the whole process. Criterion 11 and the snapshot run
-16 wide, where OpenBLAS never splits a call, so the byte test here runs
-`paths` at 128 wide, where OpenBLAS splits each 300-row prediction over
-two threads when two are allowed.
+Importing `learnpath.cli` writes OPENBLAS_NUM_THREADS=1 before numpy
+loads, unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
+asks for another count, so OpenBLAS starts no second thread at all and
+pool workers inherit the one. That variable is the only mechanism: a
+process that loads numpy before `learnpath.cli` keeps OpenBLAS's own
+count, `import learnpath` loads no numpy, and the library changes no
+BLAS setting. Each case runs in a subprocess, because the variables act
+on the whole process. Criterion 11 and the snapshot run 16 wide, where
+OpenBLAS never splits a call, so the byte test here runs `paths` at 128
+wide, where OpenBLAS splits each 300-row prediction over two threads
+when two are allowed. Those bytes were compared at one and two threads,
+on two CPUs; more threads are not covered.
 """
 
-import io
+import inspect
 import json
 import multiprocessing
 import os
@@ -21,15 +23,44 @@ import sys
 
 import pytest
 
-from learnpath import experiments
-from learnpath.experiments import _BLAS_THREAD_VARS, _openblas_functions
+from learnpath.cli import _BLAS_THREAD_VARS
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_acceptance import TINY_CONFIGS  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-pytestmark = pytest.mark.skipif(not _openblas_functions("get_num_threads"),
+
+def openblas_threads():
+    """The thread count of each OpenBLAS library loaded in this process,
+    read through its get_num_threads (numpy's bundled one exports
+    scipy_openblas_get_num_threads64_); empty under another BLAS or without
+    /proc/self/maps. A mapped file that will not load (a program under an
+    openblas directory, a deleted library) is passed over."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return []
+    symbols = [f"{p}openblas_get_num_threads{s}"
+               for p in ("scipy_", "") for s in ("64_", "_64", "")]
+    counts = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        counts += [getattr(lib, s)() for s in symbols if hasattr(lib, s)][:1]
+    return counts
+
+
+# the probe's source, for the scripts below: it loads no numpy, so they can
+# run it before numpy loads
+OPENBLAS_THREADS = "\n" + inspect.getsource(openblas_threads)
+
+pytestmark = pytest.mark.skipif(not openblas_threads(),
                                 reason="numpy does not use OpenBLAS")
 START_METHODS = [m for m in ("fork", "forkserver", "spawn")
                  if m in multiprocessing.get_all_start_methods()]
@@ -43,14 +74,15 @@ CONFIGS = {"paths": ("n_samples = 600\nratios = 0.5,0.25,0.25\nmax_epochs = 3\n"
 
 # `probe.py cli ARGS...` runs the CLI, then prints this process's OpenBLAS
 # thread counts; `probe.py METHOD` prints them in the workers of a
-# two-worker dispatch under that multiprocessing start method
+# two-worker dispatch under that multiprocessing start method. It imports
+# learnpath.cli before anything loads numpy, as `python -m learnpath.cli` does.
 PROBE = """
 import json, multiprocessing, sys
-from learnpath import experiments
 from learnpath.cli import main
-
+from learnpath import experiments
+""" + OPENBLAS_THREADS + """
 def threads(*_):
-    return [get() for get in experiments._openblas_functions("get_num_threads")]
+    return openblas_threads()
 
 if __name__ == "__main__":
     mode, *args = sys.argv[1:]
@@ -121,11 +153,10 @@ def _fresh(code, *args):
 
 
 # this process's OS threads and OpenBLAS thread counts, as JSON
-THREADS = """
+THREADS = OPENBLAS_THREADS + """
 import json, os
-from learnpath.experiments import _openblas_functions
 print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
-                  "blas": [get() for get in _openblas_functions("get_num_threads")]}))
+                  "blas": openblas_threads()}))
 """
 
 
@@ -146,12 +177,12 @@ class TestBeforeNumpyLoads:
 
     def test_the_library_example_changes_no_blas_setting(self):
         readme = os.path.join(ROOT, "README.md")
-        got = _fresh("""
+        got = _fresh(OPENBLAS_THREADS + """
 import json, os, re, sys
-from learnpath.experiments import _openblas_functions
+import numpy
 
 def state():
-    return dict(os.environ), [get() for get in _openblas_functions("get_num_threads")]
+    return dict(os.environ), openblas_threads()
 
 before = state()
 with open(sys.argv[1]) as fh:
@@ -162,24 +193,23 @@ print(json.dumps([before, state()]))
         assert got[0] == got[1] and got[0][1]
 
 
-def test_a_mapped_file_that_cannot_be_loaded_is_skipped(tmp_path, monkeypatch):
-    """A file named like OpenBLAS that dlopen refuses (here not an ELF file;
-    in the field a python binary under a directory named openblas) is
-    passed over, and the real library is still found."""
-    fake = tmp_path / "libopenblas_fake.so"
-    fake.write_bytes(b"not a shared object")
-    with open("/proc/self/maps") as fh:
-        maps = fh.read() + f"00400000-00401000 r-xp 00000000 00:00 0    {fake}\n"
-    real_open = open
+class TestOneMechanism:
+    """The variable is the only thread setting: nothing in learnpath sets
+    a count on an OpenBLAS that is already loaded."""
 
-    def fake_open(path, *args, **kwargs):
-        if path == "/proc/self/maps":
-            return io.StringIO(maps)
-        return real_open(path, *args, **kwargs)
+    @two_cpus
+    def test_numpy_loaded_before_the_cli_keeps_openblas_own_count(self, tmp_path):
+        """Too late for the variable, as in the benchmark's traced runs."""
+        args = _cli_args(tmp_path, "distill", CONFIGS["distill"], tmp_path / "o")
+        got = _fresh("import sys, numpy\nfrom learnpath.cli import main\n"
+                     "assert main(sys.argv[1:]) == 0\n" + THREADS, *args)
+        assert set(got["blas"]) == {2}
 
-    want = [get() for get in _openblas_functions("get_num_threads")]
-    monkeypatch.setattr(experiments, "open", fake_open, raising=False)
-    assert [get() for get in _openblas_functions("get_num_threads")] == want
+    @two_cpus
+    def test_the_test_process_runs_openblas_on_one_thread(self):
+        """conftest sets the variable before numpy loads; a plugin that
+        loaded numpy first would leave OpenBLAS at its own count."""
+        assert set(openblas_threads()) == {1}
 
 
 @two_cpus
@@ -193,8 +223,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command, jobs):
                               env=_env(threads), capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
-    capped, two = outs[None], outs[2]
-    names = sorted(os.listdir(capped))
+    one, two = outs[None], outs[2]
+    names = sorted(os.listdir(one))
     assert names == sorted(os.listdir(two))
     for name in names:
-        assert (capped / name).read_bytes() == (two / name).read_bytes(), name
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name

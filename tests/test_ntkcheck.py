@@ -324,6 +324,7 @@ class TestDecomposition:
             assert (eta, median) == (grid[e], float(np.median(
                 [r.residual_norm for r in column])))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("first", [1, _BLOCK_PAIRS + 1])
     def test_divergence_names_the_first_pair_and_eta(self, first):
         # the pairs before `first` have their own q as target, so a zero
@@ -341,6 +342,7 @@ class TestDecomposition:
         assert str(got.value) == str(want.value)
         assert f"of pair {first} at eta = 1e+300: array([" in str(got.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_unstepped_logits_raise_softmax_error(self):
         model = init_mlp((30, 16, 3), seed=4)
         model.weights[0][:] = 1e200
