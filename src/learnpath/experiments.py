@@ -147,19 +147,19 @@ def _stack_rows(runs, tconfig):
 
     runs are (name, fields, ds, seed, table) tuples that share tconfig but
     their seed, their labelled copy ds of one dataset and their table; a
-    table that is a string says why the run has none (the teacher it
-    comes from diverged). runs is read once, as train_stack reads its
+    table that is a DivergenceError says why the run has none (the teacher
+    it comes from diverged). runs is read once, as train_stack reads its
     runs, so a generator lets each table go once the stack holds its
     train rows. A finished run's row is its fields plus _student_row's
     measures; a failed one has its name under "run" and why it has no
     result under "error": its own divergence, in training or on the test
-    split, or its table's string.
+    split, or its table's.
     """
     described = []
 
     def trainable():
         for name, fields, ds, seed, table in runs:
-            error = table if isinstance(table, str) else None
+            error = table if isinstance(table, DivergenceError) else None
             described.append((name, fields, ds, error))
             if error is None:
                 yield ds, table, seed
@@ -167,7 +167,7 @@ def _stack_rows(runs, tconfig):
     rows = []
     for name, fields, ds, error in described:
         result = error or next(trained)
-        if not isinstance(result, (str, DivergenceError)):
+        if not isinstance(result, DivergenceError):
             try:
                 rows.append({**fields, **_student_row(ds, result)})
                 continue
@@ -223,7 +223,7 @@ def _correlate_group(ds, task):
     ti = ds.train_indices
 
     def run(name, table, seed, fields):
-        if not isinstance(table, str):  # the gap terms read only the table
+        if not isinstance(table, DivergenceError):  # the gap terms read only the table
             fields.update(xi_bounds(table.rows[ti], ds.p_star[ti], cfg.loss_bound))
         return name, fields, ds, seed, table
 
@@ -241,7 +241,7 @@ def _correlate_group(ds, task):
                 tables["kd"] = extract_kd_targets(teacher, ds)
                 tables["eskd"] = extract_eskd_targets(teacher, ds)
             except DivergenceError as err:
-                tables["kd"] = tables["eskd"] = f"teacher: {err}"
+                tables["kd"] = tables["eskd"] = DivergenceError(f"teacher: {err}")
             for kind in _BASELINE_ORDER:
                 yield run(f"baseline/seed={s} {kind}", tables[kind], seed,
                           {"supervision": kind, "noise_scale": math.nan, "seed": s})
@@ -316,7 +316,7 @@ def _difficulty_picks(ds, fractions):
 def run_paths(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     paths = PathStore(ds.train_indices, ds.num_classes)
-    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths)
+    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths.log)
     paths.export_csv(os.path.join(out_dir, "paths.csv"), cfg.echo_lines())
 
     ti = ds.train_indices  # the columns of paths.preds
@@ -394,12 +394,12 @@ def run_recovery(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     tacc0 = accuracy(table[ti], ds.y[ti])
     raw_hist, filt_hist = [], []
 
-    def snap(epoch, model):
+    def fold(epoch, columns, steps, q, model):
+        sink.log(epoch, columns, steps, q)
         raw_hist.append(accuracy(predict_proba(model, ds.x[flip]), truth))
         filt_hist.append(accuracy(table[flip], truth))
 
-    teacher = train_model(ds, make_onehot_targets(ds), tconfig,
-                          epoch_callback=snap, paths=sink)
+    teacher = train_model(ds, make_onehot_targets(ds), tconfig, paths=fold)
     rows = [[0, init_rec, init_rec, vacc0, tacc0]]
     for e, (raw, filt) in enumerate(zip(raw_hist, filt_hist)):
         rows.append([e + 1, raw, filt, teacher.valid_acc_history[e],
@@ -443,14 +443,14 @@ def _distill_runs(fr, s, flipped, seed, teacher, alphas):
     """The students of one (flip_ratio, seed) cell, as _stack_rows runs,
     in _DISTILL_ORDER with one filter_kd per alpha."""
     if isinstance(teacher, DivergenceError):
-        eskd = f"teacher: {teacher}"
+        eskd = DivergenceError(f"teacher: {teacher}")
         tables = dict.fromkeys(alphas, eskd)
     else:
         result, tables = teacher
         try:
             eskd = extract_eskd_targets(result, flipped)
         except DivergenceError as err:
-            eskd = f"teacher: {err}"
+            eskd = DivergenceError(f"teacher: {err}")
 
     def run(kind, table, alpha=math.nan):
         name = f"{kind}(alpha={alpha:g})" if kind == "filter_kd" else kind
@@ -583,7 +583,7 @@ def run_ntk_verify(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     checkpoints = [model.copy()]
     tcfg = cfg.train_config(max_epochs=cfg.trace_epochs, patience=0)
     train_model(ds, make_onehot_targets(ds), tcfg,
-                epoch_callback=lambda e, m: checkpoints.append(m.copy()))
+                paths=lambda e, c, s, q, model: checkpoints.append(model.copy()))
     _, cols = _difficulty_picks(ds, np.linspace(0.0, 1.0, cfg.trace_samples))
     picks = [int(ti[col]) for col in cols]
     traces = [trace_evolution(checkpoints, ds.x[i]).tolist() for i in picks]
@@ -604,7 +604,7 @@ def run_zigzag(cfg: ExperimentConfig, out_dir, jobs: int = 1):
     ds = _build_dataset(cfg)
     ti = ds.train_indices  # the rows of paths.sums
     paths = PathSums(ti.size, ds.num_classes)
-    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths)
+    train_model(ds, make_onehot_targets(ds), cfg.train_config(), paths=paths.log)
     diffs = base_difficulty(ds.y[ti], ds.p_star[ti])
     scores = zigzag_score(paths.sums, ds.y[ti])
     flags = np.isin(ti, ds.flipped_indices)

@@ -12,8 +12,10 @@ Two scalar summaries matter downstream. The base difficulty of a sample
 is ||e_y - p*||_2, the distance from its training label to the true
 posterior: near 0 for samples the Bayes classifier gets confidently
 right, near sqrt(2) for label noise. The zig-zag score of a path is its
-largest wrong-class column sum (PathSums keeps only those, PathStore
-every point), large for the oscillating paths of hard or mislabeled rows.
+largest wrong-class column sum, large for the oscillating paths of hard
+or mislabeled rows. PathStore keeps a run's path, PathSums only its
+column sums; the log of either is a run's sink in supervision.train_stack
+and ignores the model a sink is passed.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class PathStore:
 
     preds[t, j] is the prediction at the visit in epoch t of train row
     indices[j], with indices ascending, and steps[t, j] is the run's step
-    count at that visit. Both hold the epochs logged so far; as a run's
-    path sink (supervision.train_stack) it logs one whole epoch per call.
+    count at that visit. Both hold the epochs logged so far; log, as a
+    run's sink (supervision.train_stack), takes one whole epoch per call.
     The room doubles as epochs arrive: max_epochs can exceed an early stop's.
     """
 
@@ -51,7 +53,7 @@ class PathStore:
         self._preds = np.empty((1, self.indices.size, num_classes))
         self._steps = np.empty((1, self.indices.size), dtype=np.int64)
 
-    def log(self, epoch: int, column: int, step: int, q: np.ndarray) -> None:
+    def log(self, epoch: int, column: int, step: int, q: np.ndarray, model=None) -> None:
         """Record q as the visit of row indices[column] in epoch, or arrays of visits."""
         if epoch == len(self._preds):  # double the room
             self._preds = np.concatenate((self._preds, np.empty_like(self._preds)))
@@ -89,13 +91,13 @@ class PathStore:
 
 
 class PathSums:
-    """A path sink that keeps only column sums: sums[j] adds up train column
-    j's points as epochs arrive, in PathStore.preds.sum(axis=0)'s order."""
+    """A run's path as column sums only; log is its sink. sums[j] adds up
+    train column j's points as epochs arrive, in PathStore.preds.sum(axis=0)'s order."""
 
     def __init__(self, n_train: int, num_classes: int):
         self.sums = np.zeros((n_train, num_classes))
 
-    def log(self, epoch, columns, steps, q) -> None:
+    def log(self, epoch, columns, steps, q, model=None) -> None:
         self.sums[columns] += q
 
 

@@ -18,7 +18,7 @@ model's prediction. Averaging across visits smooths out the oscillation
 that noisy-labeled neighbours induce, so the table can be better
 supervision than any single checkpoint. As in the paper, a teacher keeps
 only its running tables, one per rate alpha, folding in every epoch: its
-path sink is a FilterTables.
+path sink is a FilterTables' log.
 
 Training is strictly per-sample SGD (batch size 1) in a seeded shuffle
 order, with early stopping on validation accuracy. There is one SGD
@@ -26,7 +26,7 @@ loop, train_stack, and it steps a stack of R runs in lockstep. The runs
 of a stack share one TrainConfig but its seed, and may differ in three
 things: their seed (so their initialization and shuffle order), their
 labels (each reads its own labelled copy of one dataset, such as a
-flipped one) and their target tables; a run may also bring a path sink.
+flipped one) and their target tables; a run may also bring a sink.
 train_model is the R = 1 case, and train_filterkd_teachers stacks one
 teacher per (dataset, seed) cell. A stack is one MlpModel with (R, P)
 parameters, a flat vector per run; each visit gathers one input row,
@@ -265,7 +265,7 @@ class _Run:
     seed: int
     init_model: MlpModel  # read-only, shared by the runs of its seed
     best_model: MlpModel
-    paths: object         # its path sink, or None
+    paths: object         # its sink, sink(epoch, columns, steps, q, model), or None
     valid_y: np.ndarray   # its labels on the valid split
     train_y: np.ndarray   # its labels on the train split, in split order
     model: MlpModel | None = None  # on its row of the stack's parameters
@@ -296,7 +296,7 @@ class _Stack:
     split order. columns (n_train, R) is the epoch's visit order, the
     train column each run visits at each step, and flat the same visits
     as rows of targets and labels; seen (R, n_train, K), only when a run
-    has a path sink, its q at each step. Dropping runs moves the kept
+    has a sink, its q at each step. Dropping runs moves the kept
     runs' rows up within the buffers the stack started with.
     """
 
@@ -350,7 +350,7 @@ class _Stack:
         self._point(self.model.layer_sizes)
 
 
-def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
+def train_stack(runs, config: TrainConfig) -> list:
     """The SGD loop: R runs, one (ds, targets, seed[, paths]) each, in lockstep.
 
     The runs share every field of config but seed: each brings its own,
@@ -367,17 +367,17 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
     alone (see numerics), and so does the loss gradient. The visit's
     softmax raises on non-finite logits; its q builds the loss gradient
     and is the visit's point of the run's path. A run's paths, if not
-    None, is its path sink (PathStore, PathSums, FilterTables): once per
-    epoch, before evaluation, log(epoch, columns, steps, q) gets its
-    visits in order, q (n_train, K) a view the next epoch overwrites.
+    None, is its sink (the log of a PathStore, PathSums or FilterTables,
+    or a closure): once per epoch, after evaluation and before the
+    checkpoint and stop decision, sink(epoch, columns, steps, q, model)
+    gets the epoch's visits in order and the model evaluated. q (n_train,
+    K) is a view the next epoch overwrites and model one whose row moves
+    when runs leave the stack, so a sink that keeps either copies it.
 
     Early stopping, checkpoints and histories are per run. A run that
     stops, or diverges, leaves the stack; the others go on unchanged.
     Returns one TrainResult or DivergenceError per run, in the order
     given; the runs of a seed share one read-only init_model.
-
-    epoch_callback(epoch, model) fires for every run after each epoch's
-    bookkeeping, before any stop decision.
     """
     members, targets, labels, inits = [], [], [], {}
     for slot, (d, table, seed, *paths) in enumerate(runs):
@@ -477,9 +477,6 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
 
         leaving = np.zeros(len(stack.runs), dtype=bool)
         for j, run in enumerate(stack.runs):
-            if run.paths is not None:
-                run.paths.log(epoch, stack.columns[:, j],
-                              epoch * n_train + np.arange(n_train), stack.seen[j])
             try:
                 vacc = _accuracy(run.model, x_valid, run.valid_y)
                 tacc = _accuracy(run.model, x_train, run.train_y)
@@ -489,8 +486,9 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
                 continue
             run.valid_hist.append(vacc)
             run.train_hist.append(tacc)
-            if epoch_callback is not None:
-                epoch_callback(epoch, run.model)
+            if run.paths is not None:
+                run.paths(epoch, stack.columns[:, j],
+                          epoch * n_train + np.arange(n_train), stack.seen[j], run.model)
             if np.isfinite(vacc) and vacc > run.best_acc:
                 run.best_acc = vacc
                 run.best_model = run.model.copy()
@@ -511,17 +509,16 @@ def train_stack(runs, config: TrainConfig, epoch_callback=None) -> list:
 
 
 def train_model(ds: ToyDataset, targets: TargetTable, config: TrainConfig,
-                epoch_callback=None, paths=None) -> TrainResult:
+                paths=None) -> TrainResult:
     """Train a student against a fixed supervision table (paths: see train_stack)."""
-    [result] = train_stack([(ds, targets, config.seed, paths)], config,
-                           epoch_callback=epoch_callback)
+    [result] = train_stack([(ds, targets, config.seed, paths)], config)
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
 class FilterTables:
-    """A teacher's path sink: its Filter-KD tables, one per alpha. rows[alpha]
+    """A teacher's Filter-KD tables, one per alpha; log is its sink. rows[alpha]
     (n, K) starts as the predictions of seed's untrained model under config
     and folds in each epoch logged, so no path is kept. alpha = 1 keeps no
     history: each row is simply the last pre-update prediction seen."""
@@ -534,7 +531,7 @@ class FilterTables:
         self.train_idx, init_pred = ds.train_indices, predict_proba(init_model, ds.x)
         self.rows = {a: init_pred.copy() for a in alphas}
 
-    def log(self, epoch, columns, steps, q) -> None:
+    def log(self, epoch, columns, steps, q, model=None) -> None:
         at = self.train_idx[columns]
         for a, rows in self.rows.items():
             rows[at] = ema_filter(q[None], a, rows[at])[1]
@@ -548,11 +545,11 @@ def train_filterkd_teachers(cells, config: TrainConfig, alphas) -> list:
     beta 1 (plain cross entropy, whatever config says); the cells'
     datasets differ only in their labels, as in train_stack. Returns, per
     cell in order, (TrainResult, {alpha: TargetTable}), or the teacher's
-    DivergenceError; each cell's tables are its FilterTables sink's.
+    DivergenceError; each cell's tables are its FilterTables'.
     """
     sinks = [FilterTables(ds, config, seed, alphas) for ds, seed in cells]
     results = train_stack(
-        [(ds, make_onehot_targets(ds), seed, sink)
+        [(ds, make_onehot_targets(ds), seed, sink.log)
          for (ds, seed), sink in zip(cells, sinks)],
         replace(config, temperature=1.0, beta=1.0))
     return [result if isinstance(result, DivergenceError) else

@@ -11,6 +11,9 @@ runs, with the learnpath under this checkout's src/:
                                          baseline seeds and two noise
                                          repeats, so that row order across
                                          seeds and repeats is compared
+  tiny-j1/distill-multi, tiny-j2/...     distill's TINY config at two flip
+                                         ratios, so that --jobs 2 runs a
+                                         pool of two workers
   divergence/<command>                   both TestTeacherDivergence configs,
                                          and the distance-gap and recovery
                                          configs of TestSingleRunDivergence
@@ -54,8 +57,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"), ROOT]
 from learnpath.cli import main  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from test_acceptance import TINY_CONFIGS  # noqa: E402
-from test_cli import (CORRELATE_MULTI, TestSingleRunDivergence,  # noqa: E402
-                      TestTeacherDivergence)
+from test_cli import (CORRELATE_MULTI, DISTILL_MULTI,  # noqa: E402
+                      TestSingleRunDivergence, TestTeacherDivergence)
 from test_snapshot import _INT, _NUMBER  # noqa: E402
 
 
@@ -80,6 +83,8 @@ def write_standing_set(out_root):
         for command, text in sorted(TINY_CONFIGS.items()):
             _run(out_root, f"tiny-j{jobs}/{command}", command, text, "--jobs", str(jobs))
         _run(out_root, f"tiny-j{jobs}/correlate-multi", "correlate", CORRELATE_MULTI,
+             "--jobs", str(jobs))
+        _run(out_root, f"tiny-j{jobs}/distill-multi", "distill", DISTILL_MULTI,
              "--jobs", str(jobs))
     divergence = {"distill": TestTeacherDivergence.DISTILL,
                   "correlate": TestTeacherDivergence.CORRELATE}

@@ -33,9 +33,24 @@ from test_config import REMOVED_KEYS, REMOVED_VALUES  # noqa: E402
 # come from more than one seed and repeat
 CORRELATE_MULTI = (TINY_CONFIGS["correlate"].replace("noise_seeds = 1", "noise_seeds = 2")
                    .replace("baseline_seeds = 1", "baseline_seeds = 2"))
+# two flip ratios, so that --jobs 2 opens a pool of two workers
+DISTILL_MULTI = TINY_CONFIGS["distill"].replace("flip_grid = 0.2", "flip_grid = 0.1,0.3")
 
 COMMANDS = ("gen-data", "correlate", "paths", "distance-gap", "recovery",
             "distill", "ntk-verify", "zigzag")
+
+
+def assert_same_bytes_at_jobs(tmp_path, command, text, jobs):
+    """command at text exits 0 and writes the same files, byte for byte,
+    at --jobs 1 and at jobs."""
+    path = cfg_file(tmp_path, text)
+    outs = [tmp_path / "j1", tmp_path / f"j{jobs}"]
+    for j, out in zip(("1", jobs), outs):
+        assert main([command, "--config", path, "--out", str(out), "--jobs", j]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -231,15 +246,8 @@ class TestTeacherDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["distill", "correlate"])
     def test_failed_runs_write_the_same_bytes_at_any_jobs(self, tmp_path, command):
-        path = cfg_file(tmp_path, self.DISTILL if command == "distill" else self.CORRELATE)
-        outs = [tmp_path / "j1", tmp_path / "j2"]
-        for jobs, out in zip(("1", "2"), outs):
-            assert main([command, "--config", path, "--out", str(out),
-                         "--jobs", jobs]) == 0
-        names = sorted(os.listdir(outs[0]))
-        assert names == sorted(os.listdir(outs[1]))
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert_same_bytes_at_jobs(
+            tmp_path, command, self.DISTILL if command == "distill" else self.CORRELATE, "2")
 
 
 def reference_distill_cell(ds, cfg, fi, s):
@@ -362,7 +370,7 @@ def test_recovery_filtered_column_equals_the_replayed_path_ema(tmp_path):
     flip, truth = ds.flipped_indices, ds.original_y[ds.flipped_indices]
     paths = PathStore(ds.train_indices, ds.num_classes)
     teacher = train_model(ds, make_onehot_targets(ds), cfg.train_config(patience=0),
-                          paths=paths)
+                          paths=paths.log)
     q0 = predict_proba(teacher.init_model, ds.x)
     cols = np.searchsorted(paths.indices, flip)
     filtered = ema_filter(paths.preds[:, cols], cfg.filter_alpha, q0[flip])[1:]
@@ -427,15 +435,10 @@ class TestDispatch:
         assert _InlineExecutor.opened == opened
 
     def test_more_jobs_than_cells_writes_the_same_bytes(self, tmp_path):
-        path = cfg_file(tmp_path, TINY_CONFIGS["distill"])
-        outs = [tmp_path / "j1", tmp_path / "j8"]
-        for jobs, out in zip(("1", "8"), outs):
-            assert main(["distill", "--config", path, "--out", str(out),
-                         "--jobs", jobs]) == 0
-        names = sorted(os.listdir(outs[0]))
-        assert names == sorted(os.listdir(outs[1]))
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert_same_bytes_at_jobs(tmp_path, "distill", TINY_CONFIGS["distill"], "8")
+
+    def test_a_pool_of_flip_ratios_writes_the_same_bytes(self, tmp_path):
+        assert_same_bytes_at_jobs(tmp_path, "distill", DISTILL_MULTI, "2")
 
 
 class TestAcceptedConfigsFinish:

@@ -343,12 +343,11 @@ class TestPathSums:
         ti = ds.train_indices
         store, sums = PathStore(ti, num_classes), PathSums(ti.size, num_classes)
 
-        class Both:  # one run, both sinks
-            def log(self, *visits):
-                store.log(*visits)
-                sums.log(*visits)
+        def both(*visits):  # one run, both sinks
+            store.log(*visits)
+            sums.log(*visits)
 
-        result = train_model(ds, make_onehot_targets(ds), cfg, paths=Both())
+        result = train_model(ds, make_onehot_targets(ds), cfg, paths=both)
         # patience 2 stops these runs well before max_epochs
         assert result.stopped_early == (patience > 0)
         assert len(store.preds) == result.epochs_run

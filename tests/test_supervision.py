@@ -254,7 +254,7 @@ class TestTrainModel:
                           patience=0, seed=0)
         ti = ds.train_indices
         paths = PathStore(ti, ds.num_classes)
-        train_model(ds, make_onehot_targets(ds), cfg, paths=paths)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=paths.log)
         assert np.array_equal(paths.indices, ti)
         # one visit per epoch: epoch t's steps are a permutation of its range
         n = ti.size
@@ -275,7 +275,7 @@ class TestFilterKd:
         result, tables = train_teacher_filterkd_multi(ds, cfg, alphas)
         init_pred = predict_proba(result.init_model, ds.x)
         store = PathStore(ds.train_indices, ds.num_classes)
-        train_model(ds, make_onehot_targets(ds), cfg, paths=store)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=store.log)
         paths = store.paths
         for a in alphas:
             replay = init_pred.copy()
@@ -322,7 +322,7 @@ class TestFilterKd:
         teacher, tables = train_teacher_filterkd_multi(ds, cfg, (0.5,))
         paths = PathStore(ds.train_indices, ds.num_classes)
         student = train_model(ds, make_onehot_targets(ds), replace(
-            cfg, temperature=1.0, beta=1.0), paths=paths)
+            cfg, temperature=1.0, beta=1.0), paths=paths.log)
         assert_same_run(teacher, student)
         # and its table is the EMA of that run's path
         rows = predict_proba(student.init_model, ds.x)
@@ -336,7 +336,7 @@ class TestFilterKd:
         _, tables = train_teacher_filterkd_multi(ds, cfg, (1.0,))
         ti = ds.train_indices
         paths = PathStore(ti, ds.num_classes)
-        train_model(ds, make_onehot_targets(ds), cfg, paths=paths)
+        train_model(ds, make_onehot_targets(ds), cfg, paths=paths.log)
         assert np.array_equal(tables[1.0].rows[ti], paths.preds[-1])
 
     def test_teacher_memory_does_not_grow_with_epochs(self):
@@ -402,9 +402,9 @@ class LoggedFold(FilterTables):
         super().__init__(*args)
         self.calls = []
 
-    def log(self, epoch, columns, steps, q):
+    def log(self, epoch, columns, steps, q, model):
         self.calls.append((epoch, steps.tolist()))
-        super().log(epoch, columns, steps, q)
+        super().log(epoch, columns, steps, q, model)
 
 
 def reference_student(ds, rows, cfg, path=None):
@@ -478,6 +478,30 @@ class TestLockstep:
         for table, result in zip(tables, stacked):
             assert_same_run(result, train_model(ds, table, cfg))
 
+    def test_each_runs_sink_sees_its_evaluated_model(self):
+        # each run's sink is called once per epoch, after its evaluation,
+        # with its own model: run 0 stops early and leaves the stack, so
+        # the others' models move up a row and must still be theirs
+        ds, tables = self.data()
+        cfg = TrainConfig(hidden_sizes=(12,), learning_rate=0.05, max_epochs=5,
+                          patience=2, seed=0)
+        x_valid, y_valid = ds.x[ds.valid_indices], ds.y[ds.valid_indices]
+        calls = [[], [], []]
+
+        def sink(r):
+            def log(epoch, columns, steps, q, model):
+                calls[r].append((epoch, accuracy(predict_proba(model, x_valid), y_valid),
+                                 model.params.copy()))
+            return log
+        results = train_stack([(ds, tables[r], seed, sink(r))
+                               for r, seed in enumerate((1, 2, 3))], cfg)
+        assert results[0].stopped_early
+        assert results[0].epochs_run < min(r.epochs_run for r in results[1:])
+        for result, got in zip(results, calls):
+            assert [e for e, _, _ in got] == list(range(result.epochs_run))
+            assert [acc for _, acc, _ in got] == result.valid_acc_history
+            assert np.array_equal(got[-1][2], result.final_model.params)
+
     def test_no_parameter_is_ever_negative_zero(self):
         # why the kernel's einsum, which makes a -0.0 gradient product
         # +0.0, steps every parameter as np.outer would (mlp_backward)
@@ -485,8 +509,10 @@ class TestLockstep:
         cfg = TrainConfig(hidden_sizes=(12, 7), learning_rate=0.05, max_epochs=6,
                           patience=0, seed=1)
         seen = []
-        results = train_stack([(ds, t, s) for t in tables for s in (1, 2)], cfg,
-                              epoch_callback=lambda e, m: seen.append(m.params.copy()))
+
+        def keep(epoch, columns, steps, q, model):
+            seen.append(model.params.copy())
+        results = train_stack([(ds, t, s, keep) for t in tables for s in (1, 2)], cfg)
         seen += [r.final_model.params for r in results]
         assert len(seen) == 8 * (cfg.max_epochs + 1)
         for p in seen:
@@ -506,7 +532,7 @@ class TestLockstep:
         for table in tables[:2]:
             path = np.full((cfg.max_epochs, ds.train_indices.size, ds.num_classes), np.nan)
             store = PathStore(ds.train_indices, ds.num_classes) if record else None
-            got = train_model(ds, table, cfg, paths=store)
+            got = train_model(ds, table, cfg, paths=store and store.log)
             assert_reference_run(got, reference_student(ds, table.rows, cfg, path))
             if record:
                 assert np.array_equal(store.preds, path[:got.epochs_run])
@@ -599,12 +625,13 @@ class TestLockstep:
             return None
 
         sinks = [sink(k, d, seed) for k, (d, _, seed) in zip(kinds, runs)]
-        stacked = train_stack([(*run, s) for run, s in zip(runs, sinks)], cfg)
+        stacked = train_stack([(*run, s and s.log) for run, s in zip(runs, sinks)], cfg)
         assert len({r.epochs_run for r in stacked if isinstance(r, TrainResult)}) > 1
         for kind, (d, table, seed), got, got_sink in zip(kinds, runs, stacked, sinks):
             alone_sink = sink(kind, d, seed)
             try:
-                alone = train_model(d, table, replace(cfg, seed=seed), paths=alone_sink)
+                alone = train_model(d, table, replace(cfg, seed=seed),
+                                    paths=alone_sink and alone_sink.log)
             except DivergenceError as err:
                 assert str(got) == str(err) and " epoch 0, " in str(err)
             else:

@@ -6,8 +6,10 @@ passes. This runs perfbench/traced_cli.py on TINY configs of criterion 11
 (paths and recovery run the tracer over PathStore and the filtered
 teacher, distance-gap over one train_stack and zigzag over PathSums) and
 checks its exit code and that the traced run writes the same bytes as an
-untraced one. One more case runs the 128-wide `paths` of
-test_blas_threads with no BLAS thread variable set, as the benchmark does.
+untraced one. correlate at --jobs 2 runs a real pool under the tracer,
+which leaves one spans file per process. One more case runs the 128-wide
+`paths` of test_blas_threads with no BLAS thread variable set, as the
+benchmark does.
 """
 
 import glob
@@ -29,7 +31,8 @@ TRACED_CLI = os.path.join(ROOT, "perfbench", "traced_cli.py")
 
 def _run_both(tmp_path, command, text, jobs, env):
     """Run command untraced in this process and traced in a subprocess
-    under env; check the exit codes match and the bytes are the same."""
+    under env; check the exit codes match and the bytes are the same.
+    Returns the traced run's spans files."""
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(text)
     args = [command, "--config", str(cfg), "--jobs", jobs]
@@ -42,18 +45,23 @@ def _run_both(tmp_path, command, text, jobs, env):
                            "--out", str(traced)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == rc, proc.stderr
-    assert glob.glob(str(trace_dir / "spans-*.jsonl"))
+    spans = glob.glob(str(trace_dir / "spans-*.jsonl"))
+    assert spans
     names = sorted(os.listdir(plain))
     assert sorted(os.listdir(traced)) == names
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    return spans
 
 
 @pytest.mark.parametrize("command,jobs", [("distill", "2"), ("ntk-verify", "1"),
                                           ("paths", "1"), ("recovery", "1"),
-                                          ("distance-gap", "1"), ("zigzag", "1")])
+                                          ("distance-gap", "1"), ("zigzag", "1"),
+                                          ("correlate", "2"), ("gen-data", "1")])
 def test_traced_run_writes_the_untraced_bytes(tmp_path, command, jobs):
-    _run_both(tmp_path, command, TINY_CONFIGS[command], jobs, os.environ)
+    spans = _run_both(tmp_path, command, TINY_CONFIGS[command], jobs, os.environ)
+    if command == "correlate":  # the main process and its two pool workers
+        assert len(spans) == 3
 
 
 def test_a_traced_run_without_a_blas_variable_writes_the_untraced_bytes(tmp_path):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import statistics
@@ -54,6 +55,10 @@ def measure() -> dict:
     from learnpath.supervision import (TrainConfig, make_ls_targets,
                                        train_filterkd_teachers, train_stack)
 
+    # a tree whose train_stack still takes epoch_callback takes a sink
+    # object and calls its log; a later one takes the callable itself
+    old_sinks = "epoch_callback" in inspect.signature(train_stack).parameters
+
     ds = split_dataset(sample_dataset(GaussianSpec(seed=0), 1000), (0.5, 0.05, 0.45))
     visits = EPOCHS * ds.train_indices.size
     out = {}
@@ -65,7 +70,10 @@ def measure() -> dict:
         def train():
             if kind == "teachers":
                 return train_filterkd_teachers(cells, cfg, ALPHAS)
-            sink = PathStore(ds.train_indices, ds.num_classes) if kind == "paths" else None
+            sink = None
+            if kind == "paths":
+                sink = PathStore(ds.train_indices, ds.num_classes)
+                sink = sink if old_sinks else sink.log
             return train_stack([(ds, t, cfg.seed, sink) for t in tables], cfg)
 
         best = float("inf")
